@@ -17,17 +17,14 @@ from .innovations import (
     InnovationModel,
     NoiseModel,
     check_steepness,
-    sample_aggregate_noise,
 )
 from .model_core import (
     CustomerGroup,
     MACoefficients,
     ModelSpec,
-    aggregate_beta,
     cumulative_population,
     floor_power,
     population,
-    total_phi,
 )
 from .modeldoc import canonical_document, load_model, model_digest, parse_model_document
 from .rate_function import (
@@ -51,7 +48,7 @@ from .segments import (
     r_stat_trajectory,
     t_stat,
 )
-from .simulator import PathConfig, WorkloadPath, replicate_rng, segment_average, simulate
+from .simulator import PathConfig, WorkloadPath, segment_average, simulate
 from .experiments import RunResult, StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "ThresholdSet",
     "UldpRun",
     "WorkloadPath",
-    "aggregate_beta",
     "brute_force_r",
     "brute_force_t",
     "canonical_document",
@@ -97,14 +93,11 @@ __all__ = [
     "population",
     "r_stat",
     "r_stat_trajectory",
-    "replicate_rng",
     "run_strong_law",
     "run_uldp",
-    "sample_aggregate_noise",
     "segment_average",
     "set_rate",
     "simulate",
     "sla_plan",
     "t_stat",
-    "total_phi",
 ]

@@ -32,8 +32,6 @@ from .rate_function import RateFunctionCtx, legendre
 from .segments import ThresholdSet, r_stat, t_stat
 from .simulator import PathConfig, simulate
 
-logger = logging.getLogger(__name__)
-
 
 def _fmt(x) -> str:
     """CSV cell: floats at 17 significant digits, '.' decimal, None empty."""
@@ -441,11 +439,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit_error("validation", exc)
         return 1
-
-
-def parse_and_dispatch(argv) -> int:
-    """Dispatch an argv list; returns the process exit status."""
-    return main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,15 @@ from .model_core import ModelSpec, floor_power_prefix
 from .modeldoc import canonical_document, parse_model_document
 from .rate_function import RateFunctionCtx, invert_capacity, lambda_limit_prime, legendre, set_rate
 from .segments import ThresholdSet, r_stat, t_stat
-from .simulator import PathConfig, innovation_span, simulate
+from .simulator import (
+    PathConfig,
+    _child_streams,
+    _ma_filter,
+    _resolve_noise_mode,
+    _step_noise,
+    innovation_span,
+    simulate,
+)
 
 _ULDP_CHUNK = 8192
 _NEAR_MEAN_RATE = 1e-4
@@ -127,36 +135,28 @@ def _strong_law_replicate(args: tuple) -> dict:
     spec = parse_model_document(doc)
     tset = ThresholdSet.above(c_p)
     r_max = max(r_grid)
+    mode = _resolve_noise_mode(spec, noise_mode)
+    rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(rep,)))
 
-    ss = np.random.SeedSequence(master_seed, spawn_key=(rep,))
-    child_xi, child_eps = ss.spawn(2)
-    rng_xi = np.random.default_rng(child_xi)
-    rng_eps = np.random.default_rng(child_eps)
-
-    mode = noise_mode
-    if mode is None:
-        mode = "aggregate" if spec.noise is not None else "off"
-
+    # Each doubling draws the innovations and noise of the new steps only.
     horizon = initial_horizon
-    j_min, j_max = innovation_span(spec, horizon)
-    xi = spec.innovations.sample(rng_xi, j_max - j_min + 1)
-    eps = _draw_step_noise(spec, mode, 1, horizon, rng_eps)
-
+    xi = np.empty((0, spec.dim), dtype=np.float64)
+    eps = np.empty(0, dtype=np.float64) if mode != "off" else None
     while True:
+        j_min, j_max = innovation_span(spec, horizon)
+        xi = np.vstack([xi, spec.innovations.sample(rng_xi, j_max - j_min + 1 - len(xi))])
+        if eps is not None:
+            counts = spec.total_c * floor_power_prefix(horizon, spec.alpha)[1:]
+            eps = np.concatenate([eps, _step_noise(spec, mode, counts, rng_eps, start=len(eps))])
         path = simulate(
             spec,
-            PathConfig(horizon, seed=master_seed, noise_mode="off" if eps is None else mode),
+            PathConfig(horizon, seed=master_seed, noise_mode="off"),
             injected_innovations=xi,
             injected_step_noise=eps,
         )
         if t_stat(path, tset, r_max).value is not None or horizon >= horizon_cap:
             break
-        new_horizon = min(2 * horizon, horizon_cap)
-        xi = np.vstack([xi, spec.innovations.sample(rng_xi, new_horizon - horizon)])
-        extra = _draw_step_noise(spec, mode, horizon + 1, new_horizon, rng_eps)
-        if eps is not None:
-            eps = np.concatenate([eps, extra])
-        horizon = new_horizon
+        horizon = min(2 * horizon, horizon_cap)
 
     reports = {r: t_stat(path, tset, r) for r in r_grid}
     r_values = {t: r_stat(path, tset, t) for t in t_grid}
@@ -166,23 +166,6 @@ def _strong_law_replicate(args: tuple) -> dict:
         "T": {r: rep_.value for r, rep_ in reports.items()},
         "R": {t: rep_.value for t, rep_ in r_values.items()},
     }
-
-
-def _draw_step_noise(spec: ModelSpec, mode: str, t_from: int, t_to: int, rng) -> Optional[np.ndarray]:
-    """Aggregate noise terms for steps t_from..t_to, or None when off."""
-    if mode == "off":
-        return None
-    if spec.noise is None:
-        raise ModelValidationError("noise_model_missing", f"noise_mode {mode!r} needs a noise law")
-    counts = spec.total_c * floor_power_prefix(t_to, spec.alpha)[t_from:]
-    if mode == "aggregate":
-        return np.asarray(spec.noise.sample_aggregate(counts, rng), dtype=np.float64)
-    if mode == "literal":
-        out = np.empty(len(counts), dtype=np.float64)
-        for i, n in enumerate(counts):
-            out[i] = spec.noise.sample_individual(int(n), rng).sum()
-        return out
-    raise ModelValidationError("noise_mode", f"unknown noise mode {mode!r}")
 
 
 def run_strong_law(cfg: StrongLawRun, workers: int = 1) -> RunResult:
@@ -300,35 +283,23 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     lo, hi = _window_bounds(k, t)
     width = hi - lo + 1
 
-    ss = np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx))
-    child_xi, child_eps = ss.spawn(2)
-    rng_xi = np.random.default_rng(child_xi)
-    rng_eps = np.random.default_rng(child_eps)
+    mode = _resolve_noise_mode(spec, noise_mode)
+    if mode == "literal":
+        raise ModelValidationError(
+            "noise_mode", "literal noise is not supported for window sampling; use aggregate"
+        )
+    rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx)))
 
     ma = spec.ma
     span = width + ma.max_lag - ma.min_lag
     xi = spec.innovations.sample(rng_xi, size * span).reshape(size, span, spec.dim)
-    loaded = xi @ spec.beta_sum  # (size, span)
-    zsum = np.zeros((size, width), dtype=np.float64)
-    for lag, coeff in ma.coeffs.items():
-        start = ma.max_lag - lag
-        zsum += coeff * loaded[:, start : start + width]
+    zsum = _ma_filter(ma, xi @ spec.beta_sum, width)
 
     window_fp = floor_power_prefix(hi, spec.alpha)[lo:]
     weights = window_fp.astype(np.float64)
     values = zsum @ weights
     n_window = spec.total_c * int(window_fp.sum())
-
-    mode = noise_mode
-    if mode is None:
-        mode = "aggregate" if spec.noise is not None else "off"
-    if mode == "literal":
-        raise ModelValidationError(
-            "noise_mode", "literal noise is not supported for window sampling; use aggregate"
-        )
     if mode == "aggregate":
-        if spec.noise is None:
-            raise ModelValidationError("noise_model_missing", "noise_mode 'aggregate' needs a noise law")
         values = values + spec.noise.sample_aggregate(np.full(size, n_window, dtype=np.int64), rng_eps)
 
     averages = values / float(n_window)

@@ -167,19 +167,6 @@ class GaussianNoise(NoiseModel):
         return rng.standard_normal(n) * np.sqrt(self.var)
 
 
-def sample_aggregate_noise(model: NoiseModel, n: int, rng: np.random.Generator) -> float:
-    """One draw distributed as the sum of ``n`` independent noise terms."""
-    if n < 1:
-        raise ValueError("count must be >= 1")
-    return float(model.sample_aggregate(n, rng))
-
-
-def directional_mgf_derivative(model: InnovationModel, direction: np.ndarray, lam: float) -> float:
-    """d/d lambda of log_mgf(lambda * direction)."""
-    direction = np.asarray(direction, dtype=np.float64)
-    return float(direction @ model.grad_log_mgf(lam * direction))
-
-
 def check_steepness(model: InnovationModel, direction: np.ndarray) -> bool:
     """Spot check that |d/d lambda log_mgf(lambda * direction)| grows without bound.
 
@@ -190,7 +177,7 @@ def check_steepness(model: InnovationModel, direction: np.ndarray) -> bool:
     """
     ok = True
     for sign in (1.0, -1.0):
-        mags = [abs(directional_mgf_derivative(model, direction, sign * p)) for p in _STEEPNESS_PROBES]
+        mags = np.abs(model.grad_log_mgf_ray(direction, sign * np.asarray(_STEEPNESS_PROBES)))
         if not (mags[0] < mags[1] < mags[2]):
             ok = False
     if not ok:

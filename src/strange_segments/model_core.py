@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, TYPE_CHECKING
+from typing import Mapping, TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +28,14 @@ _FLOOR_GUARD = 1e-9
 # Largest denominator for which alpha is treated as an exact small rational
 # and the floor is settled by integer exponentiation.
 _MAX_RATIONAL_DEN = 64
+
+
+def _exact_rational(alpha: float) -> tuple[int, int] | None:
+    """(p, q) when alpha is exactly the small rational p/q, else None."""
+    frac = Fraction(alpha).limit_denominator(_MAX_RATIONAL_DEN)
+    if frac == Fraction(alpha):
+        return frac.numerator, frac.denominator
+    return None
 
 
 def floor_power(t: int, alpha: float) -> int:
@@ -48,9 +56,9 @@ def floor_power(t: int, alpha: float) -> int:
     v = float(t) ** alpha
     n = round(v)
     if abs(v - n) <= _FLOOR_GUARD * max(1.0, abs(v)):
-        frac = Fraction(alpha).limit_denominator(_MAX_RATIONAL_DEN)
-        if frac == Fraction(alpha) and frac.denominator <= _MAX_RATIONAL_DEN:
-            p, q = frac.numerator, frac.denominator
+        pq = _exact_rational(alpha)
+        if pq is not None:
+            p, q = pq
             return n if t**p >= n**q else n - 1
         return n
     return int(np.floor(v))
@@ -59,27 +67,25 @@ def floor_power(t: int, alpha: float) -> int:
 def floor_power_prefix(t_max: int, alpha: float) -> np.ndarray:
     """Array of floor(t**alpha) for t = 0..t_max (int64).
 
-    Vectorized float power everywhere except inside the near-integer guard
-    band, where the same exact resolution as ``floor_power`` is applied
-    (vectorized for integer alpha, where every index lands in the band).
-    Agrees with ``floor_power`` element by element.
+    Integer alpha is an exact integer power whenever it fits in 64 bits.
+    Otherwise the float power is used everywhere except inside the
+    near-integer guard band, where the same exact resolution as
+    ``floor_power`` is applied. Agrees with ``floor_power`` element by
+    element.
     """
+    pq = _exact_rational(alpha)
+    if pq is not None and pq[1] == 1 and pq[0] * max(t_max, 2).bit_length() < 62:
+        return np.arange(t_max + 1, dtype=np.int64) ** pq[0]
     t = np.arange(t_max + 1, dtype=np.float64)
     v = t**alpha
     out = np.floor(v).astype(np.int64)
     n = np.rint(v)
     risky = np.flatnonzero(np.abs(v - n) <= _FLOOR_GUARD * np.maximum(1.0, np.abs(v)))
-    if risky.size == 0:
-        return out
-    frac = Fraction(alpha).limit_denominator(_MAX_RATIONAL_DEN)
-    if frac == Fraction(alpha) and frac.denominator <= _MAX_RATIONAL_DEN:
-        p, q = frac.numerator, frac.denominator
-        if q == 1 and p * max(t_max, 2).bit_length() < 62:
-            out[risky] = risky.astype(np.int64) ** p
-        else:
-            for i in risky.tolist():
-                ni = int(n[i])
-                out[i] = ni if i**p >= ni**q else ni - 1
+    if pq is not None:
+        p, q = pq
+        for i in risky.tolist():
+            ni = int(n[i])
+            out[i] = ni if i**p >= ni**q else ni - 1
     else:
         out[risky] = n[risky].astype(np.int64)
     return out
@@ -106,8 +112,8 @@ class CustomerGroup:
 class MACoefficients:
     """Finite two-sided moving-average coefficients phi_k, keyed by lag.
 
-    ``trunc_tol`` records the tail-mass bound that was accepted when the
-    family was truncated from a generator; it is 0 for literal families.
+    ``trunc_tol`` is carried over from the model document's optional key of
+    the same name; it enters the model digest but no computation reads it.
     """
 
     coeffs: Mapping[int, float]
@@ -120,48 +126,6 @@ class MACoefficients:
             raise ModelValidationError("trunc_tol_nonnegative", "trunc_tol must be >= 0")
         if not items:
             raise ModelValidationError("phi_nonempty", "at least one MA coefficient is required")
-
-    @classmethod
-    def from_generator(
-        cls,
-        pairs: Iterable[tuple[int, float]],
-        trunc_tol: float,
-        max_terms: int = 100_000,
-        probation: int = 32,
-    ) -> "MACoefficients":
-        """Truncate an infinite (lag, value) family down to finite support.
-
-        Terms are consumed until ``probation`` consecutive terms each
-        contribute less than ``trunc_tol / probation`` in absolute value, so
-        the retained family is within the requested tail mass of any family
-        whose discarded terms keep shrinking. Raises if ``max_terms`` terms
-        never satisfy that criterion.
-        """
-        if trunc_tol <= 0:
-            raise ModelValidationError(
-                "trunc_tol_positive", "a positive trunc_tol is required to truncate a generator"
-            )
-        kept: dict[int, float] = {}
-        quiet = 0
-        it: Iterator[tuple[int, float]] = iter(pairs)
-        for count, (lag, value) in enumerate(it):
-            if count >= max_terms:
-                break
-            if abs(value) < trunc_tol / probation:
-                quiet += 1
-            else:
-                quiet = 0
-            kept[int(lag)] = kept.get(int(lag), 0.0) + float(value)
-            if quiet >= probation:
-                return cls(kept, trunc_tol=trunc_tol)
-        else:
-            # generator exhausted: support was finite after all
-            return cls(kept, trunc_tol=trunc_tol)
-        raise ModelValidationError(
-            "trunc_tol_unachievable",
-            f"coefficient generator did not decay below the truncation tolerance "
-            f"within {max_terms} terms",
-        )
 
     @property
     def lags(self) -> tuple[int, ...]:
@@ -179,9 +143,6 @@ class MACoefficients:
 
     def total(self) -> float:
         return float(sum(self.coeffs.values()))
-
-    def abs_total(self) -> float:
-        return float(sum(abs(v) for v in self.coeffs.values()))
 
 
 @dataclass(frozen=True)
@@ -291,18 +252,3 @@ def cumulative_population_prefix(spec: ModelSpec, t_max: int) -> np.ndarray:
         )
     steps = spec.total_c * floor_power_prefix(t_max, spec.alpha)
     return np.cumsum(steps, dtype=np.int64)
-
-
-def aggregate_beta(spec: ModelSpec) -> np.ndarray:
-    """Average loading vector beta_bar = C^{-1} sum_i c_i beta_i."""
-    return spec.beta_bar
-
-
-def total_phi(spec: ModelSpec) -> float:
-    """Total MA mass phi = sum_k phi_k; re-asserts phi != 0."""
-    phi = spec.phi_total
-    if phi == 0.0:
-        raise ModelValidationError(
-            "phi_total_nonzero", "the MA coefficients must not sum to zero (phi != 0)"
-        )
-    return phi

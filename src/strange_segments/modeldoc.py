@@ -13,6 +13,10 @@ A model document is a single JSON object:
 
 Unknown keys anywhere are a hard error so that typos cannot silently change
 a run. Every validation failure names the violated invariant.
+
+``groups[].mu`` and ``trunc_tol`` are accepted and enter the model digest,
+but no computation reads them: paths are deviations from the mean workload,
+and ``phi`` is always a finite literal family.
 """
 
 from __future__ import annotations

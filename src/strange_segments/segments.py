@@ -116,18 +116,29 @@ def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarra
     return g if tset.kind == "above" else -g
 
 
-def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
-    """Longest deviant segment ending by time t.
+def _direct_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
+    """For each l <= t, the width of the widest deviant segment ending at l, by enumeration."""
+    s, n = path.S, path.N.astype(np.float64)
+    widths = np.zeros(t + 1, dtype=np.int64)
+    for l in range(1, t + 1):
+        avg = (s[l] - s[:l]) / (n[l] - n[:l])
+        hits = np.flatnonzero(tset.contains_array(avg))
+        if hits.size:
+            widths[l] = l - int(hits[0])
+    return widths
 
-    One-sided sets use the linear-time ramp scan on the tilted walk; interval
-    sets fall back to direct enumeration.
-    """
+
+def _endpoint_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
+    """For each l = 0..t, the width of the widest deviant segment ending at l."""
     if not 1 <= t <= path.t_max:
         raise ValueError(f"horizon {t} outside 1..{path.t_max}")
     if tset.kind == "interval":
-        return brute_force_r(path, tset, t)
-    g = _one_sided_walk(path, tset, t)
-    widths = _ramp_widths(g)
+        return _direct_widths(path, tset, t)
+    return _ramp_widths(_one_sided_walk(path, tset, t))
+
+
+def _widest(widths: np.ndarray) -> SegmentReport:
+    """R statistic from per-endpoint widths; the witness ends at the first widest endpoint."""
     value = int(widths.max())
     if value == 0:
         return SegmentReport(0, None)
@@ -135,27 +146,22 @@ def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
     return SegmentReport(value, (l - value, l))
 
 
+def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
+    """Longest deviant segment ending by time t.
+
+    One-sided sets use the linear-time ramp scan on the tilted walk; interval
+    sets fall back to direct enumeration.
+    """
+    return _widest(_endpoint_widths(path, tset, t))
+
+
 def r_stat_trajectory(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
     """R_1..R_t in one pass (index 0 of the result is R_0 = 0).
 
     Must agree with recomputing ``r_stat`` at every horizon; the running
-    maximum of per-endpoint ramp widths is exactly that.
+    maximum of per-endpoint widths is exactly that.
     """
-    if not 1 <= t <= path.t_max:
-        raise ValueError(f"horizon {t} outside 1..{path.t_max}")
-    if tset.kind == "interval":
-        out = np.zeros(t + 1, dtype=np.int64)
-        best = 0
-        s, n = path.S, path.N.astype(np.float64)
-        for l in range(1, t + 1):
-            avg = (s[l] - s[:l]) / (n[l] - n[:l])
-            hits = np.flatnonzero(tset.contains_array(avg))
-            if hits.size:
-                best = max(best, l - int(hits[0]))
-            out[l] = best
-        return out
-    g = _one_sided_walk(path, tset, t)
-    return np.maximum.accumulate(_ramp_widths(g))
+    return np.maximum.accumulate(_endpoint_widths(path, tset, t))
 
 
 def t_stat(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
@@ -187,16 +193,7 @@ def brute_force_r(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentRepo
     """Direct evaluation of the R statistic over every segment (k, l)."""
     if not 1 <= t <= path.t_max:
         raise ValueError(f"horizon {t} outside 1..{path.t_max}")
-    s, n = path.S, path.N.astype(np.float64)
-    best = 0
-    witness = None
-    for l in range(1, t + 1):
-        avg = (s[l] - s[:l]) / (n[l] - n[:l])
-        hits = np.flatnonzero(tset.contains_array(avg))
-        if hits.size and l - int(hits[0]) > best:
-            best = l - int(hits[0])
-            witness = (int(hits[0]), l)
-    return SegmentReport(best, witness)
+    return _widest(_direct_widths(path, tset, t))
 
 
 def brute_force_t(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:

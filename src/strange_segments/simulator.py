@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelValidationError
-from .model_core import ModelSpec, cumulative_population_prefix, floor_power_prefix
+from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix, floor_power_prefix
 from .modeldoc import model_digest
 
 _NOISE_MODES = ("aggregate", "literal", "off")
@@ -101,8 +101,8 @@ def innovation_span(spec: ModelSpec, t_max: int) -> tuple[int, int]:
     return 1 - spec.ma.max_lag, t_max - spec.ma.min_lag
 
 
-def _resolve_noise_mode(spec: ModelSpec, cfg: PathConfig) -> str:
-    mode = cfg.noise_mode
+def _resolve_noise_mode(spec: ModelSpec, mode: Optional[str]) -> str:
+    """Noise mode to run: None means "aggregate" when the model has a noise law, else "off"."""
     if mode is None:
         return "aggregate" if spec.noise is not None else "off"
     if mode != "off" and spec.noise is None:
@@ -112,34 +112,71 @@ def _resolve_noise_mode(spec: ModelSpec, cfg: PathConfig) -> str:
     return mode
 
 
+def _child_streams(ss: np.random.SeedSequence) -> tuple[np.random.Generator, np.random.Generator]:
+    """(innovation stream, noise stream) of one path, spawned from ``ss`` in that order."""
+    child_xi, child_eps = ss.spawn(2)
+    return np.random.default_rng(child_xi), np.random.default_rng(child_eps)
+
+
+def _ma_filter(ma: MACoefficients, loaded: np.ndarray, width: int) -> np.ndarray:
+    """Moving average sum_k phi_k * loaded(t - k) for ``width`` consecutive t.
+
+    Works along the last axis of ``loaded``, which covers the innovation span
+    of those outputs: its entry 0 lies max_lag steps before the first t.
+    """
+    out = np.zeros(loaded.shape[:-1] + (width,), dtype=np.float64)
+    for lag, coeff in ma.coeffs.items():
+        start = ma.max_lag - lag
+        out += coeff * loaded[..., start : start + width]
+    return out
+
+
+def _step_noise(
+    spec: ModelSpec, mode: str, counts: np.ndarray, rng: np.random.Generator, start: int = 0
+) -> np.ndarray:
+    """Idiosyncratic noise terms for steps start+1..len(counts).
+
+    ``counts[i]`` is the number of customers present at step i + 1 and
+    ``mode`` is a resolved mode other than "off". Aggregate mode draws each
+    step's sum in one exact-law draw; literal mode sums one draw per customer
+    and refuses a path whose total draws N(len(counts)) exceed the budget,
+    including the steps before ``start`` drawn by earlier calls.
+    """
+    if mode == "aggregate":
+        return np.asarray(spec.noise.sample_aggregate(counts[start:], rng), dtype=np.float64)
+    total_draws = int(counts.sum())
+    if total_draws > _LITERAL_DRAW_BUDGET:
+        raise ModelValidationError(
+            "literal_draw_budget",
+            f"literal noise would need {total_draws} draws "
+            f"(budget {_LITERAL_DRAW_BUDGET}); use aggregate mode",
+        )
+    out = np.empty(len(counts) - start, dtype=np.float64)
+    for i, n in enumerate(counts[start:].tolist()):
+        out[i] = spec.noise.sample_individual(n, rng).sum()
+    return out
+
+
 def simulate(
     spec: ModelSpec,
     cfg: PathConfig,
-    rng: Optional[np.random.Generator] = None,
     injected_innovations: Optional[np.ndarray] = None,
     injected_step_noise: Optional[np.ndarray] = None,
 ) -> WorkloadPath:
     """Generate one workload path.
 
-    Randomness is drawn from two child streams of ``cfg.seed`` (innovations
-    first, noise second) unless an explicit ``rng`` is passed, in which case
-    both are drawn sequentially from it. ``injected_innovations`` (shape
-    (span, K) or (span,) when K == 1, covering ``innovation_span``) and
+    Randomness is drawn from two child streams of ``cfg.seed``, innovations
+    first and noise second. ``injected_innovations`` (shape (span, K) or
+    (span,) when K == 1, covering ``innovation_span``) and
     ``injected_step_noise`` (one aggregate term per step) bypass the samplers
     entirely and make the path a deterministic function of the inputs.
     """
     t_max = cfg.t_max
-    mode = _resolve_noise_mode(spec, cfg)
+    mode = _resolve_noise_mode(spec, cfg.noise_mode)
     k_dim = spec.dim
     j_min, j_max = innovation_span(spec, t_max)
     span = j_max - j_min + 1
-
-    rng_xi = rng_eps = rng
-    if rng is None:
-        ss = np.random.SeedSequence(cfg.seed)
-        child_xi, child_eps = ss.spawn(2)
-        rng_xi = np.random.default_rng(child_xi)
-        rng_eps = np.random.default_rng(child_eps)
+    rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
 
     if injected_innovations is not None:
         xi = np.asarray(injected_innovations, dtype=np.float64)
@@ -156,11 +193,7 @@ def simulate(
 
     # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
     # loading first so each lag is one vectorized slice.
-    loaded = xi @ spec.beta_sum  # (span,)
-    driver = np.zeros(t_max, dtype=np.float64)
-    for lag, coeff in spec.ma.coeffs.items():
-        start = spec.ma.max_lag - lag
-        driver += coeff * loaded[start : start + t_max]
+    driver = _ma_filter(spec.ma, xi @ spec.beta_sum, t_max)
 
     fp = floor_power_prefix(t_max, spec.alpha)  # floor(t**alpha), t = 0..t_max
     n_prefix = cumulative_population_prefix(spec, t_max)
@@ -174,22 +207,8 @@ def simulate(
                 f"injected step noise must have shape ({t_max},), got {eps.shape}",
             )
         d = d + eps
-    elif mode == "aggregate":
-        counts = (n_prefix[1:] - n_prefix[:-1]).astype(np.int64)
-        d = d + spec.noise.sample_aggregate(counts, rng_eps)
-    elif mode == "literal":
-        total_draws = int(n_prefix[-1])
-        if total_draws > _LITERAL_DRAW_BUDGET:
-            raise ModelValidationError(
-                "literal_draw_budget",
-                f"literal noise would need {total_draws} draws "
-                f"(budget {_LITERAL_DRAW_BUDGET}); use aggregate mode",
-            )
-        counts = n_prefix[1:] - n_prefix[:-1]
-        lit = np.empty(t_max, dtype=np.float64)
-        for t in range(t_max):
-            lit[t] = spec.noise.sample_individual(int(counts[t]), rng_eps).sum()
-        d = d + lit
+    elif mode != "off":
+        d = d + _step_noise(spec, mode, n_prefix[1:] - n_prefix[:-1], rng_eps)
 
     s = np.zeros(t_max + 1, dtype=np.float64)
     s[1:] = _compensated_cumsum(d)
@@ -207,8 +226,3 @@ def segment_average(path: WorkloadPath, k: int, l: int) -> float:
     if not 0 <= k < l <= path.t_max:
         raise ValueError(f"need 0 <= k < l <= {path.t_max}, got ({k}, {l})")
     return float((path.S[l] - path.S[k]) / float(path.N[l] - path.N[k]))
-
-
-def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent stream for replicate ``index`` of a run seeded by ``master_seed``."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))

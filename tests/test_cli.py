@@ -258,10 +258,3 @@ class TestHygiene:
         assert proc.returncode == 0
         for sub in ("rate", "simulate", "segments", "verify-strong-law", "verify-uldp", "plan"):
             assert sub in proc.stdout
-
-    def test_parse_and_dispatch_alias(self, capsys, model_file):
-        from strange_segments.cli import parse_and_dispatch
-
-        path = model_file(unit_document())
-        assert parse_and_dispatch(["rate", "--model", path, "--x", "1.0"]) == 0
-        capsys.readouterr()

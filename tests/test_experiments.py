@@ -15,6 +15,7 @@ from strange_segments import (
     run_uldp,
     sla_plan,
 )
+import strange_segments.simulator as simulator
 from strange_segments.experiments import _window_bounds
 
 
@@ -79,6 +80,18 @@ class TestStrongLaw:
         )
         res = run_strong_law(cfg)
         assert res.summary["duality_consistent"] is True
+
+    def test_literal_noise_respects_draw_budget(self, noisy_unit_spec, monkeypatch):
+        # N(64) = 2080 fits the budget and the extension to 128 draws only
+        # 6176 more, but the whole path then needs N(128) = 8256 draws.
+        monkeypatch.setattr(simulator, "_LITERAL_DRAW_BUDGET", 8000)
+        cfg = small_strong_law(
+            noisy_unit_spec, noise_mode="literal", c_p=3.0, r_grid=(20,), t_grid=(16,),
+            replicates=1, initial_horizon=64, horizon_cap=4096,
+        )
+        with pytest.raises(ModelValidationError) as excinfo:
+            run_strong_law(cfg)
+        assert excinfo.value.invariant == "literal_draw_budget"
 
 
 class TestWindowBounds:

@@ -7,7 +7,6 @@ from strange_segments import (
     ModelValidationError,
     SteepnessWarning,
     check_steepness,
-    sample_aggregate_noise,
 )
 from strange_segments.innovations import InnovationModel
 
@@ -104,12 +103,12 @@ class TestSampling:
 class TestNoise:
     def test_degenerate_noise_is_zero(self):
         n = GaussianNoise(var=0.0)
-        assert sample_aggregate_noise(n, 17, np.random.default_rng(0)) == 0.0
+        assert n.sample_aggregate(17, np.random.default_rng(0)) == 0.0
 
     def test_aggregate_matches_literal_sum_variance(self):
         n = GaussianNoise(var=1.0)
         rng = np.random.default_rng(21)
-        agg = np.array([sample_aggregate_noise(n, 4, rng) for _ in range(100_000)])
+        agg = n.sample_aggregate(np.full(100_000, 4), rng)
         lit = n.sample_individual(4 * 100_000, rng).reshape(-1, 4).sum(axis=1)
         assert abs(agg.var() - 4.0) <= 0.2
         assert abs(lit.var() - 4.0) <= 0.2
@@ -117,13 +116,9 @@ class TestNoise:
     def test_single_draw_distribution_matches(self):
         n = GaussianNoise(var=2.0)
         rng = np.random.default_rng(9)
-        agg = np.array([sample_aggregate_noise(n, 1, rng) for _ in range(10_000)])
+        agg = n.sample_aggregate(np.ones(10_000, dtype=np.int64), rng)
         lit = n.sample_individual(10_000, rng)
         assert two_sample_ks(agg, lit) < ks_critical(10_000, 10_000)
-
-    def test_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample_aggregate_noise(GaussianNoise(var=1.0), 0, np.random.default_rng(0))
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ModelValidationError):

@@ -6,12 +6,10 @@ from strange_segments import (
     MACoefficients,
     ModelSpec,
     ModelValidationError,
-    aggregate_beta,
     cumulative_population,
     floor_power,
     parse_model_document,
     population,
-    total_phi,
 )
 from strange_segments.innovations import GaussianInnovations
 from strange_segments.model_core import cumulative_population_prefix, floor_power_prefix
@@ -114,7 +112,7 @@ class TestCumulativePopulation:
 class TestAggregates:
     def test_beta_bar_single(self):
         spec = make_spec(groups=[CustomerGroup(c=1, mu=0.0, beta=(1.0, 0.0))], dim=2)
-        assert aggregate_beta(spec).tolist() == [1.0, 0.0]
+        assert spec.beta_bar.tolist() == [1.0, 0.0]
 
     def test_beta_bar_two_groups(self):
         spec = make_spec(
@@ -124,11 +122,11 @@ class TestAggregates:
             ],
             dim=2,
         )
-        assert aggregate_beta(spec).tolist() == [0.5, 0.5]
+        assert spec.beta_bar.tolist() == [0.5, 0.5]
 
     def test_total_phi(self):
         spec = make_spec(phi={0: 0.5, 1: 0.5})
-        assert total_phi(spec) == 1.0
+        assert spec.phi_total == 1.0
 
     def test_zero_phi_rejected(self):
         with pytest.raises(ModelValidationError, match="phi"):
@@ -160,29 +158,7 @@ class TestValidation:
 
 
 class TestMACoefficients:
-    def test_from_generator_truncates(self):
-        def family():
-            lag = 0
-            while True:
-                yield lag, 0.5**lag
-                lag += 1
-
-        ma = MACoefficients.from_generator(family(), trunc_tol=1e-10)
-        assert ma.coeffs[0] == 1.0
-        assert 30 < len(ma.coeffs) < 200
-        assert abs(ma.total() - 2.0) < 1e-9
-
-    def test_from_generator_rejects_nondecaying(self):
-        def family():
-            lag = 0
-            while True:
-                yield lag, 1.0
-                lag += 1
-
-        with pytest.raises(ModelValidationError, match="truncation"):
-            MACoefficients.from_generator(family(), trunc_tol=1e-6, max_terms=1000)
-
     def test_finite_generator_kept_whole(self):
-        ma = MACoefficients.from_generator([(-1, 0.25), (0, 1.0)], trunc_tol=1e-6)
+        ma = MACoefficients({-1: 0.25, 0: 1.0})
         assert ma.coeffs == {-1: 0.25, 0: 1.0}
         assert ma.max_lag == 0 and ma.min_lag == -1
