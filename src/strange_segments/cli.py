@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -51,11 +52,19 @@ class _Parser(argparse.ArgumentParser):
         raise ModelValidationError("usage", message)
 
 
-def _floats(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """One finite number; nan and inf never reach the numerics."""
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise ModelValidationError("number_list", f"expected comma-separated numbers, got {text!r}") from exc
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ModelValidationError("number_list", f"expected a finite number, got {text!r}")
+
+
+def _floats(text: str) -> list[float]:
+    return [_finite_float(p) for p in text.split(",") if p.strip() != ""]
 
 
 def _ints(text: str) -> list[int]:
@@ -329,8 +338,8 @@ def build_parser() -> _Parser:
                    help="comma-separated window offsets k; omit for the limit curve only")
     p.add_argument("--limit", action="store_true",
                    help="also emit the limit curve when --k is given")
-    p.add_argument("--quad-tol", type=float, default=1e-10, help="quadrature error target")
-    p.add_argument("--root-tol", type=float, default=1e-12, help="Legendre root tolerance")
+    p.add_argument("--quad-tol", type=_finite_float, default=1e-10, help="quadrature error target")
+    p.add_argument("--root-tol", type=_finite_float, default=1e-12, help="Legendre root tolerance")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("simulate", help="simulate a workload-deviation path and write t,N,S[,D]")
@@ -346,8 +355,8 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--set", choices=("above", "below", "interval"), required=True,
                    help="threshold set kind")
-    p.add_argument("--a", type=float, required=True, help="threshold (lower endpoint for interval)")
-    p.add_argument("--b", type=float, default=None, help="upper endpoint (interval sets only)")
+    p.add_argument("--a", type=_finite_float, required=True, help="threshold (lower endpoint for interval)")
+    p.add_argument("--b", type=_finite_float, default=None, help="upper endpoint (interval sets only)")
     p.add_argument("--r", type=int, default=None, help="segment length for the T statistic")
     p.add_argument("--t", type=int, default=None, help="horizon for the R statistic (default t-max)")
     p.add_argument("--inject", default=None,
@@ -362,7 +371,7 @@ def build_parser() -> _Parser:
                        help="Monte Carlo check of the growth law for T_r and R_t")
     add_common(p)
     p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
-    p.add_argument("--cp", type=float, required=True, help="capacity threshold C_p (above the mean)")
+    p.add_argument("--cp", type=_finite_float, required=True, help="capacity threshold C_p (above the mean)")
     p.add_argument("--replicates", type=int, default=50, help="number of independent replicates")
     p.add_argument("--r-grid", type=_ints, default=[6, 8, 10, 12, 14],
                    help="comma-separated segment lengths r")
@@ -389,8 +398,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, required=True, help="window samples per offset")
     p.add_argument("--set", choices=("above", "below", "interval"), required=True,
                    help="threshold set kind")
-    p.add_argument("--a", type=float, required=True, help="threshold (lower endpoint for interval)")
-    p.add_argument("--b", type=float, default=None, help="upper endpoint (interval sets only)")
+    p.add_argument("--a", type=_finite_float, required=True, help="threshold (lower endpoint for interval)")
+    p.add_argument("--b", type=_finite_float, default=None, help="upper endpoint (interval sets only)")
     p.add_argument("--noise-mode", choices=("aggregate", "off"), default=None,
                    help="noise handling (literal is unsupported for window sampling)")
     p.add_argument("--workers", type=int, default=1, help="parallel sample-chunk workers")

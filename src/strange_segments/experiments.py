@@ -154,11 +154,12 @@ def _strong_law_replicate(args: tuple) -> dict:
             injected_innovations=xi,
             injected_step_noise=eps,
         )
-        if t_stat(path, tset, r_max).value is not None or horizon >= horizon_cap:
+        longest = t_stat(path, tset, r_max)
+        if longest.value is not None or horizon >= horizon_cap:
             break
         horizon = min(2 * horizon, horizon_cap)
 
-    reports = {r: t_stat(path, tset, r) for r in r_grid}
+    reports = {r: longest if r == r_max else t_stat(path, tset, r) for r in r_grid}
     r_values = {t: r_stat(path, tset, t) for t in t_grid}
     return {
         "replicate": rep,

@@ -13,21 +13,24 @@ Two convex log-MGF limits drive all asymptotics of long deviant segments:
   which reduces to the limit curve as ``k -> infinity``.
 
 Their Fenchel-Legendre transforms ``f*(x) = sup_lam {lam x - f(lam)}`` are
-computed by solving ``f'(lam) = x`` (the derivative is continuous and
-increasing, so bracketing plus bisection is globally safe) and the capacity
-inversion solves ``Lambda*(C) = target`` on the increasing branch.
+computed by solving ``f'(lam) = x``. The derivative is continuous and
+increasing, so a doubled bracket plus Brent's method (interpolation steps
+guarded by bisection) is globally safe and converges superlinearly. The
+capacity inversion solves ``Lambda*(C) = target`` on the increasing branch
+through the duality ``Lambda*(Lambda'(lam)) = lam Lambda'(lam) - Lambda(lam)``,
+so it needs one root search in lam rather than a transform per probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import expm1, log1p
+from math import copysign, expm1, inf, isfinite, log1p
 from typing import Union
 
 import numpy as np
 
-from .errors import BracketError, ModelValidationError, QuadratureError
+from .errors import BracketError, ModelValidationError, NumericalError, QuadratureError
 from .innovations import GaussianInnovations
 from .model_core import ModelSpec
 from .segments import ThresholdSet
@@ -37,6 +40,10 @@ from .segments import ThresholdSet
 # closed-form log-MGF contract rules out.
 _MAX_QUAD_ORDER = 8192
 _MAX_BRACKET_DOUBLINGS = 60
+# Brent's method on a monotone g needs a few dozen steps at the default
+# tolerances; the cap stops a search on a g that is not finite or not monotone.
+_MAX_ROOT_STEPS = 500
+_EPS = 2.0**-52  # spacing of doubles at 1.0
 
 WhichCurve = Union[str, float]  # "limit" or a window offset k >= 0
 
@@ -54,9 +61,9 @@ class RateFunctionCtx:
     def __post_init__(self):
         if self.quad_order < 16:
             raise ModelValidationError("quad_order_min", "quad_order must be >= 16")
-        if self.quad_tol <= 0 or self.root_tol <= 0:
+        if not all(isfinite(tol) and tol > 0 for tol in (self.quad_tol, self.root_tol)):
             raise ModelValidationError(
-                "tolerances_positive", "quad_tol and root_tol must be > 0"
+                "tolerances_positive", "quad_tol and root_tol must be finite and > 0"
             )
 
 
@@ -155,45 +162,96 @@ def _curve(ctx: RateFunctionCtx, which: WhichCurve):
     return (lambda lam: lambda_k(ctx, k, lam), lambda lam: lambda_k_prime(ctx, k, lam))
 
 
+def _increasing_root(g, lo: float, hi: float, tol: float, *, g_lo: float, g_hi: float) -> float:
+    """Root of a nondecreasing continuous ``g`` bracketed by ``g_lo <= 0 <= g_hi``.
+
+    Brent's method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): inverse-quadratic or secant steps, replaced by a
+    bisection whenever a step would leave the bracket or shrink it too
+    slowly. Stops once the bracket is within ``tol`` (or the spacing of
+    doubles near the root) and returns the end with the smaller residual.
+    """
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    a, fa, b, fb = lo, g_lo, hi, g_hi
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_MAX_ROOT_STEPS):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        step_tol = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= step_tol or fb == 0.0:
+            return b
+        if abs(e) >= step_tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(step_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
+        else:
+            e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > step_tol else copysign(step_tol, m)
+        fb = g(b)
+    raise NumericalError(
+        f"root search did not reach tolerance {tol:g} within {_MAX_ROOT_STEPS} steps"
+    )
+
+
 def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResult:
     """Fenchel-Legendre transform of the selected curve at ``x``.
 
     Solves ``f'(lam) = x`` by doubling the bracket from lambda_bracket_max
     until the derivative passes ``x`` (failure here means the model is not
-    steep along the loading direction), then bisects to root_tol and applies
-    one Newton polish. ``x`` exactly at the mean slope ``f'(0)`` returns 0
-    without any root finding.
+    steep along the loading direction), then runs Brent's method on the last
+    doubling step until the bracket is within root_tol. ``x`` exactly at the
+    mean slope ``f'(0)`` returns 0 without any root finding.
     """
+    if not isfinite(x):
+        raise ValueError(f"the transform needs a finite x, got {x!r}")
     f, fprime = _curve(ctx, which)
     mean = fprime(0.0)
     if x == mean:
         return LegendreResult(0.0, 0.0, True)
 
     side = 1.0 if x > mean else -1.0
+    near, g_near = 0.0, mean - x
     b = ctx.lambda_bracket_max
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if side * (fprime(side * b) - x) > 0.0:
+        g_far = fprime(side * b) - x
+        if side * g_far > 0.0:
             break
+        near, g_near = side * b, g_far
         b *= 2.0
     else:
         raise BracketError(
             "steepness violation: derivative of the log-MGF never passed "
             f"x={x:g} within {_MAX_BRACKET_DOUBLINGS} bracket doublings"
         )
-    lo, hi = (0.0, side * b) if side > 0 else (side * b, 0.0)
-    while hi - lo > ctx.root_tol:
-        mid = 0.5 * (lo + hi)
-        if fprime(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    step = 1e-6 * max(1.0, abs(lam))
-    curvature = (fprime(lam + step) - fprime(lam - step)) / (2.0 * step)
-    if np.isfinite(curvature) and curvature > 0.0:
-        polished = lam - (fprime(lam) - x) / curvature
-        if lo <= polished <= hi:
-            lam = polished
+
+    def g(lam: float) -> float:
+        return fprime(lam) - x
+
+    if side > 0:
+        lam = _increasing_root(g, near, b, ctx.root_tol, g_lo=g_near, g_hi=g_far)
+    else:
+        lam = _increasing_root(g, -b, near, ctx.root_tol, g_lo=g_far, g_hi=g_near)
     value = lam * x - f(lam)
     return LegendreResult(max(value, 0.0), lam, True)
 
@@ -222,33 +280,32 @@ def gaussian_closed_form(spec: ModelSpec, x: float) -> float:
 def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
     """Capacity headroom C with ``Lambda*(C) = target_rate`` (above-mean branch).
 
-    The transform is continuous, 0 at the mean slope and increasing to the
-    right of it, so the inverse is found by doubling an upper bracket and
-    bisecting until the rate residual is within root_tol.
+    On that branch ``C = Lambda'(lam)`` for some lam > 0, where
+    ``Lambda*(C) = lam Lambda'(lam) - Lambda(lam)``. The right side is 0 at
+    lam = 0 and nondecreasing for lam > 0, so the upper bracket is doubled
+    from lambda_bracket_max until it reaches the target, Brent's method finds
+    lam to root_tol, and C is the slope there.
     """
-    if target_rate <= 0.0:
-        raise ValueError("target rate must be > 0")
-    mean = lambda_limit_prime(ctx, 0.0)
-    hi = mean + 1.0
-    for _ in range(200):
-        if legendre(ctx, "limit", hi).value >= target_rate:
+    if not 0.0 < target_rate < inf:
+        raise ValueError("target rate must be finite and > 0")
+
+    def excess(lam: float) -> float:
+        return lam * lambda_limit_prime(ctx, lam) - lambda_limit(ctx, lam) - target_rate
+
+    lo, h_lo = 0.0, -target_rate  # Lambda(0) = 0 by the log-MGF contract
+    hi = ctx.lambda_bracket_max
+    for _ in range(_MAX_BRACKET_DOUBLINGS):
+        h_hi = excess(hi)
+        if h_hi >= 0.0:
             break
-        hi = mean + 2.0 * (hi - mean)
+        lo, h_lo = hi, h_hi
+        hi *= 2.0
     else:
         raise BracketError(
             f"could not bracket the capacity for target rate {target_rate:g}"
         )
-    lo = mean
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = legendre(ctx, "limit", mid).value
-        if abs(val - target_rate) <= ctx.root_tol:
-            return mid
-        if val < target_rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lam = _increasing_root(excess, lo, hi, ctx.root_tol, g_lo=h_lo, g_hi=h_hi)
+    return lambda_limit_prime(ctx, lam)
 
 
 def lorenz(alpha: float, k: float, p: float) -> float:

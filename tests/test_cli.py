@@ -116,6 +116,22 @@ class TestValidationErrors:
         code, _, err = run_cli(capsys, ["simulate", "--model", path, "--t-max", "10"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--x", "1.0", "--root-tol", "nan"],
+        ["rate", "--x", "1.0", "--quad-tol", "inf"],
+        ["rate", "--x", "nan"],
+        ["rate", "--x", "1.0,inf"],
+        ["segments", "--inject", "1,nan,2,3", "--set", "above", "--a", "0.5"],
+        ["segments", "--inject", "1,2,3", "--set", "above", "--a", "nan"],
+        ["segments", "--inject", "1,2,3", "--set", "interval", "--a", "0", "--b", "inf"],
+        ["verify-strong-law", "--seed", "1", "--cp", "nan"],
+    ])
+    def test_non_finite_numbers_exit_1(self, capsys, model_file, argv):
+        path = model_file(unit_document())
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "number_list"
+
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+import strange_segments.rate_function as rate_function
 from strange_segments import (
     BracketError,
     CustomerGroup,
     GaussianInnovations,
+    InnovationModel,
     MACoefficients,
     ModelSpec,
     ModelValidationError,
+    NumericalError,
     RateFunctionCtx,
     ThresholdSet,
     gaussian_closed_form,
@@ -29,6 +34,52 @@ from conftest import unit_document
 @pytest.fixture
 def unit_ctx(unit_spec):
     return RateFunctionCtx(unit_spec)
+
+
+class _SkellamModel(InnovationModel):
+    """Centred Skellam(1/2, 1/2): log-MGF cosh(eta) - 1, so the slope sinh is not linear."""
+
+    dim = 1
+
+    def log_mgf(self, eta):
+        return 2.0 * math.sinh(0.5 * float(eta[0])) ** 2  # cosh - 1 without cancellation
+
+    def grad_log_mgf(self, eta):
+        return np.array([math.sinh(float(eta[0]))])
+
+    def sample(self, rng, size):  # pragma: no cover - not exercised
+        raise NotImplementedError
+
+
+def _skellam_transform(x):
+    """x asinh(x) - sqrt(1 + x^2) + 1, written without cancellation near 0."""
+    return x * math.asinh(x) - x * x / (math.sqrt(1.0 + x * x) + 1.0)
+
+
+@pytest.fixture
+def skellam_ctx():
+    spec = ModelSpec(
+        alpha=1.0,
+        groups=(CustomerGroup(c=1, mu=0.0, beta=(1.0,)),),
+        ma=MACoefficients({0: 1.0}),
+        innovations=_SkellamModel(),
+    )
+    return RateFunctionCtx(spec)
+
+
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """Counts calls of both log-MGF derivatives made through the module."""
+    calls = [0]
+    for name in ("lambda_limit_prime", "lambda_k_prime"):
+        original = getattr(rate_function, name)
+
+        def counted(*args, _original=original):
+            calls[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rate_function, name, counted)
+    return calls
 
 
 class TestLambdaLimit:
@@ -116,6 +167,29 @@ class TestLegendre:
         with pytest.raises(BracketError, match="steepness"):
             legendre(ctx, "limit", 2.0)  # slope never exceeds 1
 
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 3.0, 100.0, 1e4, -0.7, -50.0])
+    def test_nonlinear_slope_matches_closed_form(self, skellam_ctx, x):
+        value = legendre(skellam_ctx, "limit", x).value
+        assert value == pytest.approx(_skellam_transform(x), rel=1e-9, abs=0.0)
+
+    def test_derivative_budget(self, unit_ctx, derivative_calls):
+        res = legendre(unit_ctx, 2.0, 1.0)
+        # window curve at k=2 is (76/75) lam^2 / 2, conjugate 75 x^2 / 152
+        assert res.value == pytest.approx(75.0 / 152.0, rel=1e-12)
+        assert derivative_calls[0] <= 20
+
+    def test_root_search_is_bounded(self):
+        # a step function has no root; bisection toward 0 outlasts the step cap
+        with pytest.raises(NumericalError, match="root search"):
+            rate_function._increasing_root(
+                lambda lam: math.copysign(1.0, lam), -1.0, 1.0, 0.0, g_lo=-1.0, g_hi=1.0
+            )
+
+    def test_non_finite_x_rejected(self, unit_ctx):
+        for x in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                legendre(unit_ctx, "limit", x)
+
 
 class TestGaussianClosedForm:
     def test_examples(self, unit_spec, phi2_spec):
@@ -136,7 +210,20 @@ class TestGaussianClosedForm:
 
 class TestInvertCapacity:
     def test_unit_inverse(self, unit_ctx):
-        assert invert_capacity(unit_ctx, 0.5) == pytest.approx(1.0, abs=1e-6)
+        # Lambda*(C) = C^2 / 2, so C = sqrt(2 r)
+        for rate in (1e-9, 1e-3, 0.5, 50.0):
+            want = math.sqrt(2.0 * rate)
+            assert invert_capacity(unit_ctx, rate) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    def test_derivative_budget(self, unit_ctx, derivative_calls):
+        assert invert_capacity(unit_ctx, 0.5) == pytest.approx(1.0, rel=1e-12)
+        assert derivative_calls[0] <= 100
+
+    @pytest.mark.parametrize("rate", [1e-9, 0.1, 10.0, 200.0])
+    def test_nonlinear_slope_round_trip(self, skellam_ctx, rate):
+        capacity = invert_capacity(skellam_ctx, rate)
+        assert capacity > 0.0
+        assert _skellam_transform(capacity) == pytest.approx(rate, rel=1e-6, abs=0.0)
 
     def test_tiny_rate_lands_near_mean(self, unit_ctx):
         assert invert_capacity(unit_ctx, 1e-9) < 1e-4
@@ -146,8 +233,9 @@ class TestInvertCapacity:
         assert invert_capacity(ctx, 0.5) == pytest.approx(2.0, abs=1e-6)
 
     def test_rejects_nonpositive_rate(self, unit_ctx):
-        with pytest.raises(ValueError):
-            invert_capacity(unit_ctx, 0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                invert_capacity(unit_ctx, rate)
 
 
 class TestLorenz:
@@ -240,6 +328,11 @@ class TestCtxValidation:
             RateFunctionCtx(unit_spec, quad_tol=0.0)
         with pytest.raises(ModelValidationError):
             RateFunctionCtx(unit_spec, root_tol=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ModelValidationError, match="finite"):
+                RateFunctionCtx(unit_spec, quad_tol=bad)
+            with pytest.raises(ModelValidationError, match="finite"):
+                RateFunctionCtx(unit_spec, root_tol=bad)
 
     def test_unknown_curve(self, unit_ctx):
         with pytest.raises(ValueError):
