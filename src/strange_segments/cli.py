@@ -31,7 +31,11 @@ from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_pl
 from .modeldoc import load_model
 from .rate_function import RateFunctionCtx, legendre
 from .segments import ThresholdSet, r_stat, t_stat
-from .simulator import PathConfig, simulate
+from .simulator import PathConfig, WorkloadPath, simulate
+
+
+# Rows of the simulate CSV formatted per `%` call; bounds the transient lists.
+_CSV_BLOCK_ROWS = 65_536
 
 
 def _fmt(x) -> str:
@@ -153,15 +157,31 @@ def _cmd_simulate(args) -> int:
         t_max=args.t_max, seed=args.seed, noise_mode=args.noise_mode, record_steps=args.record_steps
     )
     path = simulate(spec, cfg)
-    header = "t,N,S,D" if args.record_steps else "t,N,S"
-    lines = [header]
-    for t in range(path.t_max + 1):
-        row = [str(t), str(int(path.N[t])), _fmt(float(path.S[t]))]
-        if args.record_steps:
-            row.append("" if t == 0 else _fmt(float(path.D[t])))
-        lines.append(",".join(row))
-    _emit(args, args.seed, digest, lines, None)
+    _emit(args, args.seed, digest, _path_csv_lines(path, args.record_steps), None)
     return 0
+
+
+def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
+    """Lines of the simulate CSV t,N,S[,D]: the header, row 0, then one entry per block of rows.
+
+    The cells are those of `_fmt`: `%.17g` gives its bytes on a float and `%d`
+    those of `str` on an int. Row 0 has no step, so its D cell is empty.
+    """
+    cols = (path.N, path.S, path.D) if record_steps else (path.N, path.S)
+    width = len(cols) + 1
+    row = "%d,%d,%.17g,%.17g" if record_steps else "%d,%d,%.17g"
+    lines = [
+        "t,N,S,D" if record_steps else "t,N,S",
+        f"0,{int(path.N[0])},{_fmt(float(path.S[0]))}" + ("," if record_steps else ""),
+    ]
+    for start in range(1, path.t_max + 1, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, path.t_max + 1)
+        cells = [None] * ((stop - start) * width)
+        cells[::width] = range(start, stop)
+        for j, col in enumerate(cols, start=1):
+            cells[j::width] = col[start:stop].tolist()
+        lines.append("\n".join([row] * (stop - start)) % tuple(cells))
+    return lines
 
 
 def _segments_path(args, spec):

@@ -3,8 +3,8 @@
 The shared driver of all customers is a K-dimensional i.i.d. mean-zero
 innovation sequence whose log moment generating function (log-MGF) is finite
 everywhere and available in closed form together with its gradient. The
-idiosyncratic per-customer noise only needs a log-MGF finite near 0 and an
-exact sampler for sums of independent draws.
+idiosyncratic per-customer noise needs only exact samplers, for one draw and
+for sums of independent draws; no rate function reads its law.
 
 Closed-form log-MGFs are a hard requirement: the rate-function machinery
 does convex analysis on them, so purely empirical laws are rejected at model
@@ -123,10 +123,6 @@ class NoiseModel(abc.ABC):
     variance: float
 
     @abc.abstractmethod
-    def log_mgf_eps(self, lam: float) -> float:
-        """Lambda_eps(lambda), finite on an open interval around 0."""
-
-    @abc.abstractmethod
     def sample_aggregate(self, counts, rng: np.random.Generator):
         """Exact-law draws of sums of ``counts`` i.i.d. noise terms.
 
@@ -153,9 +149,6 @@ class GaussianNoise(NoiseModel):
     @property
     def variance(self) -> float:
         return self.var
-
-    def log_mgf_eps(self, lam: float) -> float:
-        return 0.5 * self.var * float(lam) ** 2
 
     def sample_aggregate(self, counts, rng: np.random.Generator):
         counts = np.asarray(counts)

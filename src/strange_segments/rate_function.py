@@ -65,6 +65,10 @@ class RateFunctionCtx:
             raise ModelValidationError(
                 "tolerances_positive", "quad_tol and root_tol must be finite and > 0"
             )
+        if not (isfinite(self.lambda_bracket_max) and self.lambda_bracket_max > 0):
+            raise ModelValidationError(
+                "lambda_bracket_positive", "lambda_bracket_max must be finite and > 0"
+            )
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,18 @@ summarize a path:
 They are dual: ``T_r <= m`` exactly when ``R_m >= r``.
 
 For one-sided sets the fast scans work on the tilted walk
-``G(m) = S(m) - a N(m)``; the segment average exceeds ``a`` exactly when
-``G(l) > G(k)``, so both statistics reduce to widest-ramp searches. All
-comparisons are exact binary float comparisons; averages exactly equal to a
-threshold never qualify because the target sets are open.
+``G(m) = S(m) - a N(m)``; in exact arithmetic the segment average exceeds
+``a`` exactly when ``G(l) > G(k)``, so both statistics reduce to widest-ramp
+searches. Both search the same predicate: a deviant segment of length at
+least ``w`` ends at ``l`` when ``G(l) > min(G(0..l-w))``. ``t_stat`` takes
+the first such ``l`` for ``w = r``, and ``r_stat`` the largest ``w`` for
+which one exists by ``t``.
+
+The comparisons are strict and exact on the float walk ``S - a*N``, which is
+itself rounded. The brute-force oracles compare the rounded ratio
+``(S(l) - S(k)) / (N(l) - N(k))`` with the threshold instead, so on paths
+where some segment average equals the threshold exactly (integer injected
+paths, say) the fast and brute-force statistics can disagree.
 """
 
 from __future__ import annotations
@@ -84,6 +92,11 @@ class SegmentReport:
     witness: Optional[tuple[int, int]]
 
 
+def _check_horizon(path: WorkloadPath, t: int) -> None:
+    if not 1 <= t <= path.t_max:
+        raise ValueError(f"horizon {t} outside 1..{path.t_max}")
+
+
 def _tilted_walk(path: WorkloadPath, a: float, t: int) -> np.ndarray:
     return path.S[: t + 1] - a * path.N[: t + 1].astype(np.float64)
 
@@ -116,6 +129,17 @@ def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarra
     return g if tset.kind == "above" else -g
 
 
+def _first_deviant_end(g: np.ndarray, prefix_min: np.ndarray, w: int) -> Optional[int]:
+    """First l with g[l] > min(g[:l - w + 1]), or None; needs 1 <= w < len(g).
+
+    This ends the earliest ramp of width >= w on the walk; ``prefix_min`` is
+    ``np.minimum.accumulate(g)``.
+    """
+    hit = g[w:] > prefix_min[:-w]
+    i = int(np.argmax(hit))
+    return i + w if hit[i] else None
+
+
 def _direct_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
     """For each l <= t, the width of the widest deviant segment ending at l, by enumeration."""
     s, n = path.S, path.N.astype(np.float64)
@@ -130,8 +154,7 @@ def _direct_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray
 
 def _endpoint_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
     """For each l = 0..t, the width of the widest deviant segment ending at l."""
-    if not 1 <= t <= path.t_max:
-        raise ValueError(f"horizon {t} outside 1..{path.t_max}")
+    _check_horizon(path, t)
     if tset.kind == "interval":
         return _direct_widths(path, tset, t)
     return _ramp_widths(_one_sided_walk(path, tset, t))
@@ -149,10 +172,36 @@ def _widest(widths: np.ndarray) -> SegmentReport:
 def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
     """Longest deviant segment ending by time t.
 
-    One-sided sets use the linear-time ramp scan on the tilted walk; interval
+    One-sided sets use the duality with ``T``: ``R_t >= w`` exactly when a
+    ramp of width >= w ends by t, a predicate that shrinks as w grows. The
+    largest such w is found by galloping (1, 2, 4, ...) and then bisection,
+    one vectorised comparison per probe. Its witness ends at the first such
+    ramp's end l, which is also the first endpoint of widest width. Interval
     sets fall back to direct enumeration.
     """
-    return _widest(_endpoint_widths(path, tset, t))
+    if tset.kind == "interval":
+        return _widest(_endpoint_widths(path, tset, t))
+    _check_horizon(path, t)
+    g = _one_sided_walk(path, tset, t)
+    prefix_min = np.minimum.accumulate(g)
+    end = _first_deviant_end(g, prefix_min, 1)
+    if end is None:
+        return SegmentReport(0, None)
+    lo, hi = 1, 2  # the widest ramp found (first ending at `end`) and the next width to try
+    while hi <= t:
+        probe = _first_deviant_end(g, prefix_min, hi)
+        if probe is None:
+            break
+        lo, end, hi = hi, probe, 2 * hi
+    hi = min(hi, t + 1)  # no ramp of width hi ends by t
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probe = _first_deviant_end(g, prefix_min, mid)
+        if probe is None:
+            hi = mid
+        else:
+            lo, end = mid, probe
+    return SegmentReport(lo, (end - lo, end))
 
 
 def r_stat_trajectory(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
@@ -179,20 +228,16 @@ def t_stat(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
     if r > t:
         return SegmentReport(None, None)
     g = _one_sided_walk(path, tset, t)
-    delayed_min = np.minimum.accumulate(g)[:-r]
-    hit = g[r:] > delayed_min
-    pos = np.flatnonzero(hit)
-    if pos.size == 0:
+    l = _first_deviant_end(g, np.minimum.accumulate(g), r)
+    if l is None:
         return SegmentReport(None, None)
-    l = int(pos[0]) + r
     k = int(np.argmin(g[: l - r + 1]))
     return SegmentReport(l, (k, l))
 
 
 def brute_force_r(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
     """Direct evaluation of the R statistic over every segment (k, l)."""
-    if not 1 <= t <= path.t_max:
-        raise ValueError(f"horizon {t} outside 1..{path.t_max}")
+    _check_horizon(path, t)
     return _widest(_direct_widths(path, tset, t))
 
 

@@ -1,12 +1,19 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from strange_segments.cli import build_parser, main
+from strange_segments import WorkloadPath, load_model, simulate
+from strange_segments import cli
+from strange_segments.cli import _fmt, _path_csv_lines, build_parser, main
+from strange_segments.simulator import PathConfig
 
 from conftest import unit_document
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def run_cli(capsys, argv):
@@ -164,6 +171,56 @@ class TestSimulateCsv:
         assert lines[0] == "t,N,S,D"
         assert lines[1] == "0,0,0,"
         assert len(lines) == 27
+
+
+def per_row_csv(path, record_steps):
+    """The simulate CSV as it was first written, one `_fmt` call per cell."""
+    lines = ["t,N,S,D" if record_steps else "t,N,S"]
+    for t in range(path.t_max + 1):
+        row = [str(t), str(int(path.N[t])), _fmt(float(path.S[t]))]
+        if record_steps:
+            row.append("" if t == 0 else _fmt(float(path.D[t])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestSimulateExport:
+    """The block-formatted export against the per-row oracle, byte for byte."""
+
+    @pytest.mark.parametrize("model", ["unit_noisy.json", "two_group.json"])
+    @pytest.mark.parametrize("record_steps", [False, True])
+    def test_cli_bytes_match_per_row_oracle(self, tmp_path, monkeypatch, model, record_steps):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 64)  # several blocks and a ragged last one
+        argv = ["simulate", "--model", str(MODELS / model), "--seed", "19", "--t-max", "300",
+                "--out", str(tmp_path / "sim")]
+        assert main(argv + (["--record-steps"] if record_steps else [])) == 0
+        spec, _ = load_model(str(MODELS / model))
+        path = simulate(spec, PathConfig(t_max=300, seed=19, record_steps=record_steps))
+        data = (tmp_path / "sim.csv").read_bytes()
+        assert data == per_row_csv(path, record_steps).encode()
+        assert data.splitlines()[1] == (b"0,0,0," if record_steps else b"0,0,0")
+
+    def test_default_block_boundary(self):
+        spec, _ = load_model(str(MODELS / "two_group.json"))
+        t_max = cli._CSV_BLOCK_ROWS + 1  # rows 1..t_max fill one block and start the next
+        path = simulate(spec, PathConfig(t_max=t_max, seed=4, record_steps=True))
+        text = "\n".join(_path_csv_lines(path, True)) + "\n"
+        assert text == per_row_csv(path, True)
+
+    @pytest.mark.parametrize("record_steps", [False, True])
+    def test_extreme_values(self, monkeypatch, record_steps):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        d = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e17, -1e17, 123456789012345680.0,
+                      0.1, 1e-5, 1e16, 2.0**-1074])
+        s = np.concatenate([[0.0], np.array([-0.0, 1e-300, 1e17, -0.0, 1e-310, 1e17 + 16,
+                                             -1e-300, 0.3, 9.999999999999999e16, -1e-4, 1e-5,
+                                             7.0])])
+        n = np.arange(len(s), dtype=np.int64) * 10**12
+        path = WorkloadPath(S=s, N=n, spec_hash="synthetic", seed=0,
+                            D=np.concatenate([[0.0], d]))
+        text = "\n".join(_path_csv_lines(path, record_steps)) + "\n"
+        assert text == per_row_csv(path, record_steps)
+        assert {"-0", "1e-300", "1e+17"} <= set(text.replace("\n", ",").split(","))
 
 
 class TestOutputsAndManifest:

@@ -334,6 +334,12 @@ class TestCtxValidation:
             with pytest.raises(ModelValidationError, match="finite"):
                 RateFunctionCtx(unit_spec, root_tol=bad)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lambda_bracket(self, unit_spec, bad):
+        with pytest.raises(ModelValidationError) as info:
+            RateFunctionCtx(unit_spec, lambda_bracket_max=bad)
+        assert info.value.invariant == "lambda_bracket_positive"
+
     def test_unknown_curve(self, unit_ctx):
         with pytest.raises(ValueError):
             legendre(unit_ctx, "nonsense", 1.0)

@@ -13,6 +13,7 @@ from strange_segments import (
     segment_average,
     t_stat,
 )
+from strange_segments.segments import _endpoint_widths, _widest
 
 
 def make_path(d, n_steps=None):
@@ -218,3 +219,53 @@ def test_fast_equals_brute_force_on_integer_paths(d, a_num, kind):
     assert r_stat(path, tset, t).value == brute_force_r(path, tset, t).value
     for r in (1, 2, max(1, t // 2)):
         assert t_stat(path, tset, r).value == brute_force_t(path, tset, r).value
+
+
+def widest_scan(path, tset, t):
+    """R_t from the per-endpoint ramp widths: the reference for the duality search."""
+    return _widest(_endpoint_widths(path, tset, t))
+
+
+@given(
+    d=st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=3).map(float), min_size=1, max_size=60),
+        st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=60),
+    ),
+    growth=st.lists(st.integers(min_value=1, max_value=4), min_size=60, max_size=60),
+    a=st.one_of(st.integers(min_value=-8, max_value=8).map(lambda n: n / 4.0),
+                st.floats(min_value=-2.0, max_value=2.0)),
+    kind=st.sampled_from(["above", "below"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_duality_search_equals_widest_scan(d, growth, a, kind):
+    path = make_path(d, growth[: len(d)])
+    tset = ThresholdSet(kind, a)
+    for t in range(1, path.t_max + 1):
+        assert r_stat(path, tset, t) == widest_scan(path, tset, t)
+
+
+class TestDualitySearchEdges:
+    above = ThresholdSet.above(0.5)
+
+    @pytest.mark.parametrize("d, t, value, witness", [
+        ([0.0, 0.0, 0.0], 3, 0, None),  # R = 0: no ramp at all
+        ([1.0], 1, 1, (0, 1)),  # t = 1 with a segment
+        ([0.0], 1, 0, None),  # t = 1 without one
+        ([0.0, 1.0, -1.0, 1.0, -1.0], 5, 1, (1, 2)),  # R = 1, first widest endpoint
+        ([1.0] * 8, 8, 8, (0, 8)),  # R = t at a power of two
+        ([1.0] * 13, 13, 13, (0, 13)),  # galloping passes t before it fails
+        ([1.0] * 13, 6, 6, (0, 6)),  # horizon shorter than the path
+    ])
+    def test_cases(self, d, t, value, witness):
+        path = make_path(d)
+        rep = r_stat(path, self.above, t)
+        assert (rep.value, rep.witness) == (value, witness)
+        assert rep == widest_scan(path, self.above, t)
+
+    def test_positive_drift_long_path(self):
+        rng = np.random.default_rng(5)
+        path = make_path(1.0 + 0.1 * rng.standard_normal(5000))
+        for t in (1, 2, 3, 1000, 4095, 4096, 4097, 5000):
+            rep = r_stat(path, self.above, t)
+            assert rep.value == t and rep.witness == (0, t)
+            assert rep == widest_scan(path, self.above, t)
