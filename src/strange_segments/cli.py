@@ -13,6 +13,7 @@ never affects results.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -340,7 +341,14 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """Return the shared process-wide parser, built on the first call.
+
+    Parsing keeps no state on the parser: list defaults are strings that
+    argparse converts afresh on every parse, and the ``append`` flags start
+    from ``None``, so ``main`` can reuse it for any number of calls.
+    """
     parser = _Parser(prog="strange-segments",
                      description="Workload rate functions and long deviant segment statistics")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
@@ -393,9 +401,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
     p.add_argument("--cp", type=_finite_float, required=True, help="capacity threshold C_p (above the mean)")
     p.add_argument("--replicates", type=int, default=50, help="number of independent replicates")
-    p.add_argument("--r-grid", type=_ints, default=[6, 8, 10, 12, 14],
+    p.add_argument("--r-grid", type=_ints, default="6,8,10,12,14",
                    help="comma-separated segment lengths r")
-    p.add_argument("--t-grid", type=_ints, default=[100, 1000],
+    p.add_argument("--t-grid", type=_ints, default="100,1000",
                    help="comma-separated horizons t for R_t")
     p.add_argument("--noise-mode", choices=("aggregate", "literal", "off"), default=None,
                    help="noise handling (default: aggregate when the model has noise)")

@@ -120,8 +120,6 @@ class GaussianInnovations(InnovationModel):
 class NoiseModel(abc.ABC):
     """Idiosyncratic per-customer noise law (scalar, mean zero)."""
 
-    variance: float
-
     @abc.abstractmethod
     def sample_aggregate(self, counts, rng: np.random.Generator):
         """Exact-law draws of sums of ``counts`` i.i.d. noise terms.
@@ -145,10 +143,6 @@ class GaussianNoise(NoiseModel):
     def __post_init__(self):
         if self.var < 0:
             raise ModelValidationError("noise_var_nonnegative", "noise variance must be >= 0")
-
-    @property
-    def variance(self) -> float:
-        return self.var
 
     def sample_aggregate(self, counts, rng: np.random.Generator):
         counts = np.asarray(counts)

@@ -75,7 +75,8 @@ def floor_power_prefix(t_max: int, alpha: float) -> np.ndarray:
     """
     pq = _exact_rational(alpha)
     if pq is not None and pq[1] == 1 and pq[0] * max(t_max, 2).bit_length() < 62:
-        return np.arange(t_max + 1, dtype=np.int64) ** pq[0]
+        t = np.arange(t_max + 1, dtype=np.int64)
+        return t if pq[0] == 1 else t ** pq[0]
     t = np.arange(t_max + 1, dtype=np.float64)
     v = t**alpha
     out = np.floor(v).astype(np.int64)

@@ -82,7 +82,24 @@ class LegendreResult:
 
 @lru_cache(maxsize=32)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on (-1, 1), shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+# 256 grids hold at most 16 MB, even all at _MAX_QUAD_ORDER; a query touches
+# one grid per (curve, order), so repeated queries on a few models all hit.
+@lru_cache(maxsize=256)
+def _window_grid(alpha: float, coeff: float, k: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integrand loadings ``coeff * y**alpha`` at the order-``order`` nodes on
+    (k, k+1), with the matching weights; shared read-only."""
+    nodes, weights = _leggauss(order)
+    y = k + 0.5 * (nodes + 1.0)
+    g = coeff * y**alpha
+    g.setflags(write=False)
+    return g, weights
 
 
 def _interval_mass(alpha: float, k: float, p: float = 1.0) -> float:
@@ -115,9 +132,7 @@ def _segment_quadrature(ctx: RateFunctionCtx, k: float, lam: float, differentiat
     model = spec.innovations
 
     def estimate(order: int) -> float:
-        nodes, weights = _leggauss(order)
-        y = k + 0.5 * (nodes + 1.0)
-        g = coeff * y**spec.alpha
+        g, weights = _window_grid(spec.alpha, coeff, k, order)
         if differentiated:
             vals = g * model.grad_log_mgf_ray(beta_bar, g * lam)
         else:

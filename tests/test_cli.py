@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,23 @@ from strange_segments.simulator import PathConfig
 from conftest import unit_document
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter, where no parser was built yet."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strange_segments.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestRate:
@@ -331,3 +343,51 @@ class TestHygiene:
         assert proc.returncode == 0
         for sub in ("rate", "simulate", "segments", "verify-strong-law", "verify-uldp", "plan"):
             assert sub in proc.stdout
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no call may see state left by another."""
+
+    def test_parser_is_shared(self):
+        assert build_parser() is build_parser()
+
+    def test_band_and_default_grid_do_not_leak(self, tmp_path, model_file):
+        path = model_file(unit_document())
+        common = ["verify-strong-law", "--model", path, "--seed", "3", "--cp", "1.0",
+                  "--replicates", "2", "--t-grid", "16", "--initial-horizon", "64",
+                  "--horizon-cap", "4096", "--noise-mode", "off"]
+        runs = [
+            ("b1", ["--r-grid", "2,3,4", "--band", "3,0.0,5.0"]),
+            ("b2", ["--r-grid", "2,3,4", "--band", "2,0.0,5.0", "--band", "4,0.0,5.0"]),
+            ("plain", []),
+        ]
+        for tag, extra in runs:
+            assert main(common + extra + ["--out", str(tmp_path / tag)]) == 0
+        summary = {tag: json.loads((tmp_path / f"{tag}.summary.json").read_text()) for tag, _ in runs}
+        config = {tag: json.loads((tmp_path / f"{tag}.manifest.json").read_text())["config"]
+                  for tag, _ in runs}
+        assert set(summary["b1"]["checks"]) == {"median_band_r3"}
+        assert set(summary["b2"]["checks"]) == {"median_band_r2", "median_band_r4"}
+        assert "checks" not in summary["plain"]
+        assert config["plain"]["band"] is None
+        assert config["plain"]["r_grid"] == [6, 8, 10, 12, 14]
+        assert sorted(summary["plain"]["log_T_over_r"]) == ["10", "12", "14", "6", "8"]
+
+    def test_usage_error_then_valid_call(self, capsys, model_file):
+        path = model_file(unit_document())
+        valid = ["rate", "--model", path, "--x", "0.5,1.5", "--k", "0,2"]
+        code, _, err = run_cli(capsys, ["rate", "--model", path, "--x", "1.0", "--bogus"])
+        assert code == 1 and json.loads(err)["error"] == "validation"
+        code, _, _ = run_cli(capsys, ["plan", "--model", path, "--r-target", "10"])
+        assert code == 1
+        assert run_cli(capsys, valid) == run_fresh(valid)
+
+    def test_interleaved_queries_match_fresh_processes(self, capsys):
+        rate = ["rate", "--model", str(MODELS / "two_group.json"), "--x=-0.5,1.0,2.5",
+                "--k", "0,0.5,20", "--limit"]
+        plan = ["plan", "--model", str(MODELS / "unit.json"), "--r-target", "12",
+                "--horizon", "100000"]
+        alone = {"rate": run_fresh(rate), "plan": run_fresh(plan)}
+        assert alone["rate"][0] == 0 and alone["plan"][0] == 0
+        for name, argv in (("rate", rate), ("plan", plan), ("rate", rate)):
+            assert run_cli(capsys, argv) == alone[name]

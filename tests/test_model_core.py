@@ -53,6 +53,13 @@ class TestFloorPower:
             expected = [floor_power(t, alpha) for t in range(513)]
             assert arr.tolist() == expected
 
+    @pytest.mark.parametrize("alpha", [1.0, 1])
+    def test_unit_alpha_prefix_agrees_with_scalar(self, alpha):
+        for t_max in (0, 1, 2, 8191, 8192, 30_011):
+            arr = floor_power_prefix(t_max, alpha)
+            assert arr.dtype == np.int64
+            assert arr.tolist() == [floor_power(t, alpha) for t in range(t_max + 1)]
+
 
 class TestPopulation:
     def test_examples(self):

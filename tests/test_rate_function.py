@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +27,13 @@ from strange_segments import (
     parse_model_document,
     set_rate,
 )
+from strange_segments.cli import main
 from strange_segments.rate_function import lambda_limit_prime
 from test_innovations import _BoundedSlopeModel
 
 from conftest import unit_document
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture
@@ -343,3 +348,67 @@ class TestCtxValidation:
     def test_unknown_curve(self, unit_ctx):
         with pytest.raises(ValueError):
             legendre(unit_ctx, "nonsense", 1.0)
+
+
+def _uncached_quadrature(ctx, k, lam, differentiated):
+    """The window quadrature with the Gauss-Legendre grid rebuilt on every estimate."""
+    spec = ctx.spec
+    coeff = spec.phi_total * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, k)
+    model = spec.innovations
+
+    def estimate(order):
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        y = k + 0.5 * (nodes + 1.0)
+        g = coeff * y**spec.alpha
+        if differentiated:
+            vals = g * model.grad_log_mgf_ray(spec.beta_bar, g * lam)
+        else:
+            vals = model.log_mgf_ray(spec.beta_bar, g * lam)
+        return 0.5 * float(weights @ vals)
+
+    order = ctx.quad_order
+    prev = estimate(order)
+    while True:
+        order *= 2
+        cur = estimate(order)
+        if abs(cur - prev) < ctx.quad_tol:
+            return cur
+        prev = cur
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("doc", [
+        json.loads((MODELS / "unit.json").read_text()),
+        json.loads((MODELS / "two_group.json").read_text()),
+        unit_document(alpha=2.5),
+    ], ids=["unit", "two_group", "alpha2.5"])
+    def test_cached_grid_equals_uncached_estimate(self, doc):
+        ctx = RateFunctionCtx(parse_model_document(doc))
+        for k in (0.0, 0.5, 2.0, 20.0, 100.0):
+            for lam in (-1.7, -0.3, 0.4, 2.0):
+                assert lambda_k(ctx, k, lam) == _uncached_quadrature(ctx, k, lam, False)
+                assert lambda_k_prime(ctx, k, lam) == _uncached_quadrature(ctx, k, lam, True)
+
+    def test_shared_arrays_are_read_only(self, unit_ctx):
+        lambda_k_prime(unit_ctx, 0.5, 1.0)
+        nodes, weights = rate_function._leggauss(64)
+        spec = unit_ctx.spec
+        coeff = spec.phi_total * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, 0.5)
+        g, grid_weights = rate_function._window_grid(spec.alpha, coeff, 0.5, 64)
+        assert grid_weights is weights
+        for arr in (nodes, weights, g):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert lambda_k_prime(unit_ctx, 0.5, 1.0) == _uncached_quadrature(unit_ctx, 0.5, 1.0, True)
+
+    def test_repeated_rate_query_is_byte_identical(self, capsys):
+        argv = ["rate", "--model", str(MODELS / "two_group.json"), "--x=-0.8,0.3,1.0,2.5",
+                "--k", "0,0.5,1,2,5,20,100", "--limit"]
+        rate_function._window_grid.cache_clear()
+        rate_function._leggauss.cache_clear()
+        outputs = []
+        for _ in range(5):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].count("\n") == 1 + 8 * 4
+        assert outputs[4] == outputs[0]
