@@ -26,7 +26,7 @@ from .model_core import (
     floor_power,
     population,
 )
-from .modeldoc import canonical_document, load_model, model_digest, parse_model_document
+from .modeldoc import canonical_document, load_model, parse_model_document
 from .rate_function import (
     LegendreResult,
     RateFunctionCtx,
@@ -88,7 +88,6 @@ __all__ = [
     "legendre",
     "load_model",
     "lorenz",
-    "model_digest",
     "parse_model_document",
     "population",
     "r_stat",

@@ -72,11 +72,36 @@ def _floats(text: str) -> list[float]:
     return [_finite_float(p) for p in text.split(",") if p.strip() != ""]
 
 
-def _ints(text: str) -> list[int]:
+def _int(text: str) -> int:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return int(text)
     except ValueError as exc:
-        raise ModelValidationError("number_list", f"expected comma-separated integers, got {text!r}") from exc
+        raise ModelValidationError("number_list", f"expected an integer, got {text!r}") from exc
+
+
+def _ints(text: str) -> list[int]:
+    return [_int(p) for p in text.split(",") if p.strip() != ""]
+
+
+def _offset(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise ModelValidationError("number_list", f"expected a window offset, got {text!r}") from exc
+
+
+def _check_fields(text: str, flag: str, names: str) -> list[str]:
+    """Fields of one --band/--trend spec; ``names`` is its metavar, e.g. "R,LO,HI"."""
+    parts = text.split(",")
+    if len(parts) != names.count(",") + 1:
+        raise ModelValidationError(flag, f"--{flag} expects {names}, got {text!r}")
+    return parts
+
+
+def _on_grid(value, grid, flag: str):
+    if value not in grid:
+        raise ModelValidationError(flag, f"--{flag} names {value}, which is not on the grid")
+    return value
 
 
 def _threshold_set(args) -> ThresholdSet:
@@ -238,17 +263,24 @@ def _cmd_verify_strong_law(args) -> int:
         horizon_cap=args.horizon_cap,
         initial_horizon=args.initial_horizon,
     )
+    bands = []
+    for text in args.band or []:
+        r, lo, hi = _check_fields(text, "band", "R,LO,HI")
+        bands.append((_on_grid(_int(r), cfg.r_grid, "band"), _finite_float(lo), _finite_float(hi)))
+    if len({r for r, _, _ in bands}) < len(bands):  # a later band would overwrite the check
+        raise ModelValidationError("band", "--band names the same r twice")
+    if args.trend is not None:
+        far, near = (_on_grid(_int(p), cfg.r_grid, "trend")
+                     for p in _check_fields(args.trend, "trend", "FAR,NEAR"))
     result = run_strong_law(cfg, workers=args.workers)
     checks = {}
     predicted = result.summary["predicted_rate"]
-    for spec_str in args.band or []:
-        r, lo, hi = [float(p) for p in spec_str.split(",")]
-        med = result.summary["log_T_over_r"][str(int(r))]["median"]
-        checks[f"median_band_r{int(r)}"] = {
+    for r, lo, hi in bands:
+        med = result.summary["log_T_over_r"][str(r)]["median"]
+        checks[f"median_band_r{r}"] = {
             "lo": lo, "hi": hi, "value": med, "pass": bool(lo <= med <= hi)
         }
     if args.trend is not None:
-        far, near = [int(p) for p in args.trend.split(",")]
         med_far = result.summary["log_T_over_r"][str(far)]["median"]
         med_near = result.summary["log_T_over_r"][str(near)]["median"]
         checks[f"trend_r{near}_closer_than_r{far}"] = {
@@ -274,25 +306,30 @@ def _cmd_verify_uldp(args) -> int:
     tset = _threshold_set(args)
     cfg = UldpRun(
         spec=spec,
-        k_grid=tuple(Fraction(p) for p in args.k_grid.split(",")),
+        k_grid=tuple(_offset(p) for p in args.k_grid.split(",")),
         t=args.t,
         tset=tset,
         samples=args.samples,
         master_seed=args.seed,
         noise_mode=args.noise_mode,
     )
+    bands = []
+    for text in args.band or []:
+        k_str, pct = _check_fields(text, "band", "K,PCT")
+        bands.append((k_str, _on_grid(_offset(k_str), cfg.k_grid, "band"), _finite_float(pct)))
+    if len({k_str for k_str, _, _ in bands}) < len(bands):  # a later band would overwrite the check
+        raise ModelValidationError("band", "--band names the same offset twice")
     result = run_uldp(cfg, workers=args.workers)
     checks = {"exponents_nondecreasing_in_k": {
         "pass": bool(result.summary["exponents_nondecreasing_in_k"])
     }}
-    for spec_str in args.band or []:
-        k_str, pct = spec_str.split(",")
-        row = result.summary["per_k"][str(float(Fraction(k_str)))]
+    for k_str, k, pct in bands:
+        row = result.summary["per_k"][str(float(k))]
         rel = abs(row["exponent"] - row["predicted"]) / row["predicted"]
         checks[f"exponent_band_k{k_str}"] = {
-            "tolerance_pct": float(pct),
+            "tolerance_pct": pct,
             "relative_error": rel,
-            "pass": bool(rel <= float(pct) / 100.0),
+            "pass": bool(rel <= pct / 100.0),
         }
     result.summary["checks"] = checks
     cols = ("k", "t", "samples", "successes", "p_hat", "se", "exponent",

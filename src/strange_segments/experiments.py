@@ -60,8 +60,12 @@ class StrongLawRun:
     def __post_init__(self):
         if not self.r_grid or min(self.r_grid) < 1:
             raise ModelValidationError("r_grid", "r_grid entries must be >= 1")
+        if len(set(self.r_grid)) < len(self.r_grid):
+            raise ModelValidationError("r_grid", "r_grid entries must be distinct")
         if any(t < 2 for t in self.t_grid):
             raise ModelValidationError("t_grid", "t_grid entries must be >= 2")
+        if len(set(self.t_grid)) < len(self.t_grid):
+            raise ModelValidationError("t_grid", "t_grid entries must be distinct")
         if self.t_grid and self.horizon_cap < max(self.t_grid):
             raise ModelValidationError(
                 "horizon_cap", "horizon_cap must cover the largest t_grid entry"
@@ -94,6 +98,8 @@ class UldpRun:
         grid = tuple(Fraction(str(k)) if not isinstance(k, Fraction) else k for k in self.k_grid)
         if any(k < 0 for k in grid):
             raise ModelValidationError("k_grid", "window offsets must be >= 0")
+        if len({float(k) for k in grid}) < len(grid):  # rows and summary key offsets by float
+            raise ModelValidationError("k_grid", "window offsets must be distinct as floats")
         object.__setattr__(self, "k_grid", grid)
         if self.t < 1:
             raise ModelValidationError("t_positive", "segment length t must be >= 1")
@@ -130,6 +136,21 @@ def _percentiles(values: Sequence[float]) -> dict:
     return {"median": pct(50.0), "q25": pct(25.0), "q75": pct(75.0)}
 
 
+def _run_units(fn, units: list, workers: int) -> list:
+    """``fn`` over the work units, outcomes in unit order.
+
+    More than one worker runs the units in a process pool of at most one
+    process per unit; the outcomes are the same for any worker count.
+    """
+    if workers < 1:
+        raise ModelValidationError("workers", "need at least one worker")
+    workers = min(workers, len(units))
+    if workers <= 1:
+        return [fn(u) for u in units]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, units))
+
+
 def _strong_law_replicate(args: tuple) -> dict:
     (doc, c_p, r_grid, t_grid, noise_mode, horizon_cap, initial_horizon, master_seed, rep) = args
     spec = parse_model_document(doc)
@@ -162,7 +183,6 @@ def _strong_law_replicate(args: tuple) -> dict:
     reports = {r: longest if r == r_max else t_stat(path, tset, r) for r in r_grid}
     r_values = {t: r_stat(path, tset, t) for t in t_grid}
     return {
-        "replicate": rep,
         "horizon": horizon,
         "T": {r: rep_.value for r, rep_ in reports.items()},
         "R": {t: rep_.value for t, rep_ in r_values.items()},
@@ -191,58 +211,49 @@ def run_strong_law(cfg: StrongLawRun, workers: int = 1) -> RunResult:
         (doc, cfg.c_p, cfg.r_grid, cfg.t_grid, cfg.noise_mode, cfg.horizon_cap, initial, cfg.master_seed, rep)
         for rep in range(cfg.replicates)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_strong_law_replicate, units))
-    else:
-        reps = [_strong_law_replicate(u) for u in units]
-    reps.sort(key=lambda d: d["replicate"])
-
-    result = RunResult()
-    for rep in reps:
-        for r in cfg.r_grid:
-            value = rep["T"][r]
-            result.rows.append(
-                {
-                    "replicate": rep["replicate"],
-                    "statistic": "T",
-                    "grid": r,
-                    "value": value,
-                    "normalized": math.log(value) / r if value is not None else None,
-                    "censored": value is None,
-                }
-            )
-        for t in cfg.t_grid:
-            value = rep["R"][t]
-            result.rows.append(
-                {
-                    "replicate": rep["replicate"],
-                    "statistic": "R",
-                    "grid": t,
-                    "value": value,
-                    "normalized": value / math.log(t),
-                    "censored": False,
-                }
-            )
+    reps = _run_units(_strong_law_replicate, units, workers)
 
     # Censored completion times exceed the final horizon; treating them as
     # +inf keeps them in the order statistics instead of dropping them.
+    result = RunResult()
+    t_columns = {r: [] for r in cfg.r_grid}
+    r_columns = {t: [] for t in cfg.t_grid}
+    for idx, rep in enumerate(reps):
+        for r in cfg.r_grid:
+            value = rep["T"][r]
+            normalized = math.log(value) / r if value is not None else None
+            result.rows.append(
+                {
+                    "replicate": idx,
+                    "statistic": "T",
+                    "grid": r,
+                    "value": value,
+                    "normalized": normalized,
+                    "censored": value is None,
+                }
+            )
+            t_columns[r].append(math.inf if normalized is None else normalized)
+        for t in cfg.t_grid:
+            value = rep["R"][t]
+            normalized = value / math.log(t)
+            result.rows.append(
+                {
+                    "replicate": idx,
+                    "statistic": "R",
+                    "grid": t,
+                    "value": value,
+                    "normalized": normalized,
+                    "censored": False,
+                }
+            )
+            r_columns[t].append(normalized)
+
     t_stats = {}
-    for r in cfg.r_grid:
-        vals = [
-            row["normalized"] if row["normalized"] is not None else math.inf
-            for row in result.rows
-            if row["statistic"] == "T" and row["grid"] == r
-        ]
-        entry = _percentiles(vals)
-        entry["censored"] = sum(
-            1 for row in result.rows if row["statistic"] == "T" and row["grid"] == r and row["censored"]
-        )
+    for r, column in t_columns.items():
+        entry = _percentiles(column)
+        entry["censored"] = column.count(math.inf)  # only censored entries are infinite
         t_stats[str(r)] = entry
-    r_stats = {}
-    for t in cfg.t_grid:
-        vals = [row["normalized"] for row in result.rows if row["statistic"] == "R" and row["grid"] == t]
-        r_stats[str(t)] = _percentiles(vals)
+    r_stats = {str(t): _percentiles(column) for t, column in r_columns.items()}
 
     result.summary = {
         "predicted_rate": predicted,
@@ -277,9 +288,8 @@ def _window_bounds(k: Fraction, t: int) -> tuple[int, int]:
 
 
 def _uldp_chunk(args: tuple) -> tuple[int, int]:
-    (doc, k_str, t, kind, a, b, size, master_seed, k_idx, chunk_idx, noise_mode) = args
+    (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx, noise_mode) = args
     spec = parse_model_document(doc)
-    tset = ThresholdSet(kind, a, b)
     k = Fraction(k_str)
     lo, hi = _window_bounds(k, t)
     width = hi - lo + 1
@@ -304,7 +314,7 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
         values = values + spec.noise.sample_aggregate(np.full(size, n_window, dtype=np.int64), rng_eps)
 
     averages = values / float(n_window)
-    return int(np.count_nonzero(tset.contains_array(averages))), size
+    return int(np.count_nonzero(tset.contains(averages))), size
 
 
 def run_uldp(cfg: UldpRun, workers: int = 1) -> RunResult:
@@ -312,29 +322,18 @@ def run_uldp(cfg: UldpRun, workers: int = 1) -> RunResult:
     ctx = RateFunctionCtx(cfg.spec)
     doc = canonical_document(cfg.spec)
 
-    units = []
-    for k_idx, k in enumerate(cfg.k_grid):
-        remaining = cfg.samples
-        chunk_idx = 0
-        while remaining > 0:
-            size = min(_ULDP_CHUNK, remaining)
-            units.append(
-                (doc, str(k), cfg.t, cfg.tset.kind, cfg.tset.a, cfg.tset.b, size,
-                 cfg.master_seed, k_idx, chunk_idx, cfg.noise_mode)
-            )
-            remaining -= size
-            chunk_idx += 1
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_uldp_chunk, units))
-    else:
-        outcomes = [_uldp_chunk(u) for u in units]
-
-    successes: dict[int, int] = {}
-    for unit, (hits, _) in zip(units, outcomes):
-        k_idx = unit[8]
-        successes[k_idx] = successes.get(k_idx, 0) + hits
+    starts = range(0, cfg.samples, _ULDP_CHUNK)
+    units = [
+        (doc, str(k), cfg.t, cfg.tset, min(_ULDP_CHUNK, cfg.samples - start),
+         cfg.master_seed, k_idx, chunk_idx, cfg.noise_mode)
+        for k_idx, k in enumerate(cfg.k_grid)
+        for chunk_idx, start in enumerate(starts)
+    ]
+    outcomes = _run_units(_uldp_chunk, units, workers)
+    successes = [
+        sum(hits for hits, _ in outcomes[i : i + len(starts)])
+        for i in range(0, len(outcomes), len(starts))
+    ]
 
     result = RunResult()
     exponents = []
@@ -376,12 +375,7 @@ def run_uldp(cfg: UldpRun, workers: int = 1) -> RunResult:
     return result
 
 
-def sla_plan(
-    spec: ModelSpec,
-    r_target: int,
-    horizon: int,
-    ctx: Optional[RateFunctionCtx] = None,
-) -> dict:
+def sla_plan(spec: ModelSpec, r_target: int, horizon: int) -> dict:
     """Capacity headroom for "no deviant segment of length r_target by horizon".
 
     Sets the target decay rate to log(horizon) / r_target and inverts the
@@ -392,7 +386,7 @@ def sla_plan(
         raise ModelValidationError("horizon_gt_one", "horizon must be > 1")
     if r_target < 1:
         raise ModelValidationError("r_target_positive", "r_target must be >= 1")
-    ctx = ctx or RateFunctionCtx(spec)
+    ctx = RateFunctionCtx(spec)
     target_rate = math.log(horizon) / r_target
     capacity = invert_capacity(ctx, target_rate)
     achieved = legendre(ctx, "limit", capacity).value

@@ -114,7 +114,7 @@ class MACoefficients:
     """Finite two-sided moving-average coefficients phi_k, keyed by lag.
 
     ``trunc_tol`` is carried over from the model document's optional key of
-    the same name; it enters the model digest but no computation reads it.
+    the same name; no computation reads it.
     """
 
     coeffs: Mapping[int, float]

@@ -1,4 +1,4 @@
-"""Model document handling: JSON schema, validation, canonical digests.
+"""Model document handling: JSON schema, validation, canonical form.
 
 A model document is a single JSON object:
 
@@ -14,9 +14,9 @@ A model document is a single JSON object:
 Unknown keys anywhere are a hard error so that typos cannot silently change
 a run. Every validation failure names the violated invariant.
 
-``groups[].mu`` and ``trunc_tol`` are accepted and enter the model digest,
-but no computation reads them: paths are deviations from the mean workload,
-and ``phi`` is always a finite literal family.
+``groups[].mu`` and ``trunc_tol`` are accepted and kept in the canonical
+document, but no computation reads them: paths are deviations from the mean
+workload, and ``phi`` is always a finite literal family.
 """
 
 from __future__ import annotations
@@ -172,9 +172,3 @@ def canonical_document(spec: ModelSpec) -> dict:
     else:  # pragma: no cover
         doc["noise"] = {"type": type(spec.noise).__name__}
     return doc
-
-
-def model_digest(spec: ModelSpec) -> str:
-    """sha256 of the canonical document; stable across processes."""
-    blob = json.dumps(canonical_document(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()

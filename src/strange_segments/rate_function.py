@@ -35,10 +35,12 @@ from .innovations import GaussianInnovations
 from .model_core import ModelSpec
 from .segments import ThresholdSet
 
-# Gauss-Legendre order is doubled until two successive estimates agree to
-# quad_tol; the cap only guards against a non-smooth integrand, which the
-# closed-form log-MGF contract rules out.
+# Gauss-Legendre order is doubled from _QUAD_ORDER until two successive
+# estimates agree to quad_tol; the cap only guards against a non-smooth
+# integrand, which the closed-form log-MGF contract rules out.
+_QUAD_ORDER = 32
 _MAX_QUAD_ORDER = 8192
+_LAMBDA_BRACKET = 1.0  # first |lam| a root bracket tries before doubling
 _MAX_BRACKET_DOUBLINGS = 60
 # Brent's method on a monotone g needs a few dozen steps at the default
 # tolerances; the cap stops a search on a g that is not finite or not monotone.
@@ -53,21 +55,13 @@ class RateFunctionCtx:
     """Numerical context: model reference plus tolerances."""
 
     spec: ModelSpec
-    quad_order: int = 32
     quad_tol: float = 1e-10
     root_tol: float = 1e-12
-    lambda_bracket_max: float = 1.0
 
     def __post_init__(self):
-        if self.quad_order < 16:
-            raise ModelValidationError("quad_order_min", "quad_order must be >= 16")
         if not all(isfinite(tol) and tol > 0 for tol in (self.quad_tol, self.root_tol)):
             raise ModelValidationError(
                 "tolerances_positive", "quad_tol and root_tol must be finite and > 0"
-            )
-        if not (isfinite(self.lambda_bracket_max) and self.lambda_bracket_max > 0):
-            raise ModelValidationError(
-                "lambda_bracket_positive", "lambda_bracket_max must be finite and > 0"
             )
 
 
@@ -77,7 +71,6 @@ class LegendreResult:
 
     value: float
     argmax_lambda: float
-    converged: bool
 
 
 @lru_cache(maxsize=32)
@@ -139,7 +132,7 @@ def _segment_quadrature(ctx: RateFunctionCtx, k: float, lam: float, differentiat
             vals = model.log_mgf_ray(beta_bar, g * lam)
         return 0.5 * float(weights @ vals)
 
-    order = ctx.quad_order
+    order = _QUAD_ORDER
     prev = estimate(order)
     while order < _MAX_QUAD_ORDER:
         order *= 2
@@ -176,8 +169,6 @@ def _curve(ctx: RateFunctionCtx, which: WhichCurve):
             raise ValueError(f"unknown curve {which!r}; expected 'limit' or a window offset")
         return (lambda lam: lambda_limit(ctx, lam), lambda lam: lambda_limit_prime(ctx, lam))
     k = float(which)
-    if k < 0:
-        raise ValueError("window offset k must be >= 0")
     return (lambda lam: lambda_k(ctx, k, lam), lambda lam: lambda_k_prime(ctx, k, lam))
 
 
@@ -236,7 +227,7 @@ def _increasing_root(g, lo: float, hi: float, tol: float, *, g_lo: float, g_hi: 
 def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResult:
     """Fenchel-Legendre transform of the selected curve at ``x``.
 
-    Solves ``f'(lam) = x`` by doubling the bracket from lambda_bracket_max
+    Solves ``f'(lam) = x`` by doubling the bracket from _LAMBDA_BRACKET
     until the derivative passes ``x`` (failure here means the model is not
     steep along the loading direction), then runs Brent's method on the last
     doubling step until the bracket is within root_tol. ``x`` exactly at the
@@ -247,11 +238,11 @@ def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResul
     f, fprime = _curve(ctx, which)
     mean = fprime(0.0)
     if x == mean:
-        return LegendreResult(0.0, 0.0, True)
+        return LegendreResult(0.0, 0.0)
 
     side = 1.0 if x > mean else -1.0
     near, g_near = 0.0, mean - x
-    b = ctx.lambda_bracket_max
+    b = _LAMBDA_BRACKET
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         g_far = fprime(side * b) - x
         if side * g_far > 0.0:
@@ -272,7 +263,7 @@ def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResul
     else:
         lam = _increasing_root(g, -b, near, ctx.root_tol, g_lo=g_far, g_hi=g_near)
     value = lam * x - f(lam)
-    return LegendreResult(max(value, 0.0), lam, True)
+    return LegendreResult(max(value, 0.0), lam)
 
 
 def gaussian_closed_form(spec: ModelSpec, x: float) -> float:
@@ -302,7 +293,7 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
     On that branch ``C = Lambda'(lam)`` for some lam > 0, where
     ``Lambda*(C) = lam Lambda'(lam) - Lambda(lam)``. The right side is 0 at
     lam = 0 and nondecreasing for lam > 0, so the upper bracket is doubled
-    from lambda_bracket_max until it reaches the target, Brent's method finds
+    from _LAMBDA_BRACKET until it reaches the target, Brent's method finds
     lam to root_tol, and C is the slope there.
     """
     if not 0.0 < target_rate < inf:
@@ -312,7 +303,7 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
         return lam * lambda_limit_prime(ctx, lam) - lambda_limit(ctx, lam) - target_rate
 
     lo, h_lo = 0.0, -target_rate  # Lambda(0) = 0 by the log-MGF contract
-    hi = ctx.lambda_bracket_max
+    hi = _LAMBDA_BRACKET
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         h_hi = excess(hi)
         if h_hi >= 0.0:

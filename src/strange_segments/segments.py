@@ -64,14 +64,8 @@ class ThresholdSet:
     def interval(cls, a: float, b: float) -> "ThresholdSet":
         return cls("interval", float(a), float(b))
 
-    def contains(self, x: float) -> bool:
-        if self.kind == "above":
-            return x > self.a
-        if self.kind == "below":
-            return x < self.a
-        return self.a < x < self.b
-
-    def contains_array(self, x: np.ndarray) -> np.ndarray:
+    def contains(self, x: float | np.ndarray) -> bool | np.ndarray:
+        """Membership of a float, or elementwise of an array; NaN is never inside."""
         if self.kind == "above":
             return x > self.a
         if self.kind == "below":
@@ -146,7 +140,7 @@ def _direct_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray
     widths = np.zeros(t + 1, dtype=np.int64)
     for l in range(1, t + 1):
         avg = (s[l] - s[:l]) / (n[l] - n[:l])
-        hits = np.flatnonzero(tset.contains_array(avg))
+        hits = np.flatnonzero(tset.contains(avg))
         if hits.size:
             widths[l] = l - int(hits[0])
     return widths
@@ -248,7 +242,7 @@ def brute_force_t(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentRepo
     s, n = path.S, path.N.astype(np.float64)
     for l in range(r, path.t_max + 1):
         avg = (s[l] - s[: l - r + 1]) / (n[l] - n[: l - r + 1])
-        hits = np.flatnonzero(tset.contains_array(avg))
+        hits = np.flatnonzero(tset.contains(avg))
         if hits.size:
             return SegmentReport(l, (int(hits[0]), l))
     return SegmentReport(None, None)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ModelValidationError
 from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix, floor_power_prefix
-from .modeldoc import model_digest
 
 _NOISE_MODES = ("aggregate", "literal", "off")
 _LITERAL_DRAW_BUDGET = 10**9
@@ -49,12 +48,10 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class WorkloadPath:
-    """Simulated trajectory: S(0..t_max), N(0..t_max) and provenance."""
+    """Simulated trajectory: S(0..t_max), N(0..t_max) and, when recorded, the steps D."""
 
     S: np.ndarray
     N: np.ndarray
-    spec_hash: str
-    seed: int
     D: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -218,7 +215,7 @@ def simulate(
         steps = np.zeros(t_max + 1, dtype=np.float64)
         steps[1:] = d
 
-    return WorkloadPath(S=s, N=n_prefix, spec_hash=model_digest(spec), seed=cfg.seed, D=steps)
+    return WorkloadPath(S=s, N=n_prefix, D=steps)
 
 
 def segment_average(path: WorkloadPath, k: int, l: int) -> float:

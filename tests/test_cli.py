@@ -228,8 +228,7 @@ class TestSimulateExport:
                                              -1e-300, 0.3, 9.999999999999999e16, -1e-4, 1e-5,
                                              7.0])])
         n = np.arange(len(s), dtype=np.int64) * 10**12
-        path = WorkloadPath(S=s, N=n, spec_hash="synthetic", seed=0,
-                            D=np.concatenate([[0.0], d]))
+        path = WorkloadPath(S=s, N=n, D=np.concatenate([[0.0], d]))
         text = "\n".join(_path_csv_lines(path, record_steps)) + "\n"
         assert text == per_row_csv(path, record_steps)
         assert {"-0", "1e-300", "1e+17"} <= set(text.replace("\n", ",").split(","))
@@ -301,6 +300,52 @@ class TestChecksInSummary:
         summary = json.loads((tmp_path / "u.summary.json").read_text())
         assert "exponents_nondecreasing_in_k" in summary["checks"]
         assert summary["checks"]["exponent_band_k0"]["pass"] is True
+
+
+class TestCheckSpecsBeforeRun:
+    STRONG = ["verify-strong-law", "--seed", "1", "--cp", "1.0", "--replicates", "2",
+              "--r-grid", "2,4", "--t-grid", "16", "--noise-mode", "off"]
+    ULDP = ["verify-uldp", "--seed", "1", "--t", "4", "--samples", "100", "--set", "above",
+            "--a", "0.5", "--k-grid", "0"]
+
+    @pytest.mark.parametrize("argv, invariant", [
+        (STRONG + ["--band", "7,0,1"], "band"),
+        (STRONG + ["--band", "2,0.3"], "band"),
+        (STRONG + ["--band", "2,0,1,5"], "band"),
+        (STRONG + ["--band", "2,nan,1"], "number_list"),
+        (STRONG + ["--band", "2,0,inf"], "number_list"),
+        (STRONG + ["--band", "2.0,0,1"], "number_list"),
+        (STRONG + ["--band", "2,0,1", "--band", "3,0,1"], "band"),
+        (STRONG + ["--band", "2,0,0.01", "--band", "2,0,5"], "band"),
+        (STRONG + ["--trend", "2,9"], "trend"),
+        (STRONG + ["--trend", "4"], "trend"),
+        (STRONG + ["--trend", "2,x"], "number_list"),
+        (STRONG + ["--r-grid", "2,12,12"], "r_grid"),
+        (ULDP + ["--band", "1,25"], "band"),
+        (ULDP + ["--band", "0"], "band"),
+        (ULDP + ["--band", "0,10", "--band", "0,50"], "band"),
+        (ULDP + ["--band", "0,nan"], "number_list"),
+        (ULDP + ["--band", "zero,25"], "number_list"),
+        (ULDP + ["--k-grid", "0,0.0,1"], "k_grid"),
+    ])
+    def test_bad_spec_exits_1_without_running(self, capsys, model_file, monkeypatch, argv,
+                                              invariant):
+        def never(*args, **kwargs):
+            raise AssertionError("the Monte Carlo run started before its checks were validated")
+
+        for name in ("run_strong_law", "run_uldp"):
+            monkeypatch.setattr(cli, name, never)
+        path = model_file(unit_document())
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == invariant
+
+    @pytest.mark.parametrize("argv", [STRONG + ["--workers", "0"], ULDP + ["--workers", "-1"]])
+    def test_worker_count_below_one_exits_1(self, capsys, model_file, argv):
+        path = model_file(unit_document())
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "workers"
 
 
 class TestPlan:

@@ -15,6 +15,7 @@ from strange_segments import (
     run_uldp,
     sla_plan,
 )
+import strange_segments.experiments as experiments
 import strange_segments.simulator as simulator
 from strange_segments.experiments import _window_bounds
 
@@ -163,7 +164,7 @@ class TestUldp:
 
         t = 12
         doc = canonical_document(unit_spec)
-        hits, size = _uldp_chunk((doc, "1", t, "above", 0.25, None, 4000, 9, 0, 0, None))
+        hits, size = _uldp_chunk((doc, "1", t, ThresholdSet.above(0.25), 4000, 9, 0, 0, None))
         p_window = hits / size
         count = 0
         for seed in range(4000):
@@ -225,3 +226,55 @@ class TestConfigValidation:
             StrongLawRun(spec=unit_spec, c_p=1.0, t_grid=(1,))
         with pytest.raises(ModelValidationError):
             UldpRun(spec=unit_spec, k_grid=(-1,), t=5, tset=ThresholdSet.above(1.0), samples=10)
+        # duplicates would double rows and censored counts, or overwrite a summary entry
+        for grids in ({"r_grid": (2, 12, 12)}, {"t_grid": (16, 64, 16)}):
+            with pytest.raises(ModelValidationError) as info:
+                StrongLawRun(spec=unit_spec, c_p=1.0, **grids)
+            assert info.value.invariant == next(iter(grids))
+        for k_grid in ((0, Fraction(0), 1), ("0", "0.0", "1"), (Fraction(1, 2), "0.5"),
+                       (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))):
+            with pytest.raises(ModelValidationError) as info:
+                UldpRun(spec=unit_spec, k_grid=k_grid, t=5, tset=ThresholdSet.above(1.0), samples=10)
+            assert info.value.invariant == "k_grid"
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, units):
+        return map(fn, units)
+
+
+class TestRunUnits:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_needs_a_worker(self, unit_spec, workers):
+        with pytest.raises(ModelValidationError) as info:
+            run_strong_law(small_strong_law(unit_spec, replicates=2), workers=workers)
+        assert info.value.invariant == "workers"
+        with pytest.raises(ModelValidationError) as info:
+            run_uldp(UldpRun(spec=unit_spec, k_grid=(0,), t=5, tset=ThresholdSet.above(1.0),
+                             samples=10), workers=workers)
+        assert info.value.invariant == "workers"
+
+    def test_pool_has_at_most_one_process_per_unit(self, unit_spec, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        cfg = small_strong_law(unit_spec, replicates=2)
+        assert run_strong_law(cfg, workers=64).rows == run_strong_law(cfg).rows
+        uldp = UldpRun(spec=unit_spec, k_grid=(0, 1, 2), t=5, tset=ThresholdSet.above(1.0),
+                       samples=10)
+        assert run_uldp(uldp, workers=64).rows == run_uldp(uldp).rows
+        assert run_uldp(uldp, workers=2).rows == run_uldp(uldp).rows
+        # single-worker runs never build a pool, so only the three pooled calls record a size
+        assert _SerialPool.sizes == [2, 3, 2]

@@ -24,7 +24,7 @@ def make_path(d, n_steps=None):
     else:
         n = np.concatenate([[0], np.cumsum(np.asarray(n_steps, dtype=np.int64))])
     s = np.concatenate([[0.0], np.cumsum(d)])
-    return WorkloadPath(S=s, N=n, spec_hash="synthetic", seed=0)
+    return WorkloadPath(S=s, N=n)
 
 
 UNIT_D = [1.0, -1.0, 1.0, 1.0, -1.0]  # S = [1, 0, 1, 2, 1] on unit increments
@@ -124,6 +124,16 @@ class TestFastEqualsBruteForce:
                 k, l = rep.witness
                 assert l == rep.value and l - k >= 2
                 assert tset.contains(segment_average(path, k, l))
+        # a float and an array probe get the same answers: open at each end, NaN never inside
+        for tset in (ThresholdSet.above(0.3), ThresholdSet.below(0.3), ThresholdSet.interval(-0.2, 0.3)):
+            ends = (-0.2, 0.3) if tset.kind == "interval" else (0.3,)
+            probes = [float("nan"), 0.05, -5.0, 5.0]
+            for end in ends:
+                probes += [end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf)]
+            lo, hi = {"above": (0.3, np.inf), "below": (-np.inf, 0.3), "interval": (-0.2, 0.3)}[tset.kind]
+            array = tset.contains(np.asarray(probes))
+            assert array.tolist() == [bool(tset.contains(float(x))) for x in probes]
+            assert array.tolist() == [lo < x < hi for x in probes]
 
 
 class TestDuality:
