@@ -30,7 +30,7 @@ from . import __version__
 from .errors import ModelValidationError, NumericalError
 from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
 from .modeldoc import load_model
-from .rate_function import RateFunctionCtx, legendre
+from .rate_function import RateFunctionCtx, legendre, set_rate
 from .segments import ThresholdSet, r_stat, t_stat
 from .simulator import PathConfig, WorkloadPath, simulate
 
@@ -319,6 +319,14 @@ def _cmd_verify_uldp(args) -> int:
         bands.append((k_str, _on_grid(_offset(k_str), cfg.k_grid, "band"), _finite_float(pct)))
     if len({k_str for k_str, _, _ in bands}) < len(bands):  # a later band would overwrite the check
         raise ModelValidationError("band", "--band names the same offset twice")
+    if bands:
+        ctx = RateFunctionCtx(spec)
+        for k_str, k, _ in bands:
+            if set_rate(ctx, float(k), tset) == 0.0:  # the band is relative to the prediction
+                raise ModelValidationError(
+                    "band", f"--band names offset {k_str}, whose predicted exponent is 0 "
+                    "(the set reaches the mean), so a relative band has no meaning"
+                )
     result = run_uldp(cfg, workers=args.workers)
     checks = {"exponents_nondecreasing_in_k": {
         "pass": bool(result.summary["exponents_nondecreasing_in_k"])

@@ -159,21 +159,28 @@ def _strong_law_replicate(args: tuple) -> dict:
     mode = _resolve_noise_mode(spec, noise_mode)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(rep,)))
 
-    # Each doubling draws the innovations and noise of the new steps only.
+    # Each doubling draws the innovations and noise of the new steps only, into
+    # buffers sized for the cap whose pages are touched only as they fill.
     horizon = initial_horizon
-    xi = np.empty((0, spec.dim), dtype=np.float64)
-    eps = np.empty(0, dtype=np.float64) if mode != "off" else None
+    j_min, j_max = innovation_span(spec, horizon_cap)
+    xi = np.empty((j_max - j_min + 1, spec.dim), dtype=np.float64)
+    eps = np.empty(horizon_cap, dtype=np.float64) if mode != "off" else None
+    drawn = noised = 0
     while True:
         j_min, j_max = innovation_span(spec, horizon)
-        xi = np.vstack([xi, spec.innovations.sample(rng_xi, j_max - j_min + 1 - len(xi))])
+        span = j_max - j_min + 1
+        xi[drawn:span] = spec.innovations.sample(rng_xi, span - drawn)
+        drawn = span
         if eps is not None:
             counts = spec.total_c * floor_power_prefix(horizon, spec.alpha)[1:]
-            eps = np.concatenate([eps, _step_noise(spec, mode, counts, rng_eps, start=len(eps))])
+            eps[noised:horizon] = _step_noise(spec, mode, counts, rng_eps, start=noised)
+            noised = horizon
+        path = None  # the shorter path is not needed while the next one is built
         path = simulate(
             spec,
             PathConfig(horizon, seed=master_seed, noise_mode="off"),
-            injected_innovations=xi,
-            injected_step_noise=eps,
+            injected_innovations=xi[:span],
+            injected_step_noise=None if eps is None else eps[:horizon],
         )
         longest = t_stat(path, tset, r_max)
         if longest.value is not None or horizon >= horizon_cap:

@@ -251,5 +251,6 @@ def cumulative_population_prefix(spec: ModelSpec, t_max: int) -> np.ndarray:
             f"N({t_max}) may exceed 64-bit integer range for alpha={spec.alpha}; "
             "reduce the horizon",
         )
-    steps = spec.total_c * floor_power_prefix(t_max, spec.alpha)
-    return np.cumsum(steps, dtype=np.int64)
+    out = floor_power_prefix(t_max, spec.alpha)
+    out *= spec.total_c
+    return np.cumsum(out, out=out)

@@ -34,6 +34,9 @@ import numpy as np
 
 from .simulator import WorkloadPath
 
+# Walk indices per block of the t_stat scan; its few block-sized arrays stay in cache.
+_SCAN_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class ThresholdSet:
@@ -91,10 +94,6 @@ def _check_horizon(path: WorkloadPath, t: int) -> None:
         raise ValueError(f"horizon {t} outside 1..{path.t_max}")
 
 
-def _tilted_walk(path: WorkloadPath, a: float, t: int) -> np.ndarray:
-    return path.S[: t + 1] - a * path.N[: t + 1].astype(np.float64)
-
-
 def _ramp_widths(g: np.ndarray) -> np.ndarray:
     """For each index l, the width l - k of the widest ramp ending at l.
 
@@ -117,9 +116,9 @@ def _ramp_widths(g: np.ndarray) -> np.ndarray:
     return np.maximum(widths, 0)
 
 
-def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
-    """Walk for which membership of (k, l) means walk[l] > walk[k]."""
-    g = _tilted_walk(path, tset.a, t)
+def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, start: int, stop: int) -> np.ndarray:
+    """Indices start..stop-1 of the walk for which membership of (k, l) means walk[l] > walk[k]."""
+    g = path.S[start:stop] - tset.a * path.N[start:stop].astype(np.float64)
     return g if tset.kind == "above" else -g
 
 
@@ -151,7 +150,7 @@ def _endpoint_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarr
     _check_horizon(path, t)
     if tset.kind == "interval":
         return _direct_widths(path, tset, t)
-    return _ramp_widths(_one_sided_walk(path, tset, t))
+    return _ramp_widths(_one_sided_walk(path, tset, 0, t + 1))
 
 
 def _widest(widths: np.ndarray) -> SegmentReport:
@@ -176,7 +175,7 @@ def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
     if tset.kind == "interval":
         return _widest(_endpoint_widths(path, tset, t))
     _check_horizon(path, t)
-    g = _one_sided_walk(path, tset, t)
+    g = _one_sided_walk(path, tset, 0, t + 1)
     prefix_min = np.minimum.accumulate(g)
     end = _first_deviant_end(g, prefix_min, 1)
     if end is None:
@@ -210,9 +209,12 @@ def r_stat_trajectory(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndar
 def t_stat(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
     """First time a deviant segment of length >= r completes, if any.
 
-    One-sided sets keep the running minimum of the tilted walk delayed by r
-    steps; the first index beating that minimum ends the earliest qualifying
-    segment.
+    One-sided sets scan the tilted walk in blocks of ``max(_SCAN_BLOCK, r)``
+    indices and return at the first block with a hit, so no path-length
+    array is made. Each block goes through ``_first_deviant_end`` behind the
+    last r walk values and prefix minima of the blocks before it; the running
+    minimum and the first index attaining it are carried across blocks, and
+    give the witness start.
     """
     if r < 1:
         raise ValueError("segment length r must be >= 1")
@@ -221,12 +223,31 @@ def t_stat(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
         return brute_force_t(path, tset, r)
     if r > t:
         return SegmentReport(None, None)
-    g = _one_sided_walk(path, tset, t)
-    l = _first_deviant_end(g, np.minimum.accumulate(g), r)
-    if l is None:
-        return SegmentReport(None, None)
-    k = int(np.argmin(g[: l - r + 1]))
-    return SegmentReport(l, (k, l))
+    block = max(_SCAN_BLOCK, r)
+    g = np.empty(r + block)  # walk at indices base, base + 1, ...
+    pm = np.empty(r + block)  # prefix minima of the whole walk at the same indices
+    low, low_at = np.inf, -1  # minimum of the walk before index base, and where it first occurs
+    for start in range(0, t + 1, block):
+        kept = r if start else 0  # entries carried from the last block
+        base = start - kept  # walk index of g[0]
+        n = kept + min(block, t + 1 - start)
+        g[kept:n] = _one_sided_walk(path, tset, start, start + n - kept)
+        np.minimum.accumulate(g[kept:n], out=pm[kept:n])
+        if kept:
+            np.minimum(pm[kept:n], pm[kept - 1], out=pm[kept:n])
+        if n > r:  # only a first block of exactly r indices has no end to test
+            l = _first_deviant_end(g[:n], pm[:n], r)
+            if l is not None:
+                head = g[: l - r + 1]
+                k = int(np.argmin(head))
+                k = low_at if low <= head[k] else base + k
+                return SegmentReport(base + l, (k, base + l))
+            k = int(np.argmin(g[: n - r]))
+            if g[k] < low:
+                low, low_at = float(g[k]), base + k
+        g[:r] = g[n - r : n]  # n >= r: the first block holds at least r indices
+        pm[:r] = pm[n - r : n]
+    return SegmentReport(None, None)
 
 
 def brute_force_r(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:

@@ -6,7 +6,9 @@ loadings, which collapses to ``floor(t**alpha) * (beta_sum . Z(t))`` because
 all group populations scale with the same power of t; idiosyncratic noise is
 added as an exact-law aggregate draw (one per step), literal per-customer
 draws, or not at all. The path keeps the cumulative deviation S and the
-integer normalizer N.
+integer normalizer N; the steps are formed and summed block by block, so no
+path-length temporary is made beyond the loading product, floor(t**alpha)
+and the step noise.
 """
 
 from __future__ import annotations
@@ -63,30 +65,6 @@ class WorkloadPath:
     @property
     def t_max(self) -> int:
         return len(self.S) - 1
-
-
-def _compensated_cumsum(d: np.ndarray) -> np.ndarray:
-    """Cumulative sum with Neumaier-corrected carries between chunks.
-
-    Within a chunk the plain cumulative sum is accurate enough; the running
-    total handed to the next chunk is kept with a compensation term so the
-    error does not grow with the horizon. Exact whenever all partial sums are
-    exactly representable (e.g. integer-valued data).
-    """
-    out = np.empty(d.shape, dtype=np.float64)
-    carry = 0.0
-    comp = 0.0
-    for i in range(0, len(d), _CUMSUM_CHUNK):
-        seg = np.cumsum(d[i : i + _CUMSUM_CHUNK])
-        out[i : i + len(seg)] = (carry + comp) + seg
-        tot = float(seg[-1])
-        new = carry + tot
-        if abs(carry) >= abs(tot):
-            comp += (carry - new) + tot
-        else:
-            comp += (tot - new) + carry
-        carry = new
-    return out
 
 
 def innovation_span(spec: ModelSpec, t_max: int) -> tuple[int, int]:
@@ -167,6 +145,13 @@ def simulate(
     (span,) when K == 1, covering ``innovation_span``) and
     ``injected_step_noise`` (one aggregate term per step) bypass the samplers
     entirely and make the path a deterministic function of the inputs.
+
+    The loading product ``xi @ beta_sum``, ``floor(t**alpha)``, the
+    normalizer N and the step noise are whole-path arrays. The MA filter, the
+    ``floor(t**alpha)`` weighting, the noise add, the copy into D and the
+    cumulative sum then run over ``_CUMSUM_CHUNK``-step blocks aligned at
+    step 0 and write straight into S, so the path allocates no other
+    path-length array.
     """
     t_max = cfg.t_max
     mode = _resolve_noise_mode(spec, cfg.noise_mode)
@@ -190,12 +175,13 @@ def simulate(
 
     # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
     # loading first so each lag is one vectorized slice.
-    driver = _ma_filter(spec.ma, xi @ spec.beta_sum, t_max)
+    loaded = xi @ spec.beta_sum
+    del xi  # a sampled innovation array is no longer needed
 
     fp = floor_power_prefix(t_max, spec.alpha)  # floor(t**alpha), t = 0..t_max
     n_prefix = cumulative_population_prefix(spec, t_max)
-    d = fp[1:].astype(np.float64) * driver
 
+    eps = None
     if injected_step_noise is not None:
         eps = np.asarray(injected_step_noise, dtype=np.float64)
         if eps.shape != (t_max,):
@@ -203,17 +189,35 @@ def simulate(
                 "injected_noise_shape",
                 f"injected step noise must have shape ({t_max},), got {eps.shape}",
             )
-        d = d + eps
     elif mode != "off":
-        d = d + _step_noise(spec, mode, n_prefix[1:] - n_prefix[:-1], rng_eps)
+        eps = _step_noise(spec, mode, n_prefix[1:] - n_prefix[:-1], rng_eps)
 
-    s = np.zeros(t_max + 1, dtype=np.float64)
-    s[1:] = _compensated_cumsum(d)
-
-    steps = None
-    if cfg.record_steps:
-        steps = np.zeros(t_max + 1, dtype=np.float64)
-        steps[1:] = d
+    s = np.empty(t_max + 1, dtype=np.float64)
+    s[0] = 0.0
+    steps = np.zeros(t_max + 1, dtype=np.float64) if cfg.record_steps else None
+    # Steps i+1..j form one block; within it the plain cumulative sum is
+    # accurate enough, and the running total handed to the next block is kept
+    # with a Neumaier compensation term so the error does not grow with the
+    # horizon (exact whenever every partial sum is representable).
+    reach = spec.ma.max_lag - spec.ma.min_lag
+    carry = comp = 0.0
+    for i in range(0, t_max, _CUMSUM_CHUNK):
+        j = min(i + _CUMSUM_CHUNK, t_max)
+        d = _ma_filter(spec.ma, loaded[i : j + reach], j - i)
+        d *= fp[i + 1 : j + 1]
+        if eps is not None:
+            d += eps[i:j]
+        if steps is not None:
+            steps[i + 1 : j + 1] = d
+        block = np.cumsum(d, out=s[i + 1 : j + 1])
+        tot = float(block[-1])
+        block += carry + comp
+        new = carry + tot
+        if abs(carry) >= abs(tot):
+            comp += (carry - new) + tot
+        else:
+            comp += (tot - new) + carry
+        carry = new
 
     return WorkloadPath(S=s, N=n_prefix, D=steps)
 

@@ -1,0 +1,50 @@
+"""Allocation budgets of the path synthesis and the T_r scan.
+
+numpy reports its buffers to ``tracemalloc``, so the traced peak of one call
+counts every array it makes. These limits keep full-length temporaries from
+coming back into ``simulate`` and ``t_stat`` unnoticed.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from strange_segments import PathConfig, ThresholdSet, WorkloadPath, simulate, t_stat
+from strange_segments import segments
+
+
+def traced_peak(fn) -> tuple[object, int]:
+    """(result, peak bytes allocated while ``fn`` ran, above what was live before)."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def test_simulate_peaks_below_six_path_arrays(unit_spec):
+    t_max = 1_000_000
+    path, peak = traced_peak(lambda: simulate(unit_spec, PathConfig(t_max=t_max, seed=1)))
+    assert path.t_max == t_max
+    # S and N are kept; the loading product, floor(t^alpha) and the normalizer's
+    # own floor(t^alpha) are the other whole-path arrays
+    assert peak < 6 * 8 * (t_max + 1)
+
+
+@pytest.mark.parametrize("t_max", [100_000, 1_000_000])
+@pytest.mark.parametrize("kind", ["above", "below"])
+def test_t_stat_without_hit_peaks_below_six_blocks(t_max, kind):
+    rng = np.random.default_rng(0)
+    s = np.concatenate([[0.0], np.cumsum(rng.standard_normal(t_max))])
+    path = WorkloadPath(S=s, N=np.arange(t_max + 1, dtype=np.int64))
+    tset = ThresholdSet(kind, 100.0 if kind == "above" else -100.0)  # never reached
+    rep, peak = traced_peak(lambda: t_stat(path, tset, 10))
+    assert rep.value is None
+    assert peak < 6 * 8 * segments._SCAN_BLOCK

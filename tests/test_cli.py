@@ -327,6 +327,7 @@ class TestCheckSpecsBeforeRun:
         (ULDP + ["--band", "0,nan"], "number_list"),
         (ULDP + ["--band", "zero,25"], "number_list"),
         (ULDP + ["--k-grid", "0,0.0,1"], "k_grid"),
+        (ULDP + ["--a=-0.5", "--band", "0,10"], "band"),  # predicted exponent 0 at offset 0
     ])
     def test_bad_spec_exits_1_without_running(self, capsys, model_file, monkeypatch, argv,
                                               invariant):

@@ -28,6 +28,9 @@ CASES = {
                              "--record-steps"],
     "simulate_two_group_steps": ["simulate", "two_group.json", "--seed", "5", "--t-max", "500",
                                  "--record-steps"],
+    # Longer than several 8,192-step cumsum blocks, so the carry between blocks is covered.
+    "simulate_two_group_long": ["simulate", "two_group.json", "--seed", "7", "--t-max", "20000",
+                                "--record-steps"],
     "simulate_unit_off": ["simulate", "unit.json", "--seed", "3", "--t-max", "100",
                           "--noise-mode", "off", "--record-steps"],
     "segments_above": ["segments", "two_group.json", "--seed", "3", "--t-max", "5000",
@@ -41,6 +44,11 @@ CASES = {
     "verify_strong_law": ["verify-strong-law", "unit.json", "--seed", "23", "--cp", "1.0",
                           "--replicates", "4", "--r-grid", "2,4", "--t-grid", "32",
                           "--initial-horizon", "64", "--noise-mode", "off"],
+    # Doubles 1000 -> 32000 (T_40 is censored) with aggregate noise; T_6 and T_8
+    # complete past the first 8,192-step block.
+    "verify_strong_law_long": ["verify-strong-law", "unit_noisy.json", "--seed", "29", "--cp", "1.5",
+                               "--replicates", "3", "--r-grid", "6,8,9,40", "--t-grid", "100",
+                               "--initial-horizon", "1000", "--horizon-cap", "32000"],
     "verify_uldp": ["verify-uldp", "two_group.json", "--seed", "17", "--t", "10",
                     "--k-grid", "0,1", "--samples", "4000", "--set", "above", "--a", "0.4"],
     "plan": ["plan", "two_group.json", "--r-target", "20", "--horizon", "1000000"],
@@ -72,6 +80,9 @@ GOLDEN = {
     "simulate_noisy_steps": {
         "csv": "6a5085a1eeb8b6a8ef90759da471acaa311f09c2226da253331d41a425c0cfa5",
     },
+    "simulate_two_group_long": {
+        "csv": "1fe7a743630460c5c2b24810afccf53a5372a97d8b0f0cce9fb39460b5b148ef",
+    },
     "simulate_two_group_steps": {
         "csv": "a07ac65eb5e97a5b83e68aca2dc42bf7fd37a809089a60115cf353058fd8796e",
     },
@@ -81,6 +92,10 @@ GOLDEN = {
     "verify_strong_law": {
         "csv": "068d6af4237494d15cce6f63fa875d7ae4e830d1d066a3be4eb0bee7af8aea9f",
         "summary.json": "3d0c637098f160494e6b8e3c9b6b9540dc34a5319e320357b8b6ee084b71b9a0",
+    },
+    "verify_strong_law_long": {
+        "csv": "129fe7feefbf93d1d7690f89df4ce03e4a4036743244c4126e9f7cde873b696b",
+        "summary.json": "02cad7323729740992b23005499c558bccbdee269b5eb320e0c8763112b9a708",
     },
     "verify_uldp": {
         "csv": "8c93900f3dadaf70e7dcea34414db247d06710056e3bd6b1d1bf639f27196cee",

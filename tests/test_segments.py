@@ -13,7 +13,8 @@ from strange_segments import (
     segment_average,
     t_stat,
 )
-from strange_segments.segments import _endpoint_widths, _widest
+from strange_segments import segments
+from strange_segments.segments import SegmentReport, _endpoint_widths, _first_deviant_end, _widest
 
 
 def make_path(d, n_steps=None):
@@ -279,3 +280,100 @@ class TestDualitySearchEdges:
             rep = r_stat(path, self.above, t)
             assert rep.value == t and rep.witness == (0, t)
             assert rep == widest_scan(path, self.above, t)
+
+
+def full_scan_t(path, tset, r):
+    """T_r by one scan of the whole walk: the reference for the blocked scan."""
+    if r > path.t_max:
+        return SegmentReport(None, None)
+    g = path.S - tset.a * path.N.astype(np.float64)
+    if tset.kind == "below":
+        g = -g
+    l = _first_deviant_end(g, np.minimum.accumulate(g), r)
+    if l is None:
+        return SegmentReport(None, None)
+    return SegmentReport(l, (int(np.argmin(g[: l - r + 1])), l))
+
+
+def scan_blocks(r):
+    """Block constants around r: one block per index, a small one, and r - 1, r, r + 1."""
+    return sorted({1, 7, max(r - 1, 1), r, r + 1})
+
+
+@given(
+    d=st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=3).map(float), min_size=1, max_size=60),
+        st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=60),
+    ),
+    growth=st.lists(st.integers(min_value=1, max_value=4), min_size=60, max_size=60),
+    a=st.one_of(st.integers(min_value=-8, max_value=8).map(lambda n: n / 4.0),
+                st.floats(min_value=-2.0, max_value=2.0)),
+    kind=st.sampled_from(["above", "below"]),
+    r=st.integers(min_value=1, max_value=62),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_scan_equals_full_scan(d, growth, a, kind, r):
+    path = make_path(d, growth[: len(d)])
+    tset = ThresholdSet(kind, a)
+    want = full_scan_t(path, tset, r)
+    for block in scan_blocks(r):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segments, "_SCAN_BLOCK", block)
+            assert t_stat(path, tset, r) == want, block
+
+
+class TestScanBlockEdges:
+    above = ThresholdSet.above(0.0)
+
+    @staticmethod
+    def t_stat_blocks(path, tset, r, blocks, monkeypatch):
+        reports = set()
+        for block in blocks:
+            monkeypatch.setattr(segments, "_SCAN_BLOCK", block)
+            reports.add(t_stat(path, tset, r))
+        assert len(reports) == 1
+        return reports.pop()
+
+    @pytest.mark.parametrize("first", [7, 14])
+    def test_hit_at_a_block_start(self, monkeypatch, first):
+        # S falls to -(first - 1), then jumps; with blocks of 7 the first hit of
+        # T_2 is index `first`, the first index of a block
+        d = [-1.0] * (first - 1) + [10.0] + [-1.0] * 9
+        path = make_path(d)
+        want = SegmentReport(first, (first - 2, first))
+        assert full_scan_t(path, self.above, 2) == want
+        assert self.t_stat_blocks(path, self.above, 2, [7], monkeypatch) == want
+
+    def test_r_longer_than_a_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        path = make_path(rng.standard_normal(300) + 0.05)
+        for r in (10, 40, 299):
+            want = full_scan_t(path, self.above, r)
+            assert self.t_stat_blocks(path, self.above, r, [1, 7], monkeypatch) == want
+
+    def test_r_longer_than_the_path(self, monkeypatch):
+        path = make_path([1.0] * 5)
+        rep = self.t_stat_blocks(path, self.above, 6, scan_blocks(6), monkeypatch)
+        assert rep == SegmentReport(None, None)
+
+    def test_no_hit(self, monkeypatch):
+        path = make_path([-1.0] * 50)
+        for r in (1, 3, 49, 50):
+            rep = self.t_stat_blocks(path, self.above, r, scan_blocks(r), monkeypatch)
+            assert rep == SegmentReport(None, None)
+
+    def test_running_minimum_crosses_blocks(self, monkeypatch):
+        # S = 0, 0, -1, -5, -2, -5, -3: S(6) beats the minimum at 3 but no
+        # value of the block holding 4..5, so T_2 needs the carried minimum
+        path = make_path([0.0, -1.0, -4.0, 3.0, -3.0, 2.0])
+        want = SegmentReport(6, (3, 6))
+        assert full_scan_t(path, self.above, 2) == want
+        assert self.t_stat_blocks(path, self.above, 2, [1, 2, 3], monkeypatch) == want
+
+    def test_witness_is_the_first_minimum_across_blocks(self, monkeypatch):
+        # S = 0, -1, -2, -3, -3, -3, -3, -3, 5: the minimum first occurs at 3,
+        # and the blocks after the one holding index 3 tie it
+        path = make_path([-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 8.0])
+        want = SegmentReport(8, (3, 8))
+        assert full_scan_t(path, self.above, 2) == want
+        assert self.t_stat_blocks(path, self.above, 2, [1, 2, 3, 4, 5, 7], monkeypatch) == want

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,15 @@ from strange_segments import (
     segment_average,
     simulate,
 )
-from strange_segments.simulator import innovation_span
+from strange_segments.model_core import floor_power_prefix
+from strange_segments.simulator import (
+    _CUMSUM_CHUNK,
+    _child_streams,
+    _ma_filter,
+    _resolve_noise_mode,
+    _step_noise,
+    innovation_span,
+)
 
 from conftest import unit_document
 
@@ -168,3 +179,98 @@ class TestPathInvariants:
             PathConfig(t_max=0, seed=0)
         with pytest.raises(ModelValidationError):
             PathConfig(t_max=10, seed=0, noise_mode="sometimes")
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def full_array_path(spec, cfg, injected_innovations=None, injected_step_noise=None):
+    """The whole-path synthesis `simulate` replaced: one array per stage, then a chunked cumsum.
+
+    Returns (S, N, D); `simulate` must reproduce every element exactly.
+    """
+    t_max = cfg.t_max
+    mode = _resolve_noise_mode(spec, cfg.noise_mode)
+    j_min, j_max = innovation_span(spec, t_max)
+    rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
+    if injected_innovations is None:
+        xi = spec.innovations.sample(rng_xi, j_max - j_min + 1)
+    else:
+        xi = np.asarray(injected_innovations, dtype=np.float64).reshape(j_max - j_min + 1, -1)
+    driver = _ma_filter(spec.ma, xi @ spec.beta_sum, t_max)
+    fp = floor_power_prefix(t_max, spec.alpha)
+    n_prefix = np.cumsum(spec.total_c * fp, dtype=np.int64)
+    d = fp[1:].astype(np.float64) * driver
+    if injected_step_noise is not None:
+        d = d + injected_step_noise
+    elif mode != "off":
+        d = d + _step_noise(spec, mode, n_prefix[1:] - n_prefix[:-1], rng_eps)
+    s = np.zeros(t_max + 1)
+    carry = comp = 0.0
+    for i in range(0, t_max, _CUMSUM_CHUNK):
+        seg = np.cumsum(d[i : i + _CUMSUM_CHUNK])
+        s[1 + i : 1 + i + len(seg)] = (carry + comp) + seg
+        tot = float(seg[-1])
+        new = carry + tot
+        if abs(carry) >= abs(tot):
+            comp += (carry - new) + tot
+        else:
+            comp += (tot - new) + carry
+        carry = new
+    return s, n_prefix, np.concatenate([[0.0], d])
+
+
+class TestBlockEdges:
+    """The blocked synthesis equals the whole-path one at and around the block edges."""
+
+    T_MAX = (1, _CUMSUM_CHUNK - 1, _CUMSUM_CHUNK, _CUMSUM_CHUNK + 1, 3 * _CUMSUM_CHUNK + 5)
+
+    @staticmethod
+    def spec(name):
+        return parse_model_document(json.loads((MODELS / name).read_text()))
+
+    @staticmethod
+    def assert_same(path, ref):
+        s, n, d = ref
+        assert (path.S == s).all() and path.S.dtype == s.dtype
+        assert (path.N == n).all() and path.N.dtype == n.dtype
+        assert (path.D == d).all()
+
+    @pytest.mark.parametrize("t_max", T_MAX)
+    @pytest.mark.parametrize("model", ["unit.json", "unit_noisy.json", "two_group.json"])
+    def test_sampled(self, model, t_max):
+        spec = self.spec(model)  # aggregate noise where the model has a noise law
+        cfg = PathConfig(t_max=t_max, seed=t_max, record_steps=True)
+        self.assert_same(simulate(spec, cfg), full_array_path(spec, cfg))
+
+    @pytest.mark.parametrize("t_max", T_MAX)
+    @pytest.mark.parametrize("model", ["unit.json", "unit_noisy.json", "two_group.json"])
+    def test_injected(self, model, t_max):
+        spec = self.spec(model)
+        j_min, j_max = innovation_span(spec, t_max)
+        rng = np.random.default_rng(t_max)
+        xi = rng.standard_normal((j_max - j_min + 1, spec.dim))
+        eps = rng.standard_normal(t_max)
+        cfg = PathConfig(t_max=t_max, seed=0, noise_mode="off", record_steps=True)
+        self.assert_same(
+            simulate(spec, cfg, injected_innovations=xi, injected_step_noise=eps),
+            full_array_path(spec, cfg, injected_innovations=xi, injected_step_noise=eps),
+        )
+        # injected innovations with sampled aggregate noise
+        if spec.noise is not None:
+            cfg = PathConfig(t_max=t_max, seed=3, record_steps=True)
+            self.assert_same(simulate(spec, cfg, injected_innovations=xi),
+                             full_array_path(spec, cfg, injected_innovations=xi))
+
+    @pytest.mark.parametrize("t_max", [1, _CUMSUM_CHUNK + 1])
+    def test_literal_noise(self, t_max):
+        spec = self.spec("unit_noisy.json")
+        cfg = PathConfig(t_max=t_max, seed=9, noise_mode="literal", record_steps=True)
+        self.assert_same(simulate(spec, cfg), full_array_path(spec, cfg))
+
+    def test_steps_not_recorded(self):
+        spec = self.spec("two_group.json")
+        path = simulate(spec, PathConfig(t_max=_CUMSUM_CHUNK + 1, seed=2))
+        s, n, _ = full_array_path(spec, PathConfig(t_max=_CUMSUM_CHUNK + 1, seed=2))
+        assert path.D is None
+        assert (path.S == s).all() and (path.N == n).all()
