@@ -28,9 +28,10 @@ from .errors import ModelValidationError
 from .model_core import ModelSpec, floor_power_prefix
 from .modeldoc import canonical_document, parse_model_document
 from .rate_function import RateFunctionCtx, invert_capacity, lambda_limit_prime, legendre, set_rate
-from .segments import ThresholdSet, r_stat, t_stat
+from .segments import ThresholdSet, _TScan, r_stat, t_stat
 from .simulator import (
     PathConfig,
+    _PathBuilder,
     _child_streams,
     _ma_filter,
     _resolve_noise_mode,
@@ -160,11 +161,15 @@ def _strong_law_replicate(args: tuple) -> dict:
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(rep,)))
 
     # Each doubling draws the innovations and noise of the new steps only, into
-    # buffers sized for the cap whose pages are touched only as they fill.
+    # buffers sized for the cap whose pages are touched only as they fill. The
+    # builder forms and sums, and the scan reads, only the steps past the last
+    # horizon.
     horizon = initial_horizon
     j_min, j_max = innovation_span(spec, horizon_cap)
     xi = np.empty((j_max - j_min + 1, spec.dim), dtype=np.float64)
     eps = np.empty(horizon_cap, dtype=np.float64) if mode != "off" else None
+    builder = _PathBuilder(spec, horizon_cap)
+    scan = _TScan(tset, r_max)
     drawn = noised = 0
     while True:
         j_min, j_max = innovation_span(spec, horizon)
@@ -172,17 +177,18 @@ def _strong_law_replicate(args: tuple) -> dict:
         xi[drawn:span] = spec.innovations.sample(rng_xi, span - drawn)
         drawn = span
         if eps is not None:
-            counts = spec.total_c * floor_power_prefix(horizon, spec.alpha)[1:]
-            eps[noised:horizon] = _step_noise(spec, mode, counts, rng_eps, start=noised)
+            counts = spec.total_c * floor_power_prefix(horizon, spec.alpha, noised + 1)
+            earlier = int(builder.n[noised]) if noised else 0  # N at the last horizon
+            eps[noised:horizon] = _step_noise(spec, mode, counts, rng_eps, earlier)
             noised = horizon
-        path = None  # the shorter path is not needed while the next one is built
         path = simulate(
             spec,
             PathConfig(horizon, seed=master_seed, noise_mode="off"),
             injected_innovations=xi[:span],
             injected_step_noise=None if eps is None else eps[:horizon],
+            builder=builder,
         )
-        longest = t_stat(path, tset, r_max)
+        longest = scan.advance(path)
         if longest.value is not None or horizon >= horizon_cap:
             break
         horizon = min(2 * horizon, horizon_cap)

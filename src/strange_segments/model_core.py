@@ -64,20 +64,20 @@ def floor_power(t: int, alpha: float) -> int:
     return int(np.floor(v))
 
 
-def floor_power_prefix(t_max: int, alpha: float) -> np.ndarray:
-    """Array of floor(t**alpha) for t = 0..t_max (int64).
+def floor_power_prefix(t_max: int, alpha: float, start: int = 0) -> np.ndarray:
+    """Array of floor(t**alpha) for t = start..t_max (int64).
 
     Integer alpha is an exact integer power whenever it fits in 64 bits.
     Otherwise the float power is used everywhere except inside the
     near-integer guard band, where the same exact resolution as
     ``floor_power`` is applied. Agrees with ``floor_power`` element by
-    element.
+    element, so a range that starts later is a slice of the full array.
     """
     pq = _exact_rational(alpha)
     if pq is not None and pq[1] == 1 and pq[0] * max(t_max, 2).bit_length() < 62:
-        t = np.arange(t_max + 1, dtype=np.int64)
+        t = np.arange(start, t_max + 1, dtype=np.int64)
         return t if pq[0] == 1 else t ** pq[0]
-    t = np.arange(t_max + 1, dtype=np.float64)
+    t = np.arange(start, t_max + 1, dtype=np.float64)
     v = t**alpha
     out = np.floor(v).astype(np.int64)
     n = np.rint(v)
@@ -86,7 +86,7 @@ def floor_power_prefix(t_max: int, alpha: float) -> np.ndarray:
         p, q = pq
         for i in risky.tolist():
             ni = int(n[i])
-            out[i] = ni if i**p >= ni**q else ni - 1
+            out[i] = ni if (start + i) ** p >= ni**q else ni - 1
     else:
         out[risky] = n[risky].astype(np.int64)
     return out
@@ -238,11 +238,15 @@ def cumulative_population(spec: ModelSpec, t: int) -> int:
     return spec.total_c * sum(floor_power(k, spec.alpha) for k in range(1, t + 1))
 
 
-def cumulative_population_prefix(spec: ModelSpec, t_max: int) -> np.ndarray:
-    """Prefix array N(0..t_max) as int64, with an overflow guard.
+def cumulative_population_prefix(
+    spec: ModelSpec, t_max: int, start: int = 0, before: int = 0
+) -> np.ndarray:
+    """Normalizer N(start..t_max) as int64, with an overflow guard.
 
-    Must agree exactly with ``cumulative_population`` at every index; the
-    guard rejects horizons whose normalizer would not fit in 64-bit.
+    ``before`` is N(start - 1) (0 for ``start`` 0). Must agree exactly with
+    ``cumulative_population`` at every index; the integer sums are exact,
+    so a range that starts later is a slice of the full array. The guard
+    rejects horizons whose normalizer would not fit in 64-bit.
     """
     bound = spec.total_c * (t_max + 1) * max(floor_power(t_max, spec.alpha), 1)
     if bound >= 2**62:
@@ -251,6 +255,7 @@ def cumulative_population_prefix(spec: ModelSpec, t_max: int) -> np.ndarray:
             f"N({t_max}) may exceed 64-bit integer range for alpha={spec.alpha}; "
             "reduce the horizon",
         )
-    out = floor_power_prefix(t_max, spec.alpha)
+    out = floor_power_prefix(t_max, spec.alpha, start)
     out *= spec.total_c
+    out[:1] += before
     return np.cumsum(out, out=out)

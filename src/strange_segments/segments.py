@@ -206,48 +206,63 @@ def r_stat_trajectory(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndar
     return np.maximum.accumulate(_endpoint_widths(path, tset, t))
 
 
-def t_stat(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
-    """First time a deviant segment of length >= r completes, if any.
+class _TScan:
+    """Resumable scan for T_r on a one-sided set over a path that keeps growing.
 
-    One-sided sets scan the tilted walk in blocks of ``max(_SCAN_BLOCK, r)``
-    indices and return at the first block with a hit, so no path-length
-    array is made. Each block goes through ``_first_deviant_end`` behind the
-    last r walk values and prefix minima of the blocks before it; the running
-    minimum and the first index attaining it are carried across blocks, and
-    give the witness start.
+    The state is the next walk index ``end`` to test as the end of a ramp of
+    width >= r, the minimum ``low`` of the walk before the earliest start
+    such an end can have (index ``end - r``), and the first index ``low_at``
+    where that minimum occurs. ``advance`` tests the ends up to the horizon
+    of the path it is given in blocks of ``max(_SCAN_BLOCK, r)`` ends. Each
+    block re-reads the r walk values before its first end from the path and
+    goes through ``_first_deviant_end``; a block without a hit only moves
+    the state on. The first hit is final, since T_r depends only on the path
+    up to it.
     """
-    if r < 1:
-        raise ValueError("segment length r must be >= 1")
-    t = path.t_max
-    if tset.kind == "interval":
-        return brute_force_t(path, tset, r)
-    if r > t:
-        return SegmentReport(None, None)
-    block = max(_SCAN_BLOCK, r)
-    g = np.empty(r + block)  # walk at indices base, base + 1, ...
-    pm = np.empty(r + block)  # prefix minima of the whole walk at the same indices
-    low, low_at = np.inf, -1  # minimum of the walk before index base, and where it first occurs
-    for start in range(0, t + 1, block):
-        kept = r if start else 0  # entries carried from the last block
-        base = start - kept  # walk index of g[0]
-        n = kept + min(block, t + 1 - start)
-        g[kept:n] = _one_sided_walk(path, tset, start, start + n - kept)
-        np.minimum.accumulate(g[kept:n], out=pm[kept:n])
-        if kept:
-            np.minimum(pm[kept:n], pm[kept - 1], out=pm[kept:n])
-        if n > r:  # only a first block of exactly r indices has no end to test
-            l = _first_deviant_end(g[:n], pm[:n], r)
+
+    def __init__(self, tset: ThresholdSet, r: int):
+        self.tset, self.r = tset, r
+        self.end = r
+        self.low, self.low_at = np.inf, -1
+        self.report = SegmentReport(None, None)
+
+    def advance(self, path: WorkloadPath) -> SegmentReport:
+        """T_r over ``path``, which extends every path this scan was given before."""
+        r = self.r
+        block = max(_SCAN_BLOCK, r)
+        while self.report.value is None and self.end <= path.t_max:
+            base = self.end - r  # walk index of g[0]
+            stop = min(self.end + block, path.t_max + 1)
+            g = _one_sided_walk(path, self.tset, base, stop)
+            pm = np.minimum.accumulate(g)
+            np.minimum(pm, self.low, out=pm)
+            l = _first_deviant_end(g, pm, r)
             if l is not None:
                 head = g[: l - r + 1]
                 k = int(np.argmin(head))
-                k = low_at if low <= head[k] else base + k
-                return SegmentReport(base + l, (k, base + l))
-            k = int(np.argmin(g[: n - r]))
-            if g[k] < low:
-                low, low_at = float(g[k]), base + k
-        g[:r] = g[n - r : n]  # n >= r: the first block holds at least r indices
-        pm[:r] = pm[n - r : n]
-    return SegmentReport(None, None)
+                k = self.low_at if self.low <= head[k] else base + k
+                self.report = SegmentReport(base + l, (k, base + l))
+            else:
+                k = int(np.argmin(g[: stop - self.end]))  # the starts of ends before stop
+                if g[k] < self.low:
+                    self.low, self.low_at = float(g[k]), base + k
+                self.end = stop
+        return self.report
+
+
+def t_stat(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
+    """First time a deviant segment of length >= r completes, if any.
+
+    One-sided sets run a fresh ``_TScan`` over the path: it scans the tilted
+    walk in blocks and returns at the first block with a hit, so no
+    path-length array is made, and the running minimum it carries gives the
+    witness start. Interval sets fall back to direct enumeration.
+    """
+    if r < 1:
+        raise ValueError("segment length r must be >= 1")
+    if tset.kind == "interval":
+        return brute_force_t(path, tset, r)
+    return _TScan(tset, r).advance(path)
 
 
 def brute_force_r(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:

@@ -8,7 +8,10 @@ added as an exact-law aggregate draw (one per step), literal per-customer
 draws, or not at all. The path keeps the cumulative deviation S and the
 integer normalizer N; the steps are formed and summed block by block, so no
 path-length temporary is made beyond the loading product, floor(t**alpha)
-and the step noise.
+and the step noise. One path builder does this: ``simulate`` forms a path in
+one go with a builder of its own, and a caller that doubles a horizon keeps
+one builder, which forms, sums and normalizes only the steps past the last
+horizon while keeping every element equal to a path formed in one go.
 """
 
 from __future__ import annotations
@@ -107,29 +110,143 @@ def _ma_filter(ma: MACoefficients, loaded: np.ndarray, width: int) -> np.ndarray
 
 
 def _step_noise(
-    spec: ModelSpec, mode: str, counts: np.ndarray, rng: np.random.Generator, start: int = 0
+    spec: ModelSpec, mode: str, counts: np.ndarray, rng: np.random.Generator, earlier: int = 0
 ) -> np.ndarray:
-    """Idiosyncratic noise terms for steps start+1..len(counts).
+    """Idiosyncratic noise terms of consecutive steps with ``counts`` customers each.
 
-    ``counts[i]`` is the number of customers present at step i + 1 and
     ``mode`` is a resolved mode other than "off". Aggregate mode draws each
     step's sum in one exact-law draw; literal mode sums one draw per customer
-    and refuses a path whose total draws N(len(counts)) exceed the budget,
-    including the steps before ``start`` drawn by earlier calls.
+    and refuses a path whose total draws exceed the budget: the sum of
+    ``counts`` plus the ``earlier`` draws of the steps before these.
     """
     if mode == "aggregate":
-        return np.asarray(spec.noise.sample_aggregate(counts[start:], rng), dtype=np.float64)
-    total_draws = int(counts.sum())
+        return np.asarray(spec.noise.sample_aggregate(counts, rng), dtype=np.float64)
+    total_draws = earlier + int(counts.sum())
     if total_draws > _LITERAL_DRAW_BUDGET:
         raise ModelValidationError(
             "literal_draw_budget",
             f"literal noise would need {total_draws} draws "
             f"(budget {_LITERAL_DRAW_BUDGET}); use aggregate mode",
         )
-    out = np.empty(len(counts) - start, dtype=np.float64)
-    for i, n in enumerate(counts[start:].tolist()):
+    out = np.empty(len(counts), dtype=np.float64)
+    for i, n in enumerate(counts.tolist()):
         out[i] = spec.noise.sample_individual(n, rng).sum()
     return out
+
+
+class _PathBuilder:
+    """One path's S and N, grown in place to longer and longer horizons.
+
+    S and N are buffers sized for the horizon cap. Steps are formed and
+    summed in ``_CUMSUM_CHUNK``-step blocks aligned at step 0: within a block
+    the plain cumulative sum is accurate enough, and the running total handed
+    to the next block is kept with a Neumaier compensation term so the error
+    does not grow with the horizon (exact whenever every partial sum is
+    representable). Growing from horizon t forms t's last partial block
+    again from its start, then the new steps, so every element equals a
+    path formed in one go at the new horizon. For that the builder keeps
+    the loading product from that block's start on (the MA filter reads
+    max_lag - min_lag values past each step) and the carry and compensation
+    at that start.
+    """
+
+    def __init__(self, spec: ModelSpec, cap: int, record_steps: bool = False):
+        self.spec = spec
+        self.cap = cap
+        self.record_steps = record_steps
+        self.t = 0  # horizon formed so far
+        self.s = self.n = self.d = None  # S, N and the steps D, allocated by the first growth
+        self._loaded = np.empty(0, dtype=np.float64)  # loading product from the block start on
+        self._carry = self._comp = 0.0  # compensated sum of the steps before the block start
+
+    def grow(
+        self,
+        t_max: int,
+        xi: Optional[np.ndarray],
+        eps: Optional[np.ndarray],
+        mode: str,
+        rng_xi: np.random.Generator,
+        rng_eps: np.random.Generator,
+    ) -> WorkloadPath:
+        """The path up to ``t_max``; ``xi`` and ``eps`` are injected arrays or None to draw them."""
+        spec = self.spec
+        lo = self.t - self.t % _CUMSUM_CHUNK  # steps lo+1..t_max are formed
+        j_min, j_max = innovation_span(spec, t_max)
+        span = j_max - j_min + 1
+        if xi is not None:
+            xi = np.asarray(xi, dtype=np.float64)
+            if xi.ndim == 1:
+                xi = xi[:, None]
+            if xi.shape != (span, spec.dim):
+                raise ModelValidationError(
+                    "injected_innovations_shape",
+                    f"injected innovations must have shape ({span}, {spec.dim}) for "
+                    f"t_max={t_max}, got {xi.shape}",
+                )
+        else:
+            xi = spec.innovations.sample(rng_xi, span)
+
+        # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
+        # loading first so each lag is one vectorized slice. Only the innovations
+        # past the kept loading product are loaded.
+        kept = len(self._loaded)
+        loaded = np.empty(span - lo, dtype=np.float64)
+        loaded[:kept] = self._loaded
+        rows = xi[lo + kept :]
+        if spec.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
+            np.multiply(rows[:, 0], spec.beta_sum[0], out=loaded[kept:])
+        else:
+            np.matmul(rows, spec.beta_sum, out=loaded[kept:])
+        del xi, rows  # a sampled innovation array is no longer needed
+
+        n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
+        if self.t == 0:  # formed in one go, the path keeps the normalizer's own array as N
+            self.n = n_new if t_max == self.cap else np.empty(self.cap + 1, dtype=np.int64)
+        if self.n is not n_new:
+            self.n[lo : t_max + 1] = n_new
+        del n_new
+        if eps is not None:
+            eps = np.asarray(eps, dtype=np.float64)
+            if eps.shape != (t_max,):
+                raise ModelValidationError(
+                    "injected_noise_shape",
+                    f"injected step noise must have shape ({t_max},), got {eps.shape}",
+                )
+        elif mode != "off":
+            eps = _step_noise(spec, mode, np.diff(self.n[: t_max + 1]), rng_eps)
+        fp = floor_power_prefix(t_max, spec.alpha, lo)  # floor(t**alpha), t = lo..t_max
+        if self.t == 0:  # last, so S and D are not live with the draws and temporaries above
+            self.s = np.empty(self.cap + 1, dtype=np.float64)
+            self.s[0] = 0.0
+            self.d = np.zeros(self.cap + 1, dtype=np.float64) if self.record_steps else None
+
+        s, steps = self.s, self.d
+        reach = spec.ma.max_lag - spec.ma.min_lag
+        carry, comp = self._carry, self._comp
+        for i in range(lo, t_max, _CUMSUM_CHUNK):
+            j = min(i + _CUMSUM_CHUNK, t_max)
+            d = _ma_filter(spec.ma, loaded[i - lo : j - lo + reach], j - i)
+            d *= fp[i + 1 - lo : j + 1 - lo]
+            if eps is not None:
+                d += eps[i:j]
+            if steps is not None:
+                steps[i + 1 : j + 1] = d
+            block = np.cumsum(d, out=s[i + 1 : j + 1])
+            tot = float(block[-1])
+            block += carry + comp
+            if j - i == _CUMSUM_CHUNK:  # a partial block is formed again by the next growth
+                new = carry + tot
+                if abs(carry) >= abs(tot):
+                    comp += (carry - new) + tot
+                else:
+                    comp += (tot - new) + carry
+                carry = new
+        self._carry, self._comp = carry, comp
+        self._loaded = loaded[t_max - t_max % _CUMSUM_CHUNK - lo :].copy()
+        self.t = t_max
+        return WorkloadPath(
+            S=s[: t_max + 1], N=self.n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
+        )
 
 
 def simulate(
@@ -137,6 +254,8 @@ def simulate(
     cfg: PathConfig,
     injected_innovations: Optional[np.ndarray] = None,
     injected_step_noise: Optional[np.ndarray] = None,
+    *,
+    builder: Optional[_PathBuilder] = None,
 ) -> WorkloadPath:
     """Generate one workload path.
 
@@ -152,74 +271,30 @@ def simulate(
     cumulative sum then run over ``_CUMSUM_CHUNK``-step blocks aligned at
     step 0 and write straight into S, so the path allocates no other
     path-length array.
+
+    Without ``builder`` the path is formed in one go by a builder of its own.
+    A ``builder`` holding an earlier, shorter horizon of the same path (same
+    spec, seed, noise mode and leading innovations and noise) grows it in
+    place instead: the loading product, ``floor(t**alpha)`` and N then cover
+    only the steps from the earlier horizon's last block start on, and the
+    returned path, which shares the builder's buffers, equals the one formed
+    in one go. Innovations and noise that are not injected are still drawn
+    for the whole path, so a caller that grows a path injects them.
     """
-    t_max = cfg.t_max
+    if builder is None:
+        builder = _PathBuilder(spec, cfg.t_max, cfg.record_steps)
+    elif (
+        builder.spec is not spec
+        or builder.record_steps != cfg.record_steps
+        or not builder.t <= cfg.t_max <= builder.cap
+    ):
+        raise ValueError(
+            f"a builder at horizon {builder.t} (cap {builder.cap}) cannot grow this path "
+            f"to t_max={cfg.t_max}"
+        )
     mode = _resolve_noise_mode(spec, cfg.noise_mode)
-    k_dim = spec.dim
-    j_min, j_max = innovation_span(spec, t_max)
-    span = j_max - j_min + 1
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
-
-    if injected_innovations is not None:
-        xi = np.asarray(injected_innovations, dtype=np.float64)
-        if xi.ndim == 1:
-            xi = xi[:, None]
-        if xi.shape != (span, k_dim):
-            raise ModelValidationError(
-                "injected_innovations_shape",
-                f"injected innovations must have shape ({span}, {k_dim}) for "
-                f"t_max={t_max}, got {xi.shape}",
-            )
-    else:
-        xi = spec.innovations.sample(rng_xi, span)
-
-    # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
-    # loading first so each lag is one vectorized slice.
-    loaded = xi @ spec.beta_sum
-    del xi  # a sampled innovation array is no longer needed
-
-    fp = floor_power_prefix(t_max, spec.alpha)  # floor(t**alpha), t = 0..t_max
-    n_prefix = cumulative_population_prefix(spec, t_max)
-
-    eps = None
-    if injected_step_noise is not None:
-        eps = np.asarray(injected_step_noise, dtype=np.float64)
-        if eps.shape != (t_max,):
-            raise ModelValidationError(
-                "injected_noise_shape",
-                f"injected step noise must have shape ({t_max},), got {eps.shape}",
-            )
-    elif mode != "off":
-        eps = _step_noise(spec, mode, n_prefix[1:] - n_prefix[:-1], rng_eps)
-
-    s = np.empty(t_max + 1, dtype=np.float64)
-    s[0] = 0.0
-    steps = np.zeros(t_max + 1, dtype=np.float64) if cfg.record_steps else None
-    # Steps i+1..j form one block; within it the plain cumulative sum is
-    # accurate enough, and the running total handed to the next block is kept
-    # with a Neumaier compensation term so the error does not grow with the
-    # horizon (exact whenever every partial sum is representable).
-    reach = spec.ma.max_lag - spec.ma.min_lag
-    carry = comp = 0.0
-    for i in range(0, t_max, _CUMSUM_CHUNK):
-        j = min(i + _CUMSUM_CHUNK, t_max)
-        d = _ma_filter(spec.ma, loaded[i : j + reach], j - i)
-        d *= fp[i + 1 : j + 1]
-        if eps is not None:
-            d += eps[i:j]
-        if steps is not None:
-            steps[i + 1 : j + 1] = d
-        block = np.cumsum(d, out=s[i + 1 : j + 1])
-        tot = float(block[-1])
-        block += carry + comp
-        new = carry + tot
-        if abs(carry) >= abs(tot):
-            comp += (carry - new) + tot
-        else:
-            comp += (tot - new) + carry
-        carry = new
-
-    return WorkloadPath(S=s, N=n_prefix, D=steps)
+    return builder.grow(cfg.t_max, injected_innovations, injected_step_noise, mode, rng_xi, rng_eps)
 
 
 def segment_average(path: WorkloadPath, k: int, l: int) -> float:

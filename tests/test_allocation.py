@@ -1,8 +1,8 @@
-"""Allocation budgets of the path synthesis and the T_r scan.
+"""Allocation budgets of the path synthesis, the T_r scan and a strong-law replicate.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one call
 counts every array it makes. These limits keep full-length temporaries from
-coming back into ``simulate`` and ``t_stat`` unnoticed.
+coming back into ``simulate``, ``t_stat`` and the doubling loop unnoticed.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import pytest
 
 from strange_segments import PathConfig, ThresholdSet, WorkloadPath, simulate, t_stat
 from strange_segments import segments
+from strange_segments.experiments import _strong_law_replicate
+from strange_segments.modeldoc import canonical_document
 
 
 def traced_peak(fn) -> tuple[object, int]:
@@ -48,3 +50,15 @@ def test_t_stat_without_hit_peaks_below_six_blocks(t_max, kind):
     rep, peak = traced_peak(lambda: t_stat(path, tset, 10))
     assert rep.value is None
     assert peak < 6 * 8 * segments._SCAN_BLOCK
+
+
+def test_strong_law_replicate_peaks_below_four_and_a_half_cap_arrays(unit_spec):
+    # noise off and a capacity no segment average of length 10 reaches, so the
+    # horizon doubles from 1000 up to the cap
+    cap = 1_024_000
+    args = (canonical_document(unit_spec), 100.0, (10,), (100,), "off", cap, 1000, 1, 0)
+    rep, peak = traced_peak(lambda: _strong_law_replicate(args))
+    assert rep["horizon"] == cap and rep["T"] == {10: None}
+    # the innovation buffer, S and N span the cap; the last doubling's loading
+    # product, floor(t^alpha) and normalizer range, half a cap each, live two at a time
+    assert peak < 4.5 * 8 * (cap + 1)

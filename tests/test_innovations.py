@@ -99,6 +99,15 @@ class TestSampling:
             exact = m.log_mgf(np.array([eta]))
             assert abs(emp - exact) <= 0.02 * max(abs(exact), 1e-3)
 
+    @pytest.mark.parametrize("factor", [1.0, 0.7321, -1.3e-5])
+    def test_one_dimensional_draws_equal_the_matrix_product(self, factor):
+        # a 1x1 product rounds one multiplication, so the elementwise form is byte-identical
+        m = GaussianInnovations(cov=np.array([[factor**2]]))
+        z = np.random.default_rng(6).standard_normal((100_000, 1))
+        draws = m.sample(np.random.default_rng(6), 100_000)
+        assert draws.shape == (100_000, 1)
+        assert (draws == z @ m._factor.T).all()
+
 
 class TestNoise:
     def test_degenerate_noise_is_zero(self):

@@ -52,6 +52,9 @@ class TestFloorPower:
             arr = floor_power_prefix(512, alpha)
             expected = [floor_power(t, alpha) for t in range(513)]
             assert arr.tolist() == expected
+            # a later start is a slice, also at exact powers (4, 9, 64, 125, 343, 512)
+            for start in (1, 4, 9, 63, 64, 100, 512):
+                assert floor_power_prefix(512, alpha, start).tolist() == expected[start:]
 
     @pytest.mark.parametrize("alpha", [1.0, 1])
     def test_unit_alpha_prefix_agrees_with_scalar(self, alpha):
@@ -108,6 +111,9 @@ class TestCumulativePopulation:
             assert prefix.dtype == np.int64
             for t in (0, 1, 7, 100, 200):
                 assert int(prefix[t]) == cumulative_population(spec, t)
+            for start in (1, 7, 100, 200):
+                rest = cumulative_population_prefix(spec, 200, start, int(prefix[start - 1]))
+                assert rest.tolist() == prefix[start:].tolist()
         assert (np.diff(prefix[1:]) >= 0).all() and (np.diff(prefix) >= 0).all()
 
     def test_overflow_guard(self):

@@ -377,3 +377,71 @@ class TestScanBlockEdges:
         want = SegmentReport(8, (3, 8))
         assert full_scan_t(path, self.above, 2) == want
         assert self.t_stat_blocks(path, self.above, 2, [1, 2, 3, 4, 5, 7], monkeypatch) == want
+
+
+def resumed_t(path, tset, r, cuts):
+    """T_r by one scan state advanced over the path cut at ``cuts``, then over the whole path.
+
+    Each report on the way must equal one-shot ``t_stat`` on that prefix.
+    """
+    scan = segments._TScan(tset, r)
+    for cut in sorted(set(cuts)):
+        if 1 <= cut < path.t_max:
+            prefix = WorkloadPath(S=path.S[: cut + 1], N=path.N[: cut + 1])
+            assert scan.advance(prefix) == t_stat(prefix, tset, r), cut
+    return scan.advance(path)
+
+
+@given(
+    d=st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=3).map(float), min_size=1, max_size=60),
+        st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=60),
+    ),
+    growth=st.lists(st.integers(min_value=1, max_value=4), min_size=60, max_size=60),
+    a=st.one_of(st.integers(min_value=-8, max_value=8).map(lambda n: n / 4.0),
+                st.floats(min_value=-2.0, max_value=2.0)),
+    kind=st.sampled_from(["above", "below"]),
+    r=st.integers(min_value=1, max_value=62),
+    block=st.integers(min_value=1, max_value=9),
+    cuts=st.lists(st.integers(min_value=1, max_value=60), max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_resumed_scan_equals_one_shot(d, growth, a, kind, r, block, cuts):
+    path = make_path(d, growth[: len(d)])
+    tset = ThresholdSet(kind, a)
+    # besides the drawn cuts: one before r and one at a block edge
+    cuts = cuts + [r - 1, block * (1 + len(cuts))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segments, "_SCAN_BLOCK", block)
+        want = t_stat(path, tset, r)
+        assert resumed_t(path, tset, r, cuts) == want
+    assert want == full_scan_t(path, tset, r)
+
+
+class TestResumedScan:
+    above = ThresholdSet.above(0.0)
+
+    @pytest.mark.parametrize("cuts", [[2], [3], [4], [2, 3, 4, 5], [5, 6, 7]])
+    @pytest.mark.parametrize("block", [1, 2, 3, 16384])
+    def test_tied_minimum_on_either_side_of_a_cut(self, cuts, block, monkeypatch):
+        # S = 0, -1, -3, -2, -3, -3, -3, 5: the minimum -3 first occurs at 2 and
+        # again from 4 on, so the cuts put the tie before, between or after them
+        path = make_path([-1.0, -2.0, 1.0, -1.0, 0.0, 0.0, 8.0])
+        monkeypatch.setattr(segments, "_SCAN_BLOCK", block)
+        want = SegmentReport(7, (2, 7))
+        assert full_scan_t(path, self.above, 2) == want
+        assert resumed_t(path, self.above, 2, cuts) == want
+
+    def test_hit_is_final(self):
+        path = make_path([1.0, 1.0, -9.0, 5.0])
+        scan = segments._TScan(self.above, 1)
+        assert scan.advance(WorkloadPath(S=path.S[:2], N=path.N[:2])) == SegmentReport(1, (0, 1))
+        assert scan.advance(path) == SegmentReport(1, (0, 1))
+
+    def test_no_hit_keeps_the_scan_open(self):
+        path = make_path([-1.0] * 20 + [50.0])
+        scan = segments._TScan(self.above, 3)
+        for cut in (2, 10, 20):
+            prefix = WorkloadPath(S=path.S[: cut + 1], N=path.N[: cut + 1])
+            assert scan.advance(prefix) == SegmentReport(None, None)
+        assert scan.advance(path) == SegmentReport(21, (18, 21)) == full_scan_t(path, self.above, 3)

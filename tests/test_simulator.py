@@ -14,6 +14,7 @@ from strange_segments import (
 from strange_segments.model_core import floor_power_prefix
 from strange_segments.simulator import (
     _CUMSUM_CHUNK,
+    _PathBuilder,
     _child_streams,
     _ma_filter,
     _resolve_noise_mode,
@@ -274,3 +275,69 @@ class TestBlockEdges:
         s, n, _ = full_array_path(spec, PathConfig(t_max=_CUMSUM_CHUNK + 1, seed=2))
         assert path.D is None
         assert (path.S == s).all() and (path.N == n).all()
+
+
+class TestGrowInPlace:
+    """A path grown through a sequence of horizons equals a one-shot path at each one."""
+
+    HORIZONS = {
+        "unaligned": [1000 * 2**k for k in range(6)],  # 1000 -> 32000, crossing blocks
+        "aligned": [_CUMSUM_CHUNK, 2 * _CUMSUM_CHUNK],
+        "first_steps": [1, 2, 3],
+        "around_an_edge": [_CUMSUM_CHUNK - 1, _CUMSUM_CHUNK + 1],
+    }
+
+    @staticmethod
+    def grow(spec, horizons, cfg_for, inputs_for=lambda h: (None, None)):
+        """(grown path, one-shot path) per horizon, compared after the last growth."""
+        builder = _PathBuilder(spec, horizons[-1] + 5, record_steps=True)
+        grown = [simulate(spec, cfg_for(h), *inputs_for(h), builder=builder) for h in horizons]
+        # earlier paths share the buffers, whose last partial block each growth forms again
+        return [(path, simulate(spec, cfg_for(h), *inputs_for(h))) for h, path in zip(horizons, grown)]
+
+    @staticmethod
+    def assert_same(path, ref):
+        for name in ("S", "N", "D"):
+            a, b = getattr(path, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+
+    @pytest.mark.parametrize("horizons", HORIZONS.values(), ids=HORIZONS.keys())
+    @pytest.mark.parametrize("model", ["unit.json", "unit_noisy.json", "two_group.json"])
+    def test_sampled(self, model, horizons):
+        spec = TestBlockEdges.spec(model)  # aggregate noise where the model has a noise law
+        pairs = self.grow(spec, horizons, lambda h: PathConfig(t_max=h, seed=8, record_steps=True))
+        for path, ref in pairs:
+            self.assert_same(path, ref)
+
+    @pytest.mark.parametrize("horizons", HORIZONS.values(), ids=HORIZONS.keys())
+    @pytest.mark.parametrize("model", ["unit.json", "unit_noisy.json", "two_group.json"])
+    def test_injected(self, model, horizons):
+        spec = TestBlockEdges.spec(model)
+        cap = horizons[-1]
+        j_min, j_max = innovation_span(spec, cap)
+        rng = np.random.default_rng(cap)
+        xi = rng.standard_normal((j_max - j_min + 1, spec.dim))
+        eps = rng.standard_normal(cap)
+
+        def inputs_for(h):
+            j_min, j_max = innovation_span(spec, h)
+            return xi[: j_max - j_min + 1], eps[:h]
+
+        pairs = self.grow(
+            spec, horizons, lambda h: PathConfig(t_max=h, seed=0, noise_mode="off", record_steps=True),
+            inputs_for,
+        )
+        for path, ref in pairs:
+            self.assert_same(path, ref)
+
+    def test_builder_must_fit_the_path(self, unit_spec, noisy_unit_spec):
+        builder = _PathBuilder(unit_spec, 100)
+        simulate(unit_spec, PathConfig(t_max=50, seed=1), builder=builder)
+        for spec, cfg in [
+            (unit_spec, PathConfig(t_max=49, seed=1)),  # shorter than the path so far
+            (unit_spec, PathConfig(t_max=101, seed=1)),  # past the cap
+            (unit_spec, PathConfig(t_max=60, seed=1, record_steps=True)),
+            (noisy_unit_spec, PathConfig(t_max=60, seed=1)),
+        ]:
+            with pytest.raises(ValueError, match="builder"):
+                simulate(spec, cfg, builder=builder)
