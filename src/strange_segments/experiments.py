@@ -41,6 +41,7 @@ from .simulator import (
 )
 
 _ULDP_CHUNK = 8192
+_ULDP_BLOCK_ROWS = 1 << 14  # innovation rows drawn at once within a chunk
 _NEAR_MEAN_RATE = 1e-4
 
 
@@ -93,7 +94,7 @@ class UldpRun:
     tset: ThresholdSet
     samples: int
     master_seed: int = 0
-    noise_mode: Optional[str] = None
+    noise_mode: Optional[str] = None  # resolved like PathConfig; literal is refused
 
     def __post_init__(self):
         grid = tuple(Fraction(str(k)) if not isinstance(k, Fraction) else k for k in self.k_grid)
@@ -104,8 +105,21 @@ class UldpRun:
         object.__setattr__(self, "k_grid", grid)
         if self.t < 1:
             raise ModelValidationError("t_positive", "segment length t must be >= 1")
+        for k in grid:
+            lo, hi = _window_bounds(k, self.t)
+            if hi < lo:
+                raise ModelValidationError(
+                    "k_grid", f"the window ({float(k * self.t):g}, {float((k + 1) * self.t):g}] "
+                    f"at offset {k} holds no integer step; use a longer t",
+                )
         if self.samples < 1:
             raise ModelValidationError("samples", "need at least one sample")
+        mode = _resolve_noise_mode(self.spec, self.noise_mode)
+        if mode == "literal":
+            raise ModelValidationError(
+                "noise_mode", "literal noise is not supported for window sampling; use aggregate"
+            )
+        object.__setattr__(self, "noise_mode", mode)
 
 
 @dataclass
@@ -300,30 +314,46 @@ def _window_bounds(k: Fraction, t: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _window_sums(spec: ModelSpec, weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` independent window sums ``sum_t weights[t] * beta_sum . Z(t)``; see ``_uldp_chunk``."""
+    ma = spec.ma
+    width = len(weights)
+    span = width + ma.max_lag - ma.min_lag
+    block = max(1, _ULDP_BLOCK_ROWS // span)
+    zsum = np.empty((size, width), dtype=np.float64)
+    for start in range(0, size, block):
+        n = min(block, size - start)
+        xi = spec.innovations.sample(rng, n * span).reshape(n, span, spec.dim)
+        _ma_filter(ma, xi @ spec.beta_sum, width, out=zsum[start : start + n])
+    return zsum @ weights
+
+
 def _uldp_chunk(args: tuple) -> tuple[int, int]:
+    """(hits, size): how many of ``size`` sampled window averages at offset k lie in the set.
+
+    ``noise_mode`` is already resolved by ``UldpRun``. Each sample needs the
+    ``span`` innovations that feed its window. They are drawn, loaded and
+    moving-averaged in blocks of about ``_ULDP_BLOCK_ROWS`` innovation rows,
+    straight into the rows of one (size, width) array of per-step sums, so
+    the chunk never holds all of its innovations at once.
+
+    The weighted sum over the window stays one product over the whole
+    chunk: a matrix-vector product over fewer rows can round differently.
+    Everything before it is the same for any block size:
+    ``Generator.standard_normal`` fills its output in order, so block draws
+    continue one stream exactly; the covariance factor and the loading
+    product give each row the same bits whatever the row count; and the
+    moving average is elementwise.
+    """
     (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx, noise_mode) = args
     spec = parse_model_document(doc)
-    k = Fraction(k_str)
-    lo, hi = _window_bounds(k, t)
-    width = hi - lo + 1
-
-    mode = _resolve_noise_mode(spec, noise_mode)
-    if mode == "literal":
-        raise ModelValidationError(
-            "noise_mode", "literal noise is not supported for window sampling; use aggregate"
-        )
+    lo, hi = _window_bounds(Fraction(k_str), t)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx)))
 
-    ma = spec.ma
-    span = width + ma.max_lag - ma.min_lag
-    xi = spec.innovations.sample(rng_xi, size * span).reshape(size, span, spec.dim)
-    zsum = _ma_filter(ma, xi @ spec.beta_sum, width)
-
     window_fp = floor_power_prefix(hi, spec.alpha)[lo:]
-    weights = window_fp.astype(np.float64)
-    values = zsum @ weights
+    values = _window_sums(spec, window_fp.astype(np.float64), size, rng_xi)
     n_window = spec.total_c * int(window_fp.sum())
-    if mode == "aggregate":
+    if noise_mode == "aggregate":
         values = values + spec.noise.sample_aggregate(np.full(size, n_window, dtype=np.int64), rng_eps)
 
     averages = values / float(n_window)

@@ -1,21 +1,25 @@
-"""Allocation budgets of the path synthesis, the T_r scan and a strong-law replicate.
+"""Allocation budgets of the path synthesis, the T_r scan, a strong-law replicate and a window chunk.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one call
 counts every array it makes. These limits keep full-length temporaries from
-coming back into ``simulate``, ``t_stat`` and the doubling loop unnoticed.
+coming back into ``simulate``, ``t_stat``, the doubling loop and the window
+sampler unnoticed.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strange_segments import PathConfig, ThresholdSet, WorkloadPath, simulate, t_stat
+from strange_segments import PathConfig, ThresholdSet, WorkloadPath, load_model, simulate, t_stat
 from strange_segments import segments
-from strange_segments.experiments import _strong_law_replicate
+from strange_segments.experiments import _strong_law_replicate, _uldp_chunk
 from strange_segments.modeldoc import canonical_document
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def traced_peak(fn) -> tuple[object, int]:
@@ -62,3 +66,14 @@ def test_strong_law_replicate_peaks_below_four_and_a_half_cap_arrays(unit_spec):
     # the innovation buffer, S and N span the cap; the last doubling's loading
     # product, floor(t^alpha) and normalizer range, half a cap each, live two at a time
     assert peak < 4.5 * 8 * (cap + 1)
+
+
+def test_uldp_chunk_peaks_below_two_window_sum_arrays():
+    spec, _ = load_model(str(MODELS / "two_group.json"))
+    size, t = 8192, 40
+    args = (canonical_document(spec), "0", t, ThresholdSet.above(0.4), size, 1, 0, 0, "aggregate")
+    (hits, n), peak = traced_peak(lambda: _uldp_chunk(args))
+    assert n == size and 0 < hits < size
+    # the (size, width) window sums are the one chunk-sized array; the chunk's
+    # innovations, about ten times as many bytes, pass through in blocks
+    assert peak < 2 * 8 * size * t

@@ -328,6 +328,8 @@ class TestCheckSpecsBeforeRun:
         (ULDP + ["--band", "zero,25"], "number_list"),
         (ULDP + ["--k-grid", "0,0.0,1"], "k_grid"),
         (ULDP + ["--a=-0.5", "--band", "0,10"], "band"),  # predicted exponent 0 at offset 0
+        (ULDP + ["--t", "1", "--k-grid", "0,0.5"], "k_grid"),  # the window (0.5, 1.5] is empty
+        (ULDP + ["--noise-mode", "aggregate"], "noise_model_missing"),
     ])
     def test_bad_spec_exits_1_without_running(self, capsys, model_file, monkeypatch, argv,
                                               invariant):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from strange_segments import (
     ThresholdSet,
     UldpRun,
     invert_capacity,
+    load_model,
     parse_model_document,
     run_strong_law,
     run_uldp,
@@ -18,6 +20,9 @@ from strange_segments import (
 import strange_segments.experiments as experiments
 import strange_segments.simulator as simulator
 from strange_segments.experiments import _window_bounds
+from strange_segments.model_core import floor_power_prefix
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def small_strong_law(spec, **overrides):
@@ -164,7 +169,7 @@ class TestUldp:
 
         t = 12
         doc = canonical_document(unit_spec)
-        hits, size = _uldp_chunk((doc, "1", t, ThresholdSet.above(0.25), 4000, 9, 0, 0, None))
+        hits, size = _uldp_chunk((doc, "1", t, ThresholdSet.above(0.25), 4000, 9, 0, 0, "off"))
         p_window = hits / size
         count = 0
         for seed in range(4000):
@@ -176,17 +181,64 @@ class TestUldp:
         assert abs(p_window - p_path) <= 5 * se
 
     def test_literal_noise_rejected(self, noisy_unit_spec):
-        cfg = UldpRun(
-            spec=noisy_unit_spec,
-            k_grid=(0,),
-            t=5,
-            tset=ThresholdSet.above(0.5),
-            samples=100,
-            master_seed=1,
-            noise_mode="literal",
-        )
-        with pytest.raises(ModelValidationError, match="literal"):
-            run_uldp(cfg)
+        # refused with the run's configuration, before any work unit
+        with pytest.raises(ModelValidationError, match="literal") as info:
+            UldpRun(
+                spec=noisy_unit_spec,
+                k_grid=(0,),
+                t=5,
+                tset=ThresholdSet.above(0.5),
+                samples=100,
+                master_seed=1,
+                noise_mode="literal",
+            )
+        assert info.value.invariant == "noise_mode"
+
+    def test_noise_mode_resolved_once(self, unit_spec, noisy_unit_spec):
+        def run(spec, mode=None):
+            return UldpRun(spec=spec, k_grid=(0,), t=5, tset=ThresholdSet.above(0.5),
+                           samples=10, noise_mode=mode)
+
+        assert run(unit_spec).noise_mode == "off"
+        assert run(noisy_unit_spec).noise_mode == "aggregate"
+        assert run(noisy_unit_spec, "off").noise_mode == "off"
+        with pytest.raises(ModelValidationError) as info:
+            run(unit_spec, "aggregate")
+        assert info.value.invariant == "noise_model_missing"
+
+
+def _one_shot_window_sums(spec, k, t, size, seed):
+    """Oracle: every innovation of the chunk drawn at once, filtered, then one product."""
+    lo, hi = _window_bounds(k, t)
+    width = hi - lo + 1
+    span = width + spec.ma.max_lag - spec.ma.min_lag
+    xi = spec.innovations.sample(np.random.default_rng(seed), size * span)
+    zsum = simulator._ma_filter(spec.ma, xi.reshape(size, span, spec.dim) @ spec.beta_sum, width)
+    return zsum @ floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
+
+
+def _block_cases():
+    for model in ("unit.json", "two_group.json"):
+        spec, _ = load_model(str(MODELS / model))
+        for k in (Fraction(0), Fraction(7, 3), Fraction(4)):
+            for t in (3, 40, 20_000):
+                lo, hi = _window_bounds(k, t)
+                span = hi - lo + 1 + spec.ma.max_lag - spec.ma.min_lag
+                block = max(1, experiments._ULDP_BLOCK_ROWS // span)
+                for size in sorted({1, 2, block - 1, block, block + 1, 8192}):
+                    if size >= 1 and size * span <= 1 << 22:  # the oracle holds them all
+                        yield pytest.param(spec, k, t, size, id=f"{model}-k{k}-t{t}-n{size}")
+
+
+class TestBlockedWindowSums:
+    @pytest.mark.parametrize("spec, k, t, size", _block_cases())
+    def test_bitwise_equal_to_one_shot(self, spec, k, t, size):
+        lo, hi = _window_bounds(k, t)
+        weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
+        blocked = experiments._window_sums(spec, weights, size, np.random.default_rng(size))
+        oracle = _one_shot_window_sums(spec, k, t, size, size)
+        assert blocked.shape == (size,)
+        assert blocked.tobytes() == oracle.tobytes()
 
 
 class TestSlaPlan:
@@ -236,6 +288,15 @@ class TestConfigValidation:
             with pytest.raises(ModelValidationError) as info:
                 UldpRun(spec=unit_spec, k_grid=k_grid, t=5, tset=ThresholdSet.above(1.0), samples=10)
             assert info.value.invariant == "k_grid"
+
+    @pytest.mark.parametrize("k_grid", [(0, Fraction(1, 2)), (Fraction(7, 3),)])
+    def test_empty_window_refused(self, unit_spec, k_grid):
+        # t = 1 and a fractional kt: ceil(kt) + 1 lies past floor(kt + 1)
+        with pytest.raises(ModelValidationError) as info:
+            UldpRun(spec=unit_spec, k_grid=k_grid, t=1, tset=ThresholdSet.above(1.0), samples=10)
+        assert info.value.invariant == "k_grid"
+        # a longer window at the same offsets holds a step
+        UldpRun(spec=unit_spec, k_grid=k_grid, t=2, tset=ThresholdSet.above(1.0), samples=10)
 
 
 class _SerialPool:

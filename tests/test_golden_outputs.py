@@ -51,6 +51,10 @@ CASES = {
                                "--initial-horizon", "1000", "--horizon-cap", "32000"],
     "verify_uldp": ["verify-uldp", "two_group.json", "--seed", "17", "--t", "10",
                     "--k-grid", "0,1", "--samples", "4000", "--set", "above", "--a", "0.4"],
+    # One full 8,192-sample chunk plus a partial one per offset, and a fractional kt.
+    "verify_uldp_partial": ["verify-uldp", "two_group.json", "--seed", "31", "--t", "40",
+                            "--k-grid", "0,0.33,4", "--samples", "9000", "--set", "above",
+                            "--a", "0.4", "--noise-mode", "aggregate"],
     "plan": ["plan", "two_group.json", "--r-target", "20", "--horizon", "1000000"],
     "rate": ["rate", "two_group.json", "--x", "0.25,1.5", "--k", "0,2", "--limit"],
 }
@@ -100,6 +104,10 @@ GOLDEN = {
     "verify_uldp": {
         "csv": "8c93900f3dadaf70e7dcea34414db247d06710056e3bd6b1d1bf639f27196cee",
         "summary.json": "5ce51374286cbfc258e10b87e34605e8980a9ea8abc3fda995ddd7ef94d778e0",
+    },
+    "verify_uldp_partial": {
+        "csv": "3e3559c3780ced3f9676e2bb72a36589d732687f766a0b9d9f1d8dff01b48559",
+        "summary.json": "bf269a6261d78cf421bb0861829b2a85c12645df7781323a736bdcc7b29636be",
     },
 }
 
