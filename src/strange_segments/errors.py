@@ -19,6 +19,9 @@ class ModelValidationError(StrangeSegmentsError):
         self.invariant = invariant
         super().__init__(message)
 
+    def __reduce__(self):  # so the error crosses a process pool intact
+        return type(self), (self.invariant, self.args[0])
+
 
 class NumericalError(StrangeSegmentsError):
     """A numerical routine failed to converge to its requested tolerance."""
@@ -30,6 +33,9 @@ class QuadratureError(NumericalError):
     def __init__(self, message: str, achieved: float):
         self.achieved = achieved
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.achieved)
 
 
 class BracketError(NumericalError):

@@ -17,8 +17,9 @@ count and merge order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,16 +30,7 @@ from .model_core import ModelSpec, floor_power_prefix
 from .modeldoc import canonical_document, parse_model_document
 from .rate_function import RateFunctionCtx, invert_capacity, lambda_limit_prime, legendre, set_rate
 from .segments import ThresholdSet, _TScan, r_stat, t_stat
-from .simulator import (
-    PathConfig,
-    _PathBuilder,
-    _child_streams,
-    _ma_filter,
-    _resolve_noise_mode,
-    _step_noise,
-    innovation_span,
-    simulate,
-)
+from .simulator import PathConfig, _PathBuilder, _child_streams, _ma_filter, _resolve_noise_mode, simulate
 
 _ULDP_CHUNK = 8192
 _ULDP_BLOCK_ROWS = 1 << 14  # innovation rows drawn at once within a chunk
@@ -55,7 +47,7 @@ class StrongLawRun:
     t_grid: tuple[int, ...] = (100, 1000)
     replicates: int = 50
     master_seed: int = 0
-    noise_mode: Optional[str] = None  # None resolves like PathConfig
+    noise_mode: Optional[str] = None  # resolved like PathConfig
     horizon_cap: int = 10_000_000
     initial_horizon: Optional[int] = None
 
@@ -68,12 +60,15 @@ class StrongLawRun:
             raise ModelValidationError("t_grid", "t_grid entries must be >= 2")
         if len(set(self.t_grid)) < len(self.t_grid):
             raise ModelValidationError("t_grid", "t_grid entries must be distinct")
+        if self.horizon_cap < 1:
+            raise ModelValidationError("horizon_cap", "horizon_cap must be >= 1")
         if self.t_grid and self.horizon_cap < max(self.t_grid):
             raise ModelValidationError(
                 "horizon_cap", "horizon_cap must cover the largest t_grid entry"
             )
         if self.replicates < 1:
             raise ModelValidationError("replicates", "need at least one replicate")
+        object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))
 
     def resolved_initial_horizon(self) -> int:
         if self.initial_horizon is not None:
@@ -155,11 +150,16 @@ def _run_units(fn, units: list, workers: int) -> list:
     """``fn`` over the work units, outcomes in unit order.
 
     More than one worker runs the units in a process pool of at most one
-    process per unit; the outcomes are the same for any worker count.
+    process per unit and per available CPU; the outcomes are the same for any
+    worker count.
     """
     if workers < 1:
         raise ModelValidationError("workers", "need at least one worker")
-    workers = min(workers, len(units))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cpus = os.cpu_count() or 1
+    workers = min(workers, len(units), cpus)
     if workers <= 1:
         return [fn(u) for u in units]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -171,37 +171,15 @@ def _strong_law_replicate(args: tuple) -> dict:
     spec = parse_model_document(doc)
     tset = ThresholdSet.above(c_p)
     r_max = max(r_grid)
-    mode = _resolve_noise_mode(spec, noise_mode)
-    rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(rep,)))
 
-    # Each doubling draws the innovations and noise of the new steps only, into
-    # buffers sized for the cap whose pages are touched only as they fill. The
-    # builder forms and sums, and the scan reads, only the steps past the last
-    # horizon.
+    # One builder keeps the path across the doublings: each one draws, forms
+    # and sums, and the scan reads, only the steps past the last horizon.
     horizon = initial_horizon
-    j_min, j_max = innovation_span(spec, horizon_cap)
-    xi = np.empty((j_max - j_min + 1, spec.dim), dtype=np.float64)
-    eps = np.empty(horizon_cap, dtype=np.float64) if mode != "off" else None
-    builder = _PathBuilder(spec, horizon_cap)
+    cfg = PathConfig(horizon, seed=master_seed, noise_mode=noise_mode)
+    builder = _PathBuilder(spec, cfg, horizon_cap, np.random.SeedSequence(master_seed, spawn_key=(rep,)))
     scan = _TScan(tset, r_max)
-    drawn = noised = 0
     while True:
-        j_min, j_max = innovation_span(spec, horizon)
-        span = j_max - j_min + 1
-        xi[drawn:span] = spec.innovations.sample(rng_xi, span - drawn)
-        drawn = span
-        if eps is not None:
-            counts = spec.total_c * floor_power_prefix(horizon, spec.alpha, noised + 1)
-            earlier = int(builder.n[noised]) if noised else 0  # N at the last horizon
-            eps[noised:horizon] = _step_noise(spec, mode, counts, rng_eps, earlier)
-            noised = horizon
-        path = simulate(
-            spec,
-            PathConfig(horizon, seed=master_seed, noise_mode="off"),
-            injected_innovations=xi[:span],
-            injected_step_noise=None if eps is None else eps[:horizon],
-            builder=builder,
-        )
+        path = simulate(spec, replace(cfg, t_max=horizon), builder=builder)
         longest = scan.advance(path)
         if longest.value is not None or horizon >= horizon_cap:
             break

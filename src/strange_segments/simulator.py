@@ -8,15 +8,16 @@ added as an exact-law aggregate draw (one per step), literal per-customer
 draws, or not at all. The path keeps the cumulative deviation S and the
 integer normalizer N; the steps are formed and summed block by block, so no
 path-length temporary is made beyond the loading product, floor(t**alpha)
-and the step noise. One path builder does this: ``simulate`` forms a path in
-one go with a builder of its own, and a caller that doubles a horizon keeps
-one builder, which forms, sums and normalizes only the steps past the last
-horizon while keeping every element equal to a path formed in one go.
+and the step noise. One path builder does this. It owns the path's two
+random streams and draws, forms, sums and normalizes only the steps past the
+horizon it last reached: ``simulate`` forms a path in one go with a builder
+of its own, and a caller that doubles a horizon keeps one builder across the
+doublings, every element equal to a path formed in one go.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -115,25 +116,14 @@ def _ma_filter(
     return out
 
 
-def _step_noise(
-    spec: ModelSpec, mode: str, counts: np.ndarray, rng: np.random.Generator, earlier: int = 0
-) -> np.ndarray:
+def _step_noise(spec: ModelSpec, mode: str, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Idiosyncratic noise terms of consecutive steps with ``counts`` customers each.
 
     ``mode`` is a resolved mode other than "off". Aggregate mode draws each
-    step's sum in one exact-law draw; literal mode sums one draw per customer
-    and refuses a path whose total draws exceed the budget: the sum of
-    ``counts`` plus the ``earlier`` draws of the steps before these.
+    step's sum in one exact-law draw; literal mode sums one draw per customer.
     """
     if mode == "aggregate":
         return np.asarray(spec.noise.sample_aggregate(counts, rng), dtype=np.float64)
-    total_draws = earlier + int(counts.sum())
-    if total_draws > _LITERAL_DRAW_BUDGET:
-        raise ModelValidationError(
-            "literal_draw_budget",
-            f"literal noise would need {total_draws} draws "
-            f"(budget {_LITERAL_DRAW_BUDGET}); use aggregate mode",
-        )
     out = np.empty(len(counts), dtype=np.float64)
     for i, n in enumerate(counts.tolist()):
         out[i] = spec.noise.sample_individual(n, rng).sum()
@@ -143,6 +133,12 @@ def _step_noise(
 class _PathBuilder:
     """One path's S and N, grown in place to longer and longer horizons.
 
+    The builder owns the path's two random streams, spawned from ``ss``
+    (default ``SeedSequence(cfg.seed)``), and its resolved noise mode. Each
+    growth draws only the innovations and step noise past the last horizon,
+    continuing both streams, so a path grown in pieces draws what a path
+    formed in one go draws. Injected whole-path arrays replace the draws.
+
     S and N are buffers sized for the horizon cap. Steps are formed and
     summed in ``_CUMSUM_CHUNK``-step blocks aligned at step 0: within a block
     the plain cumulative sum is accurate enough, and the running total handed
@@ -150,35 +146,35 @@ class _PathBuilder:
     does not grow with the horizon (exact whenever every partial sum is
     representable). Growing from horizon t forms t's last partial block
     again from its start, then the new steps, so every element equals a
-    path formed in one go at the new horizon. For that the builder keeps
-    the loading product from that block's start on (the MA filter reads
-    max_lag - min_lag values past each step) and the carry and compensation
-    at that start.
+    path formed in one go at the new horizon. For that the builder keeps,
+    from that block's start on, the loading product (the MA filter reads
+    max_lag - min_lag values past each step) and the step noise, plus the
+    carry and compensation at that start.
     """
 
-    def __init__(self, spec: ModelSpec, cap: int, record_steps: bool = False):
+    def __init__(
+        self, spec: ModelSpec, cfg: PathConfig, cap: int, ss: Optional[np.random.SeedSequence] = None
+    ):
         self.spec = spec
+        self.cfg = cfg
         self.cap = cap
-        self.record_steps = record_steps
+        self.mode = _resolve_noise_mode(spec, cfg.noise_mode)
+        self._rng_xi, self._rng_eps = _child_streams(np.random.SeedSequence(cfg.seed) if ss is None else ss)
         self.t = 0  # horizon formed so far
         self.s = self.n = self.d = None  # S, N and the steps D, allocated by the first growth
         self._loaded = np.empty(0, dtype=np.float64)  # loading product from the block start on
+        self._eps = np.empty(0, dtype=np.float64)  # step noise from the block start on
         self._carry = self._comp = 0.0  # compensated sum of the steps before the block start
 
     def grow(
-        self,
-        t_max: int,
-        xi: Optional[np.ndarray],
-        eps: Optional[np.ndarray],
-        mode: str,
-        rng_xi: np.random.Generator,
-        rng_eps: np.random.Generator,
+        self, t_max: int, xi: Optional[np.ndarray] = None, eps: Optional[np.ndarray] = None
     ) -> WorkloadPath:
-        """The path up to ``t_max``; ``xi`` and ``eps`` are injected arrays or None to draw them."""
+        """The path up to ``t_max``; ``xi`` and ``eps`` are whole-path arrays to inject, or None to draw."""
         spec = self.spec
         lo = self.t - self.t % _CUMSUM_CHUNK  # steps lo+1..t_max are formed
         j_min, j_max = innovation_span(spec, t_max)
         span = j_max - j_min + 1
+        kept = len(self._loaded)  # innovation rows lo+kept.. are new: the last horizon's span on
         if xi is not None:
             xi = np.asarray(xi, dtype=np.float64)
             if xi.ndim == 1:
@@ -189,16 +185,14 @@ class _PathBuilder:
                     f"injected innovations must have shape ({span}, {spec.dim}) for "
                     f"t_max={t_max}, got {xi.shape}",
                 )
+            rows = xi[lo + kept :]
         else:
-            xi = spec.innovations.sample(rng_xi, span)
+            rows = spec.innovations.sample(self._rng_xi, span - lo - kept)
 
         # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
-        # loading first so each lag is one vectorized slice. Only the innovations
-        # past the kept loading product are loaded.
-        kept = len(self._loaded)
+        # loading first so each lag is one vectorized slice.
         loaded = np.empty(span - lo, dtype=np.float64)
         loaded[:kept] = self._loaded
-        rows = xi[lo + kept :]
         if spec.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
             np.multiply(rows[:, 0], spec.beta_sum[0], out=loaded[kept:])
         else:
@@ -206,6 +200,13 @@ class _PathBuilder:
         del xi, rows  # a sampled innovation array is no longer needed
 
         n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
+        # literal noise draws one value per customer-step: N(t_max) for the whole path
+        if eps is None and self.mode == "literal" and n_new[-1] > _LITERAL_DRAW_BUDGET:
+            raise ModelValidationError(
+                "literal_draw_budget",
+                f"literal noise would need {int(n_new[-1])} draws "
+                f"(budget {_LITERAL_DRAW_BUDGET}); use aggregate mode",
+            )
         if self.t == 0:  # formed in one go, the path keeps the normalizer's own array as N
             self.n = n_new if t_max == self.cap else np.empty(self.cap + 1, dtype=np.int64)
         if self.n is not n_new:
@@ -218,13 +219,16 @@ class _PathBuilder:
                     "injected_noise_shape",
                     f"injected step noise must have shape ({t_max},), got {eps.shape}",
                 )
-        elif mode != "off":
-            eps = _step_noise(spec, mode, np.diff(self.n[: t_max + 1]), rng_eps)
+            eps = eps[lo:]
+        elif self.mode != "off":
+            eps = _step_noise(spec, self.mode, np.diff(self.n[self.t : t_max + 1]), self._rng_eps)
+            if len(self._eps):
+                eps = np.concatenate([self._eps, eps])
         fp = floor_power_prefix(t_max, spec.alpha, lo)  # floor(t**alpha), t = lo..t_max
         if self.t == 0:  # last, so S and D are not live with the draws and temporaries above
             self.s = np.empty(self.cap + 1, dtype=np.float64)
             self.s[0] = 0.0
-            self.d = np.zeros(self.cap + 1, dtype=np.float64) if self.record_steps else None
+            self.d = np.zeros(self.cap + 1, dtype=np.float64) if self.cfg.record_steps else None
 
         s, steps = self.s, self.d
         reach = spec.ma.max_lag - spec.ma.min_lag
@@ -234,7 +238,7 @@ class _PathBuilder:
             d = _ma_filter(spec.ma, loaded[i - lo : j - lo + reach], j - i)
             d *= fp[i + 1 - lo : j + 1 - lo]
             if eps is not None:
-                d += eps[i:j]
+                d += eps[i - lo : j - lo]
             if steps is not None:
                 steps[i + 1 : j + 1] = d
             block = np.cumsum(d, out=s[i + 1 : j + 1])
@@ -248,7 +252,10 @@ class _PathBuilder:
                     comp += (tot - new) + carry
                 carry = new
         self._carry, self._comp = carry, comp
-        self._loaded = loaded[t_max - t_max % _CUMSUM_CHUNK - lo :].copy()
+        tail = t_max - t_max % _CUMSUM_CHUNK - lo
+        self._loaded = loaded[tail:].copy()
+        if eps is not None:
+            self._eps = eps[tail:].copy()
         self.t = t_max
         return WorkloadPath(
             S=s[: t_max + 1], N=self.n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
@@ -279,28 +286,25 @@ def simulate(
     path-length array.
 
     Without ``builder`` the path is formed in one go by a builder of its own.
-    A ``builder`` holding an earlier, shorter horizon of the same path (same
-    spec, seed, noise mode and leading innovations and noise) grows it in
-    place instead: the loading product, ``floor(t**alpha)`` and N then cover
-    only the steps from the earlier horizon's last block start on, and the
-    returned path, which shares the builder's buffers, equals the one formed
-    in one go. Innovations and noise that are not injected are still drawn
-    for the whole path, so a caller that grows a path injects them.
+    A ``builder`` made for the same spec and the same ``cfg`` up to its
+    horizon, and holding an earlier, shorter horizon, grows that path in
+    place instead: it draws from its own streams, and the loading product,
+    ``floor(t**alpha)``, N and the step noise then cover only the steps from
+    the earlier horizon's last block start on. The returned path shares the
+    builder's buffers and equals the one formed in one go.
     """
     if builder is None:
-        builder = _PathBuilder(spec, cfg.t_max, cfg.record_steps)
+        builder = _PathBuilder(spec, cfg, cfg.t_max)
     elif (
         builder.spec is not spec
-        or builder.record_steps != cfg.record_steps
+        or replace(builder.cfg, t_max=cfg.t_max) != cfg
         or not builder.t <= cfg.t_max <= builder.cap
     ):
         raise ValueError(
             f"a builder at horizon {builder.t} (cap {builder.cap}) cannot grow this path "
             f"to t_max={cfg.t_max}"
         )
-    mode = _resolve_noise_mode(spec, cfg.noise_mode)
-    rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
-    return builder.grow(cfg.t_max, injected_innovations, injected_step_noise, mode, rng_xi, rng_eps)
+    return builder.grow(cfg.t_max, injected_innovations, injected_step_noise)
 
 
 def segment_average(path: WorkloadPath, k: int, l: int) -> float:

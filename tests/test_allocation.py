@@ -56,16 +56,23 @@ def test_t_stat_without_hit_peaks_below_six_blocks(t_max, kind):
     assert peak < 6 * 8 * segments._SCAN_BLOCK
 
 
-def test_strong_law_replicate_peaks_below_four_and_a_half_cap_arrays(unit_spec):
-    # noise off and a capacity no segment average of length 10 reaches, so the
-    # horizon doubles from 1000 up to the cap
+@pytest.mark.parametrize("model, noise_mode, cap_arrays", [
+    # S and N span the cap; the last doubling's loading product, floor(t^alpha)
+    # and normalizer range, half a cap each, live two at a time
+    ("unit.json", "off", 3.5),
+    # the last doubling's step noise and its counts, half a cap each, live
+    # with the aggregate sampler's temporaries
+    ("two_group.json", "aggregate", 4.5),
+])
+def test_strong_law_replicate_peak_in_cap_arrays(model, noise_mode, cap_arrays):
+    # a capacity no segment average of length 10 reaches, so the horizon
+    # doubles from 1000 up to the cap; each doubling draws only its new steps
+    spec, _ = load_model(str(MODELS / model))
     cap = 1_024_000
-    args = (canonical_document(unit_spec), 100.0, (10,), (100,), "off", cap, 1000, 1, 0)
+    args = (canonical_document(spec), 100.0, (10,), (100,), noise_mode, cap, 1000, 1, 0)
     rep, peak = traced_peak(lambda: _strong_law_replicate(args))
     assert rep["horizon"] == cap and rep["T"] == {10: None}
-    # the innovation buffer, S and N span the cap; the last doubling's loading
-    # product, floor(t^alpha) and normalizer range, half a cap each, live two at a time
-    assert peak < 4.5 * 8 * (cap + 1)
+    assert peak < cap_arrays * 8 * (cap + 1)
 
 
 def test_uldp_chunk_peaks_below_two_window_sum_arrays():

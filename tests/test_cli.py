@@ -330,6 +330,8 @@ class TestCheckSpecsBeforeRun:
         (ULDP + ["--a=-0.5", "--band", "0,10"], "band"),  # predicted exponent 0 at offset 0
         (ULDP + ["--t", "1", "--k-grid", "0,0.5"], "k_grid"),  # the window (0.5, 1.5] is empty
         (ULDP + ["--noise-mode", "aggregate"], "noise_model_missing"),
+        (STRONG + ["--noise-mode", "aggregate", "--workers", "2"], "noise_model_missing"),
+        (STRONG + ["--t-grid", "", "--horizon-cap", "-3"], "horizon_cap"),
     ])
     def test_bad_spec_exits_1_without_running(self, capsys, model_file, monkeypatch, argv,
                                               invariant):
@@ -342,6 +344,17 @@ class TestCheckSpecsBeforeRun:
         code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == invariant
+
+    def test_worker_error_reaches_the_error_record(self, capsys):
+        # the draw budget is refused inside each pooled replicate; the error must cross
+        # the process pool intact to become the JSON record
+        code, out, err = run_cli(capsys, [
+            "verify-strong-law", "--model", str(MODELS / "unit_noisy.json"), "--seed", "1",
+            "--cp", "1.0", "--replicates", "2", "--noise-mode", "literal",
+            "--initial-horizon", "50000", "--horizon-cap", "100000", "--workers", "2",
+        ])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "literal_draw_budget"
 
     @pytest.mark.parametrize("argv", [STRONG + ["--workers", "0"], ULDP + ["--workers", "-1"]])
     def test_worker_count_below_one_exits_1(self, capsys, model_file, argv):

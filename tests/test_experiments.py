@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from strange_segments import (
     ModelValidationError,
+    QuadratureError,
     RateFunctionCtx,
     StrongLawRun,
     ThresholdSet,
@@ -298,6 +300,21 @@ class TestConfigValidation:
         # a longer window at the same offsets holds a step
         UldpRun(spec=unit_spec, k_grid=k_grid, t=2, tset=ThresholdSet.above(1.0), samples=10)
 
+    def test_strong_law_noise_mode_resolved_once(self, unit_spec, noisy_unit_spec):
+        assert small_strong_law(unit_spec, noise_mode=None).noise_mode == "off"
+        assert small_strong_law(noisy_unit_spec, noise_mode=None).noise_mode == "aggregate"
+        assert small_strong_law(noisy_unit_spec, noise_mode="literal").noise_mode == "literal"
+        with pytest.raises(ModelValidationError) as info:
+            small_strong_law(unit_spec, noise_mode="aggregate")
+        assert info.value.invariant == "noise_model_missing"
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_horizon_cap_positive(self, unit_spec, cap):
+        # with no t_grid entry to cover, a cap below one still names its invariant
+        with pytest.raises(ModelValidationError) as info:
+            small_strong_law(unit_spec, t_grid=(), horizon_cap=cap)
+        assert info.value.invariant == "horizon_cap"
+
 
 class _SerialPool:
     """Stand-in for ProcessPoolExecutor: records max_workers and maps in-process."""
@@ -331,6 +348,7 @@ class TestRunUnits:
     def test_pool_has_at_most_one_process_per_unit(self, unit_spec, monkeypatch):
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg = small_strong_law(unit_spec, replicates=2)
         assert run_strong_law(cfg, workers=64).rows == run_strong_law(cfg).rows
         uldp = UldpRun(spec=unit_spec, k_grid=(0, 1, 2), t=5, tset=ThresholdSet.above(1.0),
@@ -339,3 +357,29 @@ class TestRunUnits:
         assert run_uldp(uldp, workers=2).rows == run_uldp(uldp).rows
         # single-worker runs never build a pool, so only the three pooled calls record a size
         assert _SerialPool.sizes == [2, 3, 2]
+
+    def test_pool_has_at_most_one_process_per_cpu(self, unit_spec, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = small_strong_law(unit_spec, replicates=5)
+        assert run_strong_law(cfg, workers=5000).rows == run_strong_law(cfg).rows
+        # without an affinity mask the CPU count bounds the pool, and one CPU runs in-process
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        assert run_strong_law(cfg, workers=5000).rows == run_strong_law(cfg).rows
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert run_strong_law(cfg, workers=5000).rows == run_strong_law(cfg).rows
+        assert _SerialPool.sizes == [2, 3]
+
+
+class TestErrorsCrossProcesses:
+    def test_model_validation_error_round_trips(self):
+        err = pickle.loads(pickle.dumps(ModelValidationError("horizon_cap", "must be >= 1")))
+        assert type(err) is ModelValidationError
+        assert err.invariant == "horizon_cap" and str(err) == "must be >= 1"
+
+    def test_quadrature_error_round_trips(self):
+        err = pickle.loads(pickle.dumps(QuadratureError("order limit reached", 3.5e-7)))
+        assert type(err) is QuadratureError
+        assert err.achieved == 3.5e-7 and str(err) == "order limit reached"

@@ -290,7 +290,7 @@ class TestGrowInPlace:
     @staticmethod
     def grow(spec, horizons, cfg_for, inputs_for=lambda h: (None, None)):
         """(grown path, one-shot path) per horizon, compared after the last growth."""
-        builder = _PathBuilder(spec, horizons[-1] + 5, record_steps=True)
+        builder = _PathBuilder(spec, cfg_for(horizons[0]), horizons[-1] + 5)
         grown = [simulate(spec, cfg_for(h), *inputs_for(h), builder=builder) for h in horizons]
         # earlier paths share the buffers, whose last partial block each growth forms again
         return [(path, simulate(spec, cfg_for(h), *inputs_for(h))) for h, path in zip(horizons, grown)]
@@ -331,13 +331,16 @@ class TestGrowInPlace:
             self.assert_same(path, ref)
 
     def test_builder_must_fit_the_path(self, unit_spec, noisy_unit_spec):
-        builder = _PathBuilder(unit_spec, 100)
+        builder = _PathBuilder(unit_spec, PathConfig(t_max=50, seed=1), 100)
         simulate(unit_spec, PathConfig(t_max=50, seed=1), builder=builder)
         for spec, cfg in [
             (unit_spec, PathConfig(t_max=49, seed=1)),  # shorter than the path so far
             (unit_spec, PathConfig(t_max=101, seed=1)),  # past the cap
             (unit_spec, PathConfig(t_max=60, seed=1, record_steps=True)),
+            (unit_spec, PathConfig(t_max=60, seed=2)),  # the builder draws from seed 1's streams
+            (unit_spec, PathConfig(t_max=60, seed=1, noise_mode="off")),  # equal to None only once resolved
             (noisy_unit_spec, PathConfig(t_max=60, seed=1)),
         ]:
             with pytest.raises(ValueError, match="builder"):
                 simulate(spec, cfg, builder=builder)
+        assert simulate(unit_spec, PathConfig(t_max=60, seed=1), builder=builder).t_max == 60
