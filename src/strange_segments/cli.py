@@ -31,8 +31,8 @@ from .errors import ModelValidationError, NumericalError
 from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
 from .modeldoc import load_model
 from .rate_function import RateFunctionCtx, legendre, set_rate
-from .segments import ThresholdSet, r_stat, t_stat
-from .simulator import PathConfig, WorkloadPath, simulate
+from .segments import _SET_KINDS, ThresholdSet, r_stat, t_stat
+from .simulator import _NOISE_MODES, PathConfig, WorkloadPath, simulate
 
 
 # Rows of the simulate CSV formatted per `%` call; bounds the transient lists.
@@ -104,6 +104,23 @@ def _on_grid(value, grid, flag: str):
     return value
 
 
+def _bands(texts, names: str, entry, grid, what: str) -> list[tuple]:
+    """--band specs ``names`` (e.g. "R,LO,HI") as (first field, grid entry, other fields as floats);
+    ``entry`` parses the first field, which must name a ``grid`` entry no other band names."""
+    bands = []
+    for text in texts or []:
+        first, *rest = _check_fields(text, "band", names)
+        bands.append((first, _on_grid(entry(first), grid, "band"), *map(_finite_float, rest)))
+    if len({band[1] for band in bands}) < len(bands):  # a later band would overwrite the check
+        raise ModelValidationError("band", f"--band names the same {what} twice")
+    return bands
+
+
+def _table(cols: tuple, rows: list[dict]) -> list[str]:
+    """CSV lines: the header ``cols``, then the cells of each row in that order."""
+    return [",".join(cols)] + [",".join(_fmt(row[c]) for c in cols) for row in rows]
+
+
 def _threshold_set(args) -> ThresholdSet:
     if args.set == "interval":
         if args.b is None:
@@ -115,12 +132,7 @@ def _threshold_set(args) -> ThresholdSet:
 
 
 def _manifest_config(args) -> dict:
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "out"):
-            continue
-        cfg[key] = value
-    return cfg
+    return {key: value for key, value in sorted(vars(args).items()) if key != "out"}
 
 
 def _emit(args, seed: Optional[int], digest: Optional[str], csv_lines: Optional[list[str]],
@@ -263,19 +275,14 @@ def _cmd_verify_strong_law(args) -> int:
         horizon_cap=args.horizon_cap,
         initial_horizon=args.initial_horizon,
     )
-    bands = []
-    for text in args.band or []:
-        r, lo, hi = _check_fields(text, "band", "R,LO,HI")
-        bands.append((_on_grid(_int(r), cfg.r_grid, "band"), _finite_float(lo), _finite_float(hi)))
-    if len({r for r, _, _ in bands}) < len(bands):  # a later band would overwrite the check
-        raise ModelValidationError("band", "--band names the same r twice")
+    bands = _bands(args.band, "R,LO,HI", _int, cfg.r_grid, "r")
     if args.trend is not None:
         far, near = (_on_grid(_int(p), cfg.r_grid, "trend")
                      for p in _check_fields(args.trend, "trend", "FAR,NEAR"))
     result = run_strong_law(cfg, workers=args.workers)
     checks = {}
     predicted = result.summary["predicted_rate"]
-    for r, lo, hi in bands:
+    for _, r, lo, hi in bands:
         med = result.summary["log_T_over_r"][str(r)]["median"]
         checks[f"median_band_r{r}"] = {
             "lo": lo, "hi": hi, "value": med, "pass": bool(lo <= med <= hi)
@@ -290,14 +297,8 @@ def _cmd_verify_strong_law(args) -> int:
         }
     if checks:
         result.summary["checks"] = checks
-    lines = ["replicate,statistic,grid,value,normalized,censored"]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                _fmt(row[c]) for c in ("replicate", "statistic", "grid", "value", "normalized", "censored")
-            )
-        )
-    _emit(args, args.seed, digest, lines, result.summary)
+    cols = ("replicate", "statistic", "grid", "value", "normalized", "censored")
+    _emit(args, args.seed, digest, _table(cols, result.rows), result.summary)
     return 0
 
 
@@ -313,12 +314,7 @@ def _cmd_verify_uldp(args) -> int:
         master_seed=args.seed,
         noise_mode=args.noise_mode,
     )
-    bands = []
-    for text in args.band or []:
-        k_str, pct = _check_fields(text, "band", "K,PCT")
-        bands.append((k_str, _on_grid(_offset(k_str), cfg.k_grid, "band"), _finite_float(pct)))
-    if len({k_str for k_str, _, _ in bands}) < len(bands):  # a later band would overwrite the check
-        raise ModelValidationError("band", "--band names the same offset twice")
+    bands = _bands(args.band, "K,PCT", _offset, cfg.k_grid, "offset")
     if bands:
         ctx = RateFunctionCtx(spec)
         for k_str, k, _ in bands:
@@ -342,10 +338,7 @@ def _cmd_verify_uldp(args) -> int:
     result.summary["checks"] = checks
     cols = ("k", "t", "samples", "successes", "p_hat", "se", "exponent",
             "exponent_is_lower_bound", "predicted")
-    lines = [",".join(cols)]
-    for row in result.rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
-    _emit(args, args.seed, digest, lines, result.summary)
+    _emit(args, args.seed, digest, _table(cols, result.rows), result.summary)
     return 0
 
 
@@ -383,6 +376,7 @@ _DISPATCH = {
     "verify-strong-law": _cmd_verify_strong_law,
     "verify-uldp": _cmd_verify_uldp,
     "plan": _cmd_plan,
+    "replay": _cmd_replay,
 }
 
 
@@ -404,6 +398,17 @@ def build_parser() -> _Parser:
                        help="output prefix; writes PREFIX.csv / PREFIX.summary.json / "
                             "PREFIX.manifest.json (default: stdout)")
 
+    def add_noise_mode(p, modes=_NOISE_MODES):
+        p.add_argument("--noise-mode", choices=modes, default=None,
+                       help="noise handling (default: aggregate when the model has noise)")
+
+    def add_set(p):
+        p.add_argument("--set", choices=_SET_KINDS, required=True, help="threshold set kind")
+        p.add_argument("--a", type=_finite_float, required=True,
+                       help="threshold (lower endpoint for interval)")
+        p.add_argument("--b", type=_finite_float, default=None,
+                       help="upper endpoint (interval sets only)")
+
     p = sub.add_parser("rate", help="evaluate Fenchel-Legendre transforms of the rate curves")
     add_common(p)
     p.add_argument("--x", type=_floats, required=True, help="comma-separated x values to transform")
@@ -413,32 +418,24 @@ def build_parser() -> _Parser:
                    help="also emit the limit curve when --k is given")
     p.add_argument("--quad-tol", type=_finite_float, default=1e-10, help="quadrature error target")
     p.add_argument("--root-tol", type=_finite_float, default=1e-12, help="Legendre root tolerance")
-    p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("simulate", help="simulate a workload-deviation path and write t,N,S[,D]")
     add_common(p)
     p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
     p.add_argument("--t-max", type=int, required=True, help="path horizon (steps)")
-    p.add_argument("--noise-mode", choices=("aggregate", "literal", "off"), default=None,
-                   help="noise handling (default: aggregate when the model has noise)")
+    add_noise_mode(p)
     p.add_argument("--record-steps", action="store_true", help="also emit per-step deviations D")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("segments", help="long deviant segment statistics R_t and T_r on one path")
     add_common(p)
-    p.add_argument("--set", choices=("above", "below", "interval"), required=True,
-                   help="threshold set kind")
-    p.add_argument("--a", type=_finite_float, required=True, help="threshold (lower endpoint for interval)")
-    p.add_argument("--b", type=_finite_float, default=None, help="upper endpoint (interval sets only)")
+    add_set(p)
     p.add_argument("--r", type=int, default=None, help="segment length for the T statistic")
     p.add_argument("--t", type=int, default=None, help="horizon for the R statistic (default t-max)")
     p.add_argument("--inject", default=None,
                    help="comma-separated innovation values; bypasses the sampler")
     p.add_argument("--seed", type=int, default=None, help="64-bit master seed (when not injecting)")
     p.add_argument("--t-max", type=int, default=None, help="path horizon (when not injecting)")
-    p.add_argument("--noise-mode", choices=("aggregate", "literal", "off"), default=None,
-                   help="noise handling for seeded paths")
-    p.set_defaults(func=_cmd_segments)
+    add_noise_mode(p)
 
     p = sub.add_parser("verify-strong-law",
                        help="Monte Carlo check of the growth law for T_r and R_t")
@@ -450,17 +447,17 @@ def build_parser() -> _Parser:
                    help="comma-separated segment lengths r")
     p.add_argument("--t-grid", type=_ints, default="100,1000",
                    help="comma-separated horizons t for R_t")
-    p.add_argument("--noise-mode", choices=("aggregate", "literal", "off"), default=None,
-                   help="noise handling (default: aggregate when the model has noise)")
+    add_noise_mode(p)
     p.add_argument("--horizon-cap", type=int, default=10_000_000,
                    help="maximum horizon for the doubling search")
-    p.add_argument("--initial-horizon", type=int, default=None, help="starting horizon")
+    p.add_argument("--initial-horizon", type=int, default=None,
+                   help="horizon where the doubling search starts (>= 1; raised to the largest "
+                        "t-grid entry, lowered to the cap); sets the run time, not the results")
     p.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
     p.add_argument("--band", action="append", default=None, metavar="R,LO,HI",
                    help="check that the median of log T_r / r lies in [LO, HI] (repeatable)")
     p.add_argument("--trend", default=None, metavar="FAR,NEAR",
                    help="check that the median at r=NEAR is closer to the prediction than at r=FAR")
-    p.set_defaults(func=_cmd_verify_strong_law)
 
     p = sub.add_parser("verify-uldp",
                        help="Monte Carlo check of window tail exponents against the rate curves")
@@ -469,16 +466,11 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, required=True, help="window length in steps")
     p.add_argument("--k-grid", default="0", help="comma-separated window offsets k")
     p.add_argument("--samples", type=int, required=True, help="window samples per offset")
-    p.add_argument("--set", choices=("above", "below", "interval"), required=True,
-                   help="threshold set kind")
-    p.add_argument("--a", type=_finite_float, required=True, help="threshold (lower endpoint for interval)")
-    p.add_argument("--b", type=_finite_float, default=None, help="upper endpoint (interval sets only)")
-    p.add_argument("--noise-mode", choices=("aggregate", "off"), default=None,
-                   help="noise handling (literal is unsupported for window sampling)")
+    add_set(p)
+    add_noise_mode(p, ("aggregate", "off"))  # literal noise is unsupported for window sampling
     p.add_argument("--workers", type=int, default=1, help="parallel sample-chunk workers")
     p.add_argument("--band", action="append", default=None, metavar="K,PCT",
                    help="check the offset-K exponent is within PCT percent of prediction (repeatable)")
-    p.set_defaults(func=_cmd_verify_uldp)
 
     p = sub.add_parser("plan", help="invert the growth law into a capacity headroom plan")
     add_common(p)
@@ -486,12 +478,10 @@ def build_parser() -> _Parser:
                    help="longest tolerable deviant segment length")
     p.add_argument("--horizon", type=int, required=True,
                    help="planning horizon (steps) by which the guarantee should hold")
-    p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("replay", help="re-run a manifest and reproduce its outputs byte-for-byte")
     p.add_argument("--manifest", required=True, help="path to a run manifest JSON")
     p.add_argument("--out", default=None, help="output prefix for the replayed run")
-    p.set_defaults(func=_cmd_replay)
 
     return parser
 
@@ -511,7 +501,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _DISPATCH[args.subcommand](args)
     except ModelValidationError as exc:
         _emit_error("validation", exc)
         return 1

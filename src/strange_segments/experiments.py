@@ -39,7 +39,11 @@ _NEAR_MEAN_RATE = 1e-4
 
 @dataclass(frozen=True)
 class StrongLawRun:
-    """Configuration of a strong-law verification run."""
+    """Configuration of a strong-law verification run.
+
+    ``initial_horizon`` (>= 1, raised to the largest ``t_grid`` entry and lowered
+    to ``horizon_cap``) only sets where the doubling starts, not the results.
+    """
 
     spec: ModelSpec
     c_p: float
@@ -66,17 +70,15 @@ class StrongLawRun:
             raise ModelValidationError(
                 "horizon_cap", "horizon_cap must cover the largest t_grid entry"
             )
+        if self.initial_horizon is not None and self.initial_horizon < 1:
+            raise ModelValidationError("initial_horizon", "initial_horizon must be >= 1")
         if self.replicates < 1:
             raise ModelValidationError("replicates", "need at least one replicate")
         object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))
 
     def resolved_initial_horizon(self) -> int:
-        if self.initial_horizon is not None:
-            base = self.initial_horizon
-        else:
-            base = max(8 * max(self.r_grid), 256)
-        need = max(self.t_grid, default=2)
-        return min(max(base, need), self.horizon_cap)
+        base = self.initial_horizon or max(8 * max(self.r_grid), 256)  # None: the default start
+        return min(max(base, max(self.t_grid, default=2)), self.horizon_cap)
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,7 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     lo, hi = _window_bounds(Fraction(k_str), t)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx)))
 
-    window_fp = floor_power_prefix(hi, spec.alpha)[lo:]
+    window_fp = floor_power_prefix(hi, spec.alpha, lo)
     values = _window_sums(spec, window_fp.astype(np.float64), size, rng_xi)
     n_window = spec.total_c * int(window_fp.sum())
     if noise_mode == "aggregate":

@@ -25,6 +25,18 @@ from .errors import ModelValidationError, SteepnessWarning
 _STEEPNESS_PROBES = (1e2, 1e3, 1e4)
 
 
+def _rows_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows @ m`` into ``out``, each row's bits independent of the row count.
+
+    numpy multiplies a lone row by a vector kernel, which rounds unlike the
+    matrix kernels it takes for two or more rows, so a lone row is doubled.
+    """
+    if len(rows) != 1:
+        return np.matmul(rows, m, out=out)
+    out[...] = np.matmul(np.concatenate([rows, rows]), m)[:1]
+    return out
+
+
 class InnovationModel(abc.ABC):
     """Law of the K-dimensional innovation vector.
 
@@ -108,7 +120,7 @@ class GaussianInnovations(InnovationModel):
         if self.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
             z *= self._factor[0, 0]
             return z
-        return z @ self._factor.T
+        return _rows_matmul(z, self._factor.T, np.empty_like(z))
 
     def log_mgf_ray(self, direction: np.ndarray, scales: np.ndarray) -> np.ndarray:
         quad = float(np.asarray(direction) @ self.cov @ np.asarray(direction))

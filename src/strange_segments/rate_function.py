@@ -224,13 +224,33 @@ def _increasing_root(g, lo: float, hi: float, tol: float, *, g_lo: float, g_hi: 
     )
 
 
+def _root_beyond_zero(g, g_zero: float, side: float, tol: float, what: str) -> float:
+    """Root of a nondecreasing continuous ``g`` on the ``side`` (+1 or -1) of 0, where it is ``g_zero``.
+
+    The bracket doubles from _LAMBDA_BRACKET until ``side * g`` reaches 0 (else
+    BracketError(``what``)), then Brent's method runs on the last doubling step.
+    """
+    near, g_near = 0.0, g_zero
+    b = _LAMBDA_BRACKET
+    for _ in range(_MAX_BRACKET_DOUBLINGS):
+        g_far = g(side * b)
+        if side * g_far >= 0.0:
+            break
+        near, g_near = side * b, g_far
+        b *= 2.0
+    else:
+        raise BracketError(what)
+    if side > 0:
+        return _increasing_root(g, near, b, tol, g_lo=g_near, g_hi=g_far)
+    return _increasing_root(g, -b, near, tol, g_lo=g_far, g_hi=g_near)
+
+
 def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResult:
     """Fenchel-Legendre transform of the selected curve at ``x``.
 
-    Solves ``f'(lam) = x`` by doubling the bracket from _LAMBDA_BRACKET
-    until the derivative passes ``x`` (failure here means the model is not
-    steep along the loading direction), then runs Brent's method on the last
-    doubling step until the bracket is within root_tol. ``x`` exactly at the
+    Solves ``f'(lam) = x`` by ``_root_beyond_zero`` on the side of 0 where
+    the derivative passes ``x``; a bracket that never reaches it means the
+    model is not steep along the loading direction. ``x`` exactly at the
     mean slope ``f'(0)`` returns 0 without any root finding.
     """
     if not isfinite(x):
@@ -240,28 +260,11 @@ def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResul
     if x == mean:
         return LegendreResult(0.0, 0.0)
 
-    side = 1.0 if x > mean else -1.0
-    near, g_near = 0.0, mean - x
-    b = _LAMBDA_BRACKET
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        g_far = fprime(side * b) - x
-        if side * g_far > 0.0:
-            break
-        near, g_near = side * b, g_far
-        b *= 2.0
-    else:
-        raise BracketError(
-            "steepness violation: derivative of the log-MGF never passed "
-            f"x={x:g} within {_MAX_BRACKET_DOUBLINGS} bracket doublings"
-        )
-
-    def g(lam: float) -> float:
-        return fprime(lam) - x
-
-    if side > 0:
-        lam = _increasing_root(g, near, b, ctx.root_tol, g_lo=g_near, g_hi=g_far)
-    else:
-        lam = _increasing_root(g, -b, near, ctx.root_tol, g_lo=g_far, g_hi=g_near)
+    lam = _root_beyond_zero(
+        lambda lam: fprime(lam) - x, mean - x, 1.0 if x > mean else -1.0, ctx.root_tol,
+        "steepness violation: derivative of the log-MGF never passed "
+        f"x={x:g} within {_MAX_BRACKET_DOUBLINGS} bracket doublings",
+    )
     value = lam * x - f(lam)
     return LegendreResult(max(value, 0.0), lam)
 
@@ -292,8 +295,7 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
 
     On that branch ``C = Lambda'(lam)`` for some lam > 0, where
     ``Lambda*(C) = lam Lambda'(lam) - Lambda(lam)``. The right side is 0 at
-    lam = 0 and nondecreasing for lam > 0, so the upper bracket is doubled
-    from _LAMBDA_BRACKET until it reaches the target, Brent's method finds
+    lam = 0 and nondecreasing for lam > 0, so ``_root_beyond_zero`` finds
     lam to root_tol, and C is the slope there.
     """
     if not 0.0 < target_rate < inf:
@@ -302,19 +304,10 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
     def excess(lam: float) -> float:
         return lam * lambda_limit_prime(ctx, lam) - lambda_limit(ctx, lam) - target_rate
 
-    lo, h_lo = 0.0, -target_rate  # Lambda(0) = 0 by the log-MGF contract
-    hi = _LAMBDA_BRACKET
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        h_hi = excess(hi)
-        if h_hi >= 0.0:
-            break
-        lo, h_lo = hi, h_hi
-        hi *= 2.0
-    else:
-        raise BracketError(
-            f"could not bracket the capacity for target rate {target_rate:g}"
-        )
-    lam = _increasing_root(excess, lo, hi, ctx.root_tol, g_lo=h_lo, g_hi=h_hi)
+    lam = _root_beyond_zero(  # the excess is -target_rate at lam = 0, where Lambda(0) = 0
+        excess, -target_rate, 1.0, ctx.root_tol,
+        f"could not bracket the capacity for target rate {target_rate:g}",
+    )
     return lambda_limit_prime(ctx, lam)
 
 

@@ -36,6 +36,7 @@ from .simulator import WorkloadPath
 
 # Walk indices per block of the t_stat scan; its few block-sized arrays stay in cache.
 _SCAN_BLOCK = 16384
+_SET_KINDS = ("above", "below", "interval")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class ThresholdSet:
     b: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("above", "below", "interval"):
+        if self.kind not in _SET_KINDS:
             raise ValueError(f"unknown set kind {self.kind!r}")
         if self.kind == "interval":
             if self.b is None or not self.a < self.b:

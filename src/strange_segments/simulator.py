@@ -10,9 +10,10 @@ integer normalizer N; the steps are formed and summed block by block, so no
 path-length temporary is made beyond the loading product, floor(t**alpha)
 and the step noise. One path builder does this. It owns the path's two
 random streams and draws, forms, sums and normalizes only the steps past the
-horizon it last reached: ``simulate`` forms a path in one go with a builder
-of its own, and a caller that doubles a horizon keeps one builder across the
-doublings, every element equal to a path formed in one go.
+horizon it last reached, continuing the summation block that horizon left
+open, so no step is formed twice: ``simulate`` forms a path in one go with a
+builder of its own, and a caller that doubles a horizon keeps one builder
+across the doublings, every element equal to a path formed in one go.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelValidationError
+from .innovations import _rows_matmul
 from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix, floor_power_prefix
 
 _NOISE_MODES = ("aggregate", "literal", "off")
@@ -144,12 +146,10 @@ class _PathBuilder:
     the plain cumulative sum is accurate enough, and the running total handed
     to the next block is kept with a Neumaier compensation term so the error
     does not grow with the horizon (exact whenever every partial sum is
-    representable). Growing from horizon t forms t's last partial block
-    again from its start, then the new steps, so every element equals a
-    path formed in one go at the new horizon. For that the builder keeps,
-    from that block's start on, the loading product (the MA filter reads
-    max_lag - min_lag values past each step) and the step noise, plus the
-    carry and compensation at that start.
+    representable). A growth forms each new step once and continues the
+    block the last horizon left open: the block's plain running sum is added
+    to its first new step before the cumulative sum, which adds left to right,
+    so every element equals a path formed in one go at the new horizon.
     """
 
     def __init__(
@@ -162,16 +162,16 @@ class _PathBuilder:
         self._rng_xi, self._rng_eps = _child_streams(np.random.SeedSequence(cfg.seed) if ss is None else ss)
         self.t = 0  # horizon formed so far
         self.s = self.n = self.d = None  # S, N and the steps D, allocated by the first growth
-        self._loaded = np.empty(0, dtype=np.float64)  # loading product from the block start on
-        self._eps = np.empty(0, dtype=np.float64)  # step noise from the block start on
-        self._carry = self._comp = 0.0  # compensated sum of the steps before the block start
+        self._loaded = np.empty(0, dtype=np.float64)  # the max_lag - min_lag loading values past t
+        self._open = 0.0  # plain sum of the open block's steps (0 at a block edge)
+        self._carry = self._comp = 0.0  # compensated sum of the steps before the open block
 
     def grow(
         self, t_max: int, xi: Optional[np.ndarray] = None, eps: Optional[np.ndarray] = None
     ) -> WorkloadPath:
         """The path up to ``t_max``; ``xi`` and ``eps`` are whole-path arrays to inject, or None to draw."""
         spec = self.spec
-        lo = self.t - self.t % _CUMSUM_CHUNK  # steps lo+1..t_max are formed
+        lo = self.t  # steps lo+1..t_max are formed
         j_min, j_max = innovation_span(spec, t_max)
         span = j_max - j_min + 1
         kept = len(self._loaded)  # innovation rows lo+kept.. are new: the last horizon's span on
@@ -196,7 +196,7 @@ class _PathBuilder:
         if spec.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
             np.multiply(rows[:, 0], spec.beta_sum[0], out=loaded[kept:])
         else:
-            np.matmul(rows, spec.beta_sum, out=loaded[kept:])
+            _rows_matmul(rows, spec.beta_sum, out=loaded[kept:])
         del xi, rows  # a sampled innovation array is no longer needed
 
         n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
@@ -207,7 +207,7 @@ class _PathBuilder:
                 f"literal noise would need {int(n_new[-1])} draws "
                 f"(budget {_LITERAL_DRAW_BUDGET}); use aggregate mode",
             )
-        if self.t == 0:  # formed in one go, the path keeps the normalizer's own array as N
+        if lo == 0:  # formed in one go, the path keeps the normalizer's own array as N
             self.n = n_new if t_max == self.cap else np.empty(self.cap + 1, dtype=np.int64)
         if self.n is not n_new:
             self.n[lo : t_max + 1] = n_new
@@ -221,41 +221,39 @@ class _PathBuilder:
                 )
             eps = eps[lo:]
         elif self.mode != "off":
-            eps = _step_noise(spec, self.mode, np.diff(self.n[self.t : t_max + 1]), self._rng_eps)
-            if len(self._eps):
-                eps = np.concatenate([self._eps, eps])
+            eps = _step_noise(spec, self.mode, np.diff(self.n[lo : t_max + 1]), self._rng_eps)
         fp = floor_power_prefix(t_max, spec.alpha, lo)  # floor(t**alpha), t = lo..t_max
-        if self.t == 0:  # last, so S and D are not live with the draws and temporaries above
+        if lo == 0:  # last, so S and D are not live with the draws and temporaries above
             self.s = np.empty(self.cap + 1, dtype=np.float64)
             self.s[0] = 0.0
             self.d = np.zeros(self.cap + 1, dtype=np.float64) if self.cfg.record_steps else None
 
         s, steps = self.s, self.d
         reach = spec.ma.max_lag - spec.ma.min_lag
-        carry, comp = self._carry, self._comp
-        for i in range(lo, t_max, _CUMSUM_CHUNK):
-            j = min(i + _CUMSUM_CHUNK, t_max)
+        carry, comp, total = self._carry, self._comp, self._open
+        i = lo
+        while i < t_max:  # steps i+1..j: the rest of the block holding step i+1
+            j = min(i - i % _CUMSUM_CHUNK + _CUMSUM_CHUNK, t_max)
             d = _ma_filter(spec.ma, loaded[i - lo : j - lo + reach], j - i)
             d *= fp[i + 1 - lo : j + 1 - lo]
             if eps is not None:
                 d += eps[i - lo : j - lo]
             if steps is not None:
                 steps[i + 1 : j + 1] = d
+            d[0] += total
             block = np.cumsum(d, out=s[i + 1 : j + 1])
-            tot = float(block[-1])
+            total = float(block[-1])
             block += carry + comp
-            if j - i == _CUMSUM_CHUNK:  # a partial block is formed again by the next growth
-                new = carry + tot
-                if abs(carry) >= abs(tot):
-                    comp += (carry - new) + tot
+            if j % _CUMSUM_CHUNK == 0:  # the block is complete: hand its total to the carry
+                new = carry + total
+                if abs(carry) >= abs(total):
+                    comp += (carry - new) + total
                 else:
-                    comp += (tot - new) + carry
-                carry = new
-        self._carry, self._comp = carry, comp
-        tail = t_max - t_max % _CUMSUM_CHUNK - lo
-        self._loaded = loaded[tail:].copy()
-        if eps is not None:
-            self._eps = eps[tail:].copy()
+                    comp += (total - new) + carry
+                carry, total = new, 0.0
+            i = j
+        self._carry, self._comp, self._open = carry, comp, total
+        self._loaded = loaded[t_max - lo :].copy()
         self.t = t_max
         return WorkloadPath(
             S=s[: t_max + 1], N=self.n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
@@ -288,10 +286,11 @@ def simulate(
     Without ``builder`` the path is formed in one go by a builder of its own.
     A ``builder`` made for the same spec and the same ``cfg`` up to its
     horizon, and holding an earlier, shorter horizon, grows that path in
-    place instead: it draws from its own streams, and the loading product,
-    ``floor(t**alpha)``, N and the step noise then cover only the steps from
-    the earlier horizon's last block start on. The returned path shares the
-    builder's buffers and equals the one formed in one go.
+    place instead: it draws from its own streams, the loading product,
+    ``floor(t**alpha)``, N and the step noise then cover only the steps past
+    the earlier horizon, and the summation continues that horizon's open
+    block. The returned path shares the builder's buffers and equals the one
+    formed in one go.
     """
     if builder is None:
         builder = _PathBuilder(spec, cfg, cfg.t_max)

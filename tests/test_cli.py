@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from strange_segments import WorkloadPath, load_model, simulate
 from strange_segments import cli
 from strange_segments.cli import _fmt, _path_csv_lines, build_parser, main
-from strange_segments.simulator import PathConfig
+from strange_segments.segments import _SET_KINDS
+from strange_segments.simulator import _NOISE_MODES, PathConfig
 
 from conftest import unit_document
 
@@ -324,6 +326,7 @@ class TestCheckSpecsBeforeRun:
         (ULDP + ["--band", "1,25"], "band"),
         (ULDP + ["--band", "0"], "band"),
         (ULDP + ["--band", "0,10", "--band", "0,50"], "band"),
+        (ULDP + ["--k-grid", "0,0.5", "--band", "0.5,10", "--band", "1/2,50"], "band"),  # one offset
         (ULDP + ["--band", "0,nan"], "number_list"),
         (ULDP + ["--band", "zero,25"], "number_list"),
         (ULDP + ["--k-grid", "0,0.0,1"], "k_grid"),
@@ -332,6 +335,8 @@ class TestCheckSpecsBeforeRun:
         (ULDP + ["--noise-mode", "aggregate"], "noise_model_missing"),
         (STRONG + ["--noise-mode", "aggregate", "--workers", "2"], "noise_model_missing"),
         (STRONG + ["--t-grid", "", "--horizon-cap", "-3"], "horizon_cap"),
+        (STRONG + ["--initial-horizon", "-5"], "initial_horizon"),
+        (STRONG + ["--initial-horizon", "0"], "initial_horizon"),
     ])
     def test_bad_spec_exits_1_without_running(self, capsys, model_file, monkeypatch, argv,
                                               invariant):
@@ -364,6 +369,21 @@ class TestCheckSpecsBeforeRun:
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "workers"
 
 
+class TestInitialHorizon:
+    # doubles to a censored T_40 at the cap with aggregate noise; T_6 and T_8 complete
+    # past the first 8,192-step block
+    ARGV = ["verify-strong-law", "--model", str(MODELS / "unit_noisy.json"), "--seed", "29",
+            "--cp", "1.5", "--replicates", "3", "--r-grid", "6,8,9,40", "--t-grid", "100",
+            "--horizon-cap", "32000"]
+
+    def test_start_of_the_doubling_does_not_change_the_outputs(self, capsys):
+        # 7 is raised to the largest t-grid entry; 20000 reaches the cap in one doubling
+        outs = {value: run_cli(capsys, self.ARGV + (["--initial-horizon", value] if value else []))
+                for value in (None, "7", "1000", "20000")}
+        assert all(code == 0 for code, _, _ in outs.values())
+        assert len({out for _, out, _ in outs.values()}) == 1
+
+
 class TestPlan:
     def test_plan_output(self, capsys, model_file):
         path = model_file(unit_document())
@@ -377,8 +397,6 @@ class TestPlan:
 
 class TestHygiene:
     def test_every_flag_documented(self):
-        import argparse
-
         stack = [build_parser()]
         while stack:
             parser = stack.pop()
@@ -387,6 +405,44 @@ class TestHygiene:
                     stack.extend(action.choices.values())
                 elif action.dest != "help":
                     assert action.help, f"undocumented flag {action.option_strings or action.dest}"
+
+    def test_choices_are_the_package_tuples(self):
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {
+            (name, action.dest): action.choices
+            for name, p in subs.choices.items()
+            for action in p._actions
+            if action.dest in ("noise_mode", "set")
+        }
+        assert choices == {
+            ("simulate", "noise_mode"): _NOISE_MODES,
+            ("segments", "noise_mode"): _NOISE_MODES,
+            ("verify-strong-law", "noise_mode"): _NOISE_MODES,
+            ("verify-uldp", "noise_mode"): ("aggregate", "off"),
+            ("segments", "set"): _SET_KINDS,
+            ("verify-uldp", "set"): _SET_KINDS,
+        }
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["rate", "--model", "m", "--x", "1"],
+         "k limit model quad_tol root_tol subcommand x"),
+        (["simulate", "--model", "m", "--seed", "1", "--t-max", "5"],
+         "model noise_mode record_steps seed subcommand t_max"),
+        (["segments", "--model", "m", "--set", "above", "--a", "0.5", "--inject", "1,2"],
+         "a b inject model noise_mode r seed set subcommand t t_max"),
+        (["verify-strong-law", "--model", "m", "--seed", "1", "--cp", "1"],
+         "band cp horizon_cap initial_horizon model noise_mode r_grid replicates seed "
+         "subcommand t_grid trend workers"),
+        (["verify-uldp", "--model", "m", "--seed", "1", "--t", "4", "--samples", "10",
+          "--set", "above", "--a", "0.5"],
+         "a b band k_grid model noise_mode samples seed set subcommand t workers"),
+        (["plan", "--model", "m", "--r-target", "3", "--horizon", "10"],
+         "horizon model r_target subcommand"),
+        (["replay", "--manifest", "x"], "manifest subcommand"),
+    ])
+    def test_manifest_config_keys(self, argv, keys):
+        config = cli._manifest_config(build_parser().parse_args(argv + ["--out", "o"]))
+        assert list(config) == keys.split()
 
     def test_log_env_does_not_change_results(self, capsys, model_file, monkeypatch):
         path = model_file(unit_document())

@@ -109,6 +109,15 @@ class TestSampling:
         assert (draws == z @ m._factor.T).all()
 
 
+    def test_draws_in_pieces_equal_one_draw(self):
+        # a lone row must round like a row of a longer draw; numpy gives it another kernel
+        m = GaussianInnovations(cov=np.array([[1.0, 0.2], [0.2, 0.5]]))
+        sizes = [1] * 40 + [2, 3, 1, 500, 1]
+        whole = m.sample(np.random.default_rng(8), sum(sizes))
+        rng = np.random.default_rng(8)
+        assert (np.concatenate([m.sample(rng, n) for n in sizes]) == whole).all()
+
+
 class TestNoise:
     def test_degenerate_noise_is_zero(self):
         n = GaussianNoise(var=0.0)

@@ -182,6 +182,13 @@ class TestLegendre:
         assert res.value == pytest.approx(75.0 / 152.0, rel=1e-12)
         assert derivative_calls[0] <= 20
 
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    def test_root_on_a_bracket_end(self, unit_ctx, derivative_calls, x):
+        # Lambda'(lam) = lam passes x exactly at the first bracket end, which is the root
+        res = legendre(unit_ctx, "limit", x)
+        assert (res.value, res.argmax_lambda) == (0.5, x)
+        assert derivative_calls[0] <= 2
+
     def test_root_search_is_bounded(self):
         # a step function has no root; bisection toward 0 outlasts the step cap
         with pytest.raises(NumericalError, match="root search"):

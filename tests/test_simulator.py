@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strange_segments import (
     ModelValidationError,
@@ -292,7 +294,7 @@ class TestGrowInPlace:
         """(grown path, one-shot path) per horizon, compared after the last growth."""
         builder = _PathBuilder(spec, cfg_for(horizons[0]), horizons[-1] + 5)
         grown = [simulate(spec, cfg_for(h), *inputs_for(h), builder=builder) for h in horizons]
-        # earlier paths share the buffers, whose last partial block each growth forms again
+        # earlier paths share the buffers, which each growth extends past the last horizon
         return [(path, simulate(spec, cfg_for(h), *inputs_for(h))) for h, path in zip(horizons, grown)]
 
     @staticmethod
@@ -327,6 +329,29 @@ class TestGrowInPlace:
             spec, horizons, lambda h: PathConfig(t_max=h, seed=0, noise_mode="off", record_steps=True),
             inputs_for,
         )
+        for path, ref in pairs:
+            self.assert_same(path, ref)
+
+    EDGE_STEPS = list(range(_CUMSUM_CHUNK - 5, _CUMSUM_CHUNK + 6))  # one step at a time across an edge
+
+    @given(
+        model=st.sampled_from(["unit.json", "unit_noisy.json", "two_group.json"]),
+        seed=st.integers(0, 2**32 - 1),
+        horizons=st.lists(
+            st.one_of(
+                st.integers(1, 3 * _CUMSUM_CHUNK),
+                st.builds(lambda b, off: b * _CUMSUM_CHUNK + off, st.integers(1, 3), st.integers(-2, 2)),
+            ),
+            min_size=1,
+            max_size=6,
+        ).map(sorted),  # repeated horizons are growths by no step
+    )
+    @example(model="two_group.json", seed=5, horizons=EDGE_STEPS)
+    @example(model="unit_noisy.json", seed=6, horizons=EDGE_STEPS)
+    @settings(max_examples=25, deadline=None)
+    def test_any_schedule(self, model, seed, horizons):
+        spec = TestBlockEdges.spec(model)  # aggregate noise where the model has a noise law
+        pairs = self.grow(spec, horizons, lambda h: PathConfig(t_max=h, seed=seed, record_steps=True))
         for path, ref in pairs:
             self.assert_same(path, ref)
 
