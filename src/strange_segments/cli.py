@@ -449,10 +449,11 @@ def build_parser() -> _Parser:
                    help="comma-separated horizons t for R_t")
     add_noise_mode(p)
     p.add_argument("--horizon-cap", type=int, default=10_000_000,
-                   help="maximum horizon for the doubling search")
+                   help="largest horizon a replicate's path grows to")
     p.add_argument("--initial-horizon", type=int, default=None,
-                   help="horizon where the doubling search starts (>= 1; raised to the largest "
-                        "t-grid entry, lowered to the cap); sets the run time, not the results")
+                   help="horizon where each replicate's path starts, before it grows by an eighth "
+                        "(>= 1; raised to the largest t-grid entry, lowered to the cap); sets the "
+                        "run time, not the results")
     p.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
     p.add_argument("--band", action="append", default=None, metavar="R,LO,HI",
                    help="check that the median of log T_r / r lies in [LO, HI] (repeatable)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, TYPE_CHECKING
 
 import numpy as np
@@ -30,8 +30,13 @@ _FLOOR_GUARD = 1e-9
 _MAX_RATIONAL_DEN = 64
 
 
+@lru_cache(maxsize=64)
 def _exact_rational(alpha: float) -> tuple[int, int] | None:
-    """(p, q) when alpha is exactly the small rational p/q, else None."""
+    """(p, q) when alpha is exactly the small rational p/q, else None.
+
+    Memoized: a path growth asks for it up to three times, always with the
+    model's one alpha.
+    """
     frac = Fraction(alpha).limit_denominator(_MAX_RATIONAL_DEN)
     if frac == Fraction(alpha):
         return frac.numerator, frac.denominator

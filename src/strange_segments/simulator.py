@@ -12,8 +12,8 @@ and the step noise. One path builder does this. It owns the path's two
 random streams and draws, forms, sums and normalizes only the steps past the
 horizon it last reached, continuing the summation block that horizon left
 open, so no step is formed twice: ``simulate`` forms a path in one go with a
-builder of its own, and a caller that doubles a horizon keeps one builder
-across the doublings, every element equal to a path formed in one go.
+builder of its own, and a caller that grows a horizon keeps one builder
+across the growths, every element equal to a path formed in one go.
 """
 
 from __future__ import annotations

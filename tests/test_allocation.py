@@ -2,8 +2,8 @@
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one call
 counts every array it makes. These limits keep full-length temporaries from
-coming back into ``simulate``, ``t_stat``, the doubling loop and the window
-sampler unnoticed.
+coming back into ``simulate``, ``t_stat``, the strong-law growth loop and the
+window sampler unnoticed.
 """
 
 from __future__ import annotations
@@ -57,16 +57,17 @@ def test_t_stat_without_hit_peaks_below_six_blocks(t_max, kind):
 
 
 @pytest.mark.parametrize("model, noise_mode, cap_arrays", [
-    # S and N span the cap; the last doubling's loading product, floor(t^alpha)
-    # and normalizer range, half a cap each, live two at a time
-    ("unit.json", "off", 3.5),
-    # the last doubling's step noise and its counts, half a cap each, live
-    # with the aggregate sampler's temporaries
-    ("two_group.json", "aggregate", 4.5),
+    # S and N span the cap; a growth's loading product, floor(t^alpha) and
+    # normalizer range, at most an eighth of a cap each, add little to them
+    ("unit.json", "off", 2.75),
+    # a growth's step noise and its counts, at most an eighth of a cap each,
+    # live with the aggregate sampler's temporaries
+    ("two_group.json", "aggregate", 2.75),
 ])
 def test_strong_law_replicate_peak_in_cap_arrays(model, noise_mode, cap_arrays):
     # a capacity no segment average of length 10 reaches, so the horizon
-    # doubles from 1000 up to the cap; each doubling draws only its new steps
+    # grows by an eighth from 1000 up to the cap; each growth draws only its
+    # new steps
     spec, _ = load_model(str(MODELS / model))
     cap = 1_024_000
     args = (canonical_document(spec), 100.0, (10,), (100,), noise_mode, cap, 1000, 1, 0)

@@ -370,14 +370,14 @@ class TestCheckSpecsBeforeRun:
 
 
 class TestInitialHorizon:
-    # doubles to a censored T_40 at the cap with aggregate noise; T_6 and T_8 complete
+    # grows to a censored T_40 at the cap with aggregate noise; T_6 and T_8 complete
     # past the first 8,192-step block
     ARGV = ["verify-strong-law", "--model", str(MODELS / "unit_noisy.json"), "--seed", "29",
             "--cp", "1.5", "--replicates", "3", "--r-grid", "6,8,9,40", "--t-grid", "100",
             "--horizon-cap", "32000"]
 
     def test_start_of_the_doubling_does_not_change_the_outputs(self, capsys):
-        # 7 is raised to the largest t-grid entry; 20000 reaches the cap in one doubling
+        # 7 is raised to the largest t-grid entry; 20000 reaches the cap in two growths
         outs = {value: run_cli(capsys, self.ARGV + (["--initial-horizon", value] if value else []))
                 for value in (None, "7", "1000", "20000")}
         assert all(code == 0 for code, _, _ in outs.values())

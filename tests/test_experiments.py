@@ -1,3 +1,4 @@
+import logging
 import pickle
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ import strange_segments.experiments as experiments
 import strange_segments.simulator as simulator
 from strange_segments.experiments import _window_bounds
 from strange_segments.model_core import floor_power_prefix
+from strange_segments.modeldoc import canonical_document
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -100,6 +102,39 @@ class TestStrongLaw:
         with pytest.raises(ModelValidationError) as excinfo:
             run_strong_law(cfg)
         assert excinfo.value.invariant == "literal_draw_budget"
+
+    def test_replicates_logged_at_debug_only(self, unit_spec, caplog):
+        cfg = small_strong_law(unit_spec, replicates=3)
+        caplog.set_level(logging.DEBUG, logger="strange_segments.experiments")
+        logged = run_strong_law(cfg)
+        lines = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.DEBUG]
+        assert [line.split(":")[0] for line in lines] == [f"strong-law replicate {i}" for i in range(3)]
+        assert all("growths (" in line and "steps formed" in line and "T_4 = " in line for line in lines)
+        caplog.clear()
+        caplog.set_level(logging.INFO, logger="strange_segments.experiments")
+        quiet = run_strong_law(cfg)
+        assert not caplog.records
+        assert logged.rows == quiet.rows and logged.summary == quiet.summary
+
+
+class TestGrowthSchedule:
+    """A replicate's path grows by an eighth, by at least 8,192 steps, until T_{r_max} appears."""
+
+    @pytest.mark.parametrize("model, noise_mode", [("unit.json", "off"), ("two_group.json", "aggregate")])
+    @pytest.mark.parametrize("rep", range(4))
+    def test_same_outputs_as_one_go_and_bounded_overshoot(self, model, noise_mode, rep):
+        spec, _ = load_model(str(MODELS / model))
+        cap, r_grid = 400_000, (2, 4, 8)
+
+        def replicate(initial):
+            args = (canonical_document(spec), 1.5, r_grid, (100, 1000), noise_mode, cap, initial, 7, rep)
+            return experiments._strong_law_replicate(args)
+
+        grown, whole = replicate(1000), replicate(cap)
+        assert grown["T"] == whole["T"] and grown["R"] == whole["R"]
+        t_last = grown["T"][max(r_grid)]
+        assert t_last is not None and t_last > 8192  # found after at least one growth
+        assert grown["horizon"] - t_last < max(t_last // 8, simulator._CUMSUM_CHUNK)
 
 
 class TestWindowBounds:

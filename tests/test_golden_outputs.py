@@ -13,10 +13,14 @@ To print the current digests, run
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import strange_segments
 from strange_segments.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -44,7 +48,7 @@ CASES = {
     "verify_strong_law": ["verify-strong-law", "unit.json", "--seed", "23", "--cp", "1.0",
                           "--replicates", "4", "--r-grid", "2,4", "--t-grid", "32",
                           "--initial-horizon", "64", "--noise-mode", "off"],
-    # Doubles 1000 -> 32000 (T_40 is censored) with aggregate noise; T_6 and T_8
+    # Grows 1000 -> 32000 (T_40 is censored) with aggregate noise; T_6 and T_8
     # complete past the first 8,192-step block.
     "verify_strong_law_long": ["verify-strong-law", "unit_noisy.json", "--seed", "29", "--cp", "1.5",
                                "--replicates", "3", "--r-grid", "6,8,9,40", "--t-grid", "100",
@@ -131,6 +135,24 @@ def _digests(case: list[str], tmp: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_unchanged(name, tmp_path):
     assert _digests(CASES[name], tmp_path) == GOLDEN[name]
+
+
+def test_debug_log_leaves_output_bytes_unchanged(tmp_path):
+    # in a fresh process, so STRANGE_SEGMENTS_LOG configures the root logger
+    prefix = tmp_path / "run"
+    env = dict(os.environ, STRANGE_SEGMENTS_LOG="debug",
+               PYTHONPATH=str(Path(strange_segments.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strange_segments.cli", *_argv(CASES["verify_strong_law_long"], prefix)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.count("strong-law replicate") == 3
+    digests = {
+        suffix: hashlib.sha256(prefix.with_name(f"run.{suffix}").read_bytes()).hexdigest()
+        for suffix in ("csv", "summary.json")
+    }
+    assert digests == GOLDEN["verify_strong_law_long"]
 
 
 if __name__ == "__main__":  # pragma: no cover
