@@ -69,7 +69,10 @@ def _finite_float(text: str) -> float:
 
 
 def _floats(text: str) -> list[float]:
-    return [_finite_float(p) for p in text.split(",") if p.strip() != ""]
+    values = [_finite_float(p) for p in text.split(",") if p.strip() != ""]
+    if not values:
+        raise ModelValidationError("number_list", f"expected at least one number, got {text!r}")
+    return values
 
 
 def _int(text: str) -> int:
@@ -224,6 +227,9 @@ def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
 
 def _segments_path(args, spec):
     if args.inject is not None:
+        if (args.seed, args.t_max, args.noise_mode) != (None, None, None):
+            raise ModelValidationError("path_source", "--inject makes a noise-free path as long as "
+                                       "the input; it takes no --seed, --t-max or --noise-mode")
         values = np.asarray(_floats(args.inject), dtype=np.float64)
         if spec.dim != 1:
             raise ModelValidationError(
@@ -235,7 +241,7 @@ def _segments_path(args, spec):
             raise ModelValidationError(
                 "inject_length", f"injected sequence too short for the MA support (needs > {overhang})"
             )
-        cfg = PathConfig(t_max=t_max, seed=args.seed or 0, noise_mode="off")
+        cfg = PathConfig(t_max=t_max, seed=0, noise_mode="off")
         return simulate(spec, cfg, injected_innovations=values)
     if args.seed is None or args.t_max is None:
         raise ModelValidationError(

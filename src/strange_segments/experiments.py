@@ -313,35 +313,34 @@ def _window_bounds(k: Fraction, t: int) -> tuple[int, int]:
 
 
 def _window_sums(spec: ModelSpec, weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` independent window sums ``sum_t weights[t] * beta_sum . Z(t)``; see ``_uldp_chunk``."""
-    ma = spec.ma
-    width = len(weights)
-    span = width + ma.max_lag - ma.min_lag
+    """``size`` independent window sums ``sum_t weights[t] * beta_sum . Z(t)``.
+
+    A sum is ``sum_j h[j] * beta_sum . xi(j)`` over the ``span`` innovation
+    rows that feed the window, with the kernel ``h = phi (*) weights``: the MA
+    filter of the reversed, zero-padded weights, reversed. The rows are drawn
+    in blocks of about ``_ULDP_BLOCK_ROWS`` and reduced row by row into the
+    result. Block draws continue one stream exactly, and a row sum, unlike a
+    matrix-vector product, rounds alike for any row count, so the bytes do
+    not depend on the block size.
+    """
+    reach = spec.ma.max_lag - spec.ma.min_lag
+    span = len(weights) + reach
+    h = _ma_filter(spec.ma, np.pad(weights[::-1], reach), span)[::-1]
+    kernel = np.multiply.outer(h, spec.beta_sum).ravel()
     block = max(1, _ULDP_BLOCK_ROWS // span)
-    zsum = np.empty((size, width), dtype=np.float64)
+    out = np.empty(size, dtype=np.float64)
     for start in range(0, size, block):
         n = min(block, size - start)
-        xi = spec.innovations.sample(rng, n * span).reshape(n, span, spec.dim)
-        _ma_filter(ma, xi @ spec.beta_sum, width, out=zsum[start : start + n])
-    return zsum @ weights
+        xi = spec.innovations.sample(rng, n * span).reshape(n, span * spec.dim)
+        xi *= kernel
+        xi.sum(axis=1, out=out[start : start + n])
+    return out
 
 
 def _uldp_chunk(args: tuple) -> tuple[int, int]:
     """(hits, size): how many of ``size`` sampled window averages at offset k lie in the set.
 
-    ``noise_mode`` is already resolved by ``UldpRun``. Each sample needs the
-    ``span`` innovations that feed its window. They are drawn, loaded and
-    moving-averaged in blocks of about ``_ULDP_BLOCK_ROWS`` innovation rows,
-    straight into the rows of one (size, width) array of per-step sums, so
-    the chunk never holds all of its innovations at once.
-
-    The weighted sum over the window stays one product over the whole
-    chunk: a matrix-vector product over fewer rows can round differently.
-    Everything before it is the same for any block size:
-    ``Generator.standard_normal`` fills its output in order, so block draws
-    continue one stream exactly; the covariance factor and the loading
-    product give each row the same bits whatever the row count; and the
-    moving average is elementwise.
+    ``noise_mode`` is already resolved by ``UldpRun``.
     """
     (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx, noise_mode) = args
     spec = parse_model_document(doc)

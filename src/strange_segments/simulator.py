@@ -99,19 +99,13 @@ def _child_streams(ss: np.random.SeedSequence) -> tuple[np.random.Generator, np.
     return np.random.default_rng(child_xi), np.random.default_rng(child_eps)
 
 
-def _ma_filter(
-    ma: MACoefficients, loaded: np.ndarray, width: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _ma_filter(ma: MACoefficients, loaded: np.ndarray, width: int) -> np.ndarray:
     """Moving average sum_k phi_k * loaded(t - k) for ``width`` consecutive t.
 
     Works along the last axis of ``loaded``, which covers the innovation span
-    of those outputs: its entry 0 lies max_lag steps before the first t. The
-    result goes into ``out`` when given.
+    of those outputs: its entry 0 lies max_lag steps before the first t.
     """
-    if out is None:
-        out = np.zeros(loaded.shape[:-1] + (width,), dtype=np.float64)
-    else:
-        out.fill(0.0)
+    out = np.zeros(loaded.shape[:-1] + (width,), dtype=np.float64)
     for lag, coeff in ma.coeffs.items():
         start = ma.max_lag - lag
         out += coeff * loaded[..., start : start + width]

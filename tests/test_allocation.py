@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from strange_segments import PathConfig, ThresholdSet, WorkloadPath, load_model, simulate, t_stat
-from strange_segments import segments
+from strange_segments import experiments, segments
 from strange_segments.experiments import _strong_law_replicate, _uldp_chunk
 from strange_segments.modeldoc import canonical_document
 
@@ -76,12 +76,14 @@ def test_strong_law_replicate_peak_in_cap_arrays(model, noise_mode, cap_arrays):
     assert peak < cap_arrays * 8 * (cap + 1)
 
 
-def test_uldp_chunk_peaks_below_two_window_sum_arrays():
+@pytest.mark.parametrize("t", [40, 2000])
+def test_uldp_chunk_peak_independent_of_window_length(t):
     spec, _ = load_model(str(MODELS / "two_group.json"))
-    size, t = 8192, 40
+    size = 8192
     args = (canonical_document(spec), "0", t, ThresholdSet.above(0.4), size, 1, 0, 0, "aggregate")
     (hits, n), peak = traced_peak(lambda: _uldp_chunk(args))
-    assert n == size and 0 < hits < size
-    # the (size, width) window sums are the one chunk-sized array; the chunk's
-    # innovations, about ten times as many bytes, pass through in blocks
-    assert peak < 2 * 8 * size * t
+    assert n == size and (0 < hits < size if t == 40 else hits == 0)
+    # no array spans the window: a block of about _ULDP_BLOCK_ROWS innovation
+    # rows (the draw and its covariance product) is the largest, and the
+    # chunk's sums, noise and averages are a few arrays of one value per sample
+    assert peak < 8 * (6 * spec.dim * experiments._ULDP_BLOCK_ROWS + 8 * size)

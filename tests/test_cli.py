@@ -99,6 +99,21 @@ class TestSegments:
         assert code == 0
         assert out.splitlines()[1].startswith("R,")
 
+    @pytest.mark.parametrize("extra", [
+        ["--seed", "3"],
+        ["--t-max", "99"],
+        ["--noise-mode", "aggregate"],
+        ["--t-max", "99", "--noise-mode", "aggregate"],
+    ])
+    def test_inject_refuses_sampled_path_flags(self, capsys, extra):
+        # an injected path is noise-free and as long as the input, so these
+        # flags would only be recorded in the manifest, never used
+        argv = ["segments", "--model", str(MODELS / "unit_noisy.json"), "--inject=1,2,3,4",
+                "--set", "above", "--a", "0.5", *extra]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "path_source"
+
     def test_needs_path_source(self, capsys, model_file):
         path = model_file(unit_document())
         code, _, err = run_cli(capsys, ["segments", "--model", path, "--set", "above", "--a", "1.0"])
@@ -148,6 +163,18 @@ class TestValidationErrors:
         ["verify-strong-law", "--seed", "1", "--cp", "nan"],
     ])
     def test_non_finite_numbers_exit_1(self, capsys, model_file, argv):
+        path = model_file(unit_document())
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "number_list"
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--x", ""],
+        ["rate", "--x", " , "],
+        ["rate", "--x", "1.0", "--k", ""],
+        ["segments", "--inject", "", "--set", "above", "--a", "0.5"],
+    ])
+    def test_empty_number_lists_exit_1(self, capsys, model_file, argv):
         path = model_file(unit_document())
         code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
         assert code == 1 and out == ""

@@ -245,13 +245,22 @@ class TestUldp:
 
 
 def _one_shot_window_sums(spec, k, t, size, seed):
-    """Oracle: every innovation of the chunk drawn at once, filtered, then one product."""
+    """Oracle in the filter-then-weights order: every innovation of the chunk
+    drawn at once, loaded, moving-averaged, then weighted in one product.
+
+    Also returns ``sum_j |loaded_j * h_j|`` per sample, the scale of the
+    rounding error, with the kernel ``h = phi (*) weights`` from ``np.convolve``.
+    """
     lo, hi = _window_bounds(k, t)
-    width = hi - lo + 1
+    weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
+    width = len(weights)
     span = width + spec.ma.max_lag - spec.ma.min_lag
     xi = spec.innovations.sample(np.random.default_rng(seed), size * span)
-    zsum = simulator._ma_filter(spec.ma, xi.reshape(size, span, spec.dim) @ spec.beta_sum, width)
-    return zsum @ floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
+    loaded = xi.reshape(size, span, spec.dim) @ spec.beta_sum
+    sums = simulator._ma_filter(spec.ma, loaded, width) @ weights
+    phi = [spec.ma.coeffs.get(lag, 0.0) for lag in range(spec.ma.max_lag, spec.ma.min_lag - 1, -1)]
+    kernel = np.convolve(weights, phi)
+    return sums, np.abs(loaded * kernel).sum(axis=1)
 
 
 def _block_cases():
@@ -269,13 +278,23 @@ def _block_cases():
 
 class TestBlockedWindowSums:
     @pytest.mark.parametrize("spec, k, t, size", _block_cases())
-    def test_bitwise_equal_to_one_shot(self, spec, k, t, size):
+    def test_bitwise_equal_to_one_shot(self, spec, k, t, size, monkeypatch):
         lo, hi = _window_bounds(k, t)
         weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
         blocked = experiments._window_sums(spec, weights, size, np.random.default_rng(size))
-        oracle = _one_shot_window_sums(spec, k, t, size, size)
         assert blocked.shape == (size,)
-        assert blocked.tobytes() == oracle.tobytes()
+        for rows in (1, 1 << 62):  # one sample per block, and every sample in one block
+            monkeypatch.setattr(experiments, "_ULDP_BLOCK_ROWS", rows)
+            other = experiments._window_sums(spec, weights, size, np.random.default_rng(size))
+            assert other.tobytes() == blocked.tobytes()
+
+    @pytest.mark.parametrize("spec, k, t, size", _block_cases())
+    def test_near_filter_then_weights(self, spec, k, t, size):
+        lo, hi = _window_bounds(k, t)
+        weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
+        sums = experiments._window_sums(spec, weights, size, np.random.default_rng(size))
+        reference, scale = _one_shot_window_sums(spec, k, t, size, size)
+        assert np.all(np.abs(sums - reference) <= 16 * np.finfo(np.float64).eps * scale)
 
 
 class TestSlaPlan:
