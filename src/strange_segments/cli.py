@@ -254,8 +254,12 @@ def _segments_path(args, spec):
 def _cmd_segments(args) -> int:
     spec, digest = load_model(args.model)
     tset = _threshold_set(args)
+    if args.r is not None and args.r < 1:
+        raise ModelValidationError("segment_length", f"--r must be at least 1, got {args.r}")
     path = _segments_path(args, spec)
     horizon = args.t if args.t is not None else path.t_max
+    if not 1 <= horizon <= path.t_max:
+        raise ModelValidationError("horizon", f"--t {horizon} outside 1..{path.t_max}")
     lines = ["statistic,value,k,l"]
     rep = r_stat(path, tset, horizon)
     k, l = rep.witness if rep.witness else (None, None)

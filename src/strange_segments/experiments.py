@@ -38,7 +38,6 @@ from .simulator import (
 _log = logging.getLogger(__name__)
 
 _ULDP_CHUNK = 8192
-_ULDP_BLOCK_ROWS = 1 << 14  # innovation rows drawn at once within a chunk
 _NEAR_MEAN_RATE = 1e-4
 
 
@@ -312,34 +311,26 @@ def _window_bounds(k: Fraction, t: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _window_sums(spec: ModelSpec, weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` independent window sums ``sum_t weights[t] * beta_sum . Z(t)``.
+def _window_kernel(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
+    """Kernel of the window sum ``sum_t weights[t] * beta_sum . Z(t)``, shape (span, dim).
 
-    A sum is ``sum_j h[j] * beta_sum . xi(j)`` over the ``span`` innovation
-    rows that feed the window, with the kernel ``h = phi (*) weights``: the MA
-    filter of the reversed, zero-padded weights, reversed. The rows are drawn
-    in blocks of about ``_ULDP_BLOCK_ROWS`` and reduced row by row into the
-    result. Block draws continue one stream exactly, and a row sum, unlike a
-    matrix-vector product, rounds alike for any row count, so the bytes do
-    not depend on the block size.
+    The sum is ``sum_j h[j] * beta_sum . xi(j)`` over the ``span`` innovation
+    rows that feed the window, with ``h = phi (*) weights``: the MA filter of
+    the reversed, zero-padded weights, reversed. Row j of the kernel is
+    ``h[j] * beta_sum``.
     """
     reach = spec.ma.max_lag - spec.ma.min_lag
-    span = len(weights) + reach
-    h = _ma_filter(spec.ma, np.pad(weights[::-1], reach), span)[::-1]
-    kernel = np.multiply.outer(h, spec.beta_sum).ravel()
-    block = max(1, _ULDP_BLOCK_ROWS // span)
-    out = np.empty(size, dtype=np.float64)
-    for start in range(0, size, block):
-        n = min(block, size - start)
-        xi = spec.innovations.sample(rng, n * span).reshape(n, span * spec.dim)
-        xi *= kernel
-        xi.sum(axis=1, out=out[start : start + n])
-    return out
+    h = _ma_filter(spec.ma, np.pad(weights[::-1], reach), len(weights) + reach)[::-1]
+    return np.multiply.outer(h, spec.beta_sum)
 
 
 def _uldp_chunk(args: tuple) -> tuple[int, int]:
     """(hits, size): how many of ``size`` sampled window averages at offset k lie in the set.
 
+    The innovation law draws the window sums against ``_window_kernel`` from
+    the chunk's innovation stream: a Gaussian law one normal per sum from the
+    sum's exact law, any other law every innovation row of the window,
+    reduced in blocks. The noise stream draws each window's aggregate noise.
     ``noise_mode`` is already resolved by ``UldpRun``.
     """
     (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx, noise_mode) = args
@@ -348,7 +339,8 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx)))
 
     window_fp = floor_power_prefix(hi, spec.alpha, lo)
-    values = _window_sums(spec, window_fp.astype(np.float64), size, rng_xi)
+    kernel = _window_kernel(spec, window_fp.astype(np.float64))
+    values = spec.innovations.sample_projections(rng_xi, kernel, size)
     n_window = spec.total_c * int(window_fp.sum())
     if noise_mode == "aggregate":
         values = values + spec.noise.sample_aggregate(np.full(size, n_window, dtype=np.int64), rng_eps)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from strange_segments import PathConfig, ThresholdSet, WorkloadPath, load_model, simulate, t_stat
-from strange_segments import experiments, segments
+from strange_segments import innovations, segments
 from strange_segments.experiments import _strong_law_replicate, _uldp_chunk
 from strange_segments.modeldoc import canonical_document
 
@@ -83,7 +83,8 @@ def test_uldp_chunk_peak_independent_of_window_length(t):
     args = (canonical_document(spec), "0", t, ThresholdSet.above(0.4), size, 1, 0, 0, "aggregate")
     (hits, n), peak = traced_peak(lambda: _uldp_chunk(args))
     assert n == size and (0 < hits < size if t == 40 else hits == 0)
-    # no array spans the window: a block of about _ULDP_BLOCK_ROWS innovation
-    # rows (the draw and its covariance product) is the largest, and the
-    # chunk's sums, noise and averages are a few arrays of one value per sample
-    assert peak < 8 * (6 * spec.dim * experiments._ULDP_BLOCK_ROWS + 8 * size)
+    # no array spans the window: the Gaussian law draws one normal per sum,
+    # and even a law that draws every row holds only a block of about
+    # _PROJECTION_BLOCK_ROWS of them (the draw and its covariance product);
+    # the chunk's sums, noise and averages are a few arrays of one value per sample
+    assert peak < 8 * (6 * spec.dim * innovations._PROJECTION_BLOCK_ROWS + 8 * size)

@@ -336,6 +336,7 @@ class TestCheckSpecsBeforeRun:
               "--r-grid", "2,4", "--t-grid", "16", "--noise-mode", "off"]
     ULDP = ["verify-uldp", "--seed", "1", "--t", "4", "--samples", "100", "--set", "above",
             "--a", "0.5", "--k-grid", "0"]
+    SEGMENTS = ["segments", "--inject=1,2,3", "--set", "above", "--a", "0.5"]
 
     @pytest.mark.parametrize("argv, invariant", [
         (STRONG + ["--band", "7,0,1"], "band"),
@@ -364,13 +365,17 @@ class TestCheckSpecsBeforeRun:
         (STRONG + ["--t-grid", "", "--horizon-cap", "-3"], "horizon_cap"),
         (STRONG + ["--initial-horizon", "-5"], "initial_horizon"),
         (STRONG + ["--initial-horizon", "0"], "initial_horizon"),
+        (SEGMENTS + ["--t", "99"], "horizon"),  # the injected path has 3 steps
+        (SEGMENTS + ["--t", "0"], "horizon"),
+        (SEGMENTS + ["--t", "99", "--r", "0"], "segment_length"),
+        (SEGMENTS + ["--r", "0"], "segment_length"),
     ])
     def test_bad_spec_exits_1_without_running(self, capsys, model_file, monkeypatch, argv,
                                               invariant):
         def never(*args, **kwargs):
-            raise AssertionError("the Monte Carlo run started before its checks were validated")
+            raise AssertionError("the run or scan started before its checks were validated")
 
-        for name in ("run_strong_law", "run_uldp"):
+        for name in ("run_strong_law", "run_uldp", "r_stat", "t_stat"):
             monkeypatch.setattr(cli, name, never)
         path = model_file(unit_document())
         code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])

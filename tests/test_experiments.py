@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from strange_segments import (
+    GaussianInnovations,
     ModelValidationError,
     QuadratureError,
     RateFunctionCtx,
@@ -21,8 +22,10 @@ from strange_segments import (
     sla_plan,
 )
 import strange_segments.experiments as experiments
+import strange_segments.innovations as innovations
 import strange_segments.simulator as simulator
 from strange_segments.experiments import _window_bounds
+from strange_segments.innovations import InnovationModel
 from strange_segments.model_core import floor_power_prefix
 from strange_segments.modeldoc import canonical_document
 
@@ -270,31 +273,84 @@ def _block_cases():
             for t in (3, 40, 20_000):
                 lo, hi = _window_bounds(k, t)
                 span = hi - lo + 1 + spec.ma.max_lag - spec.ma.min_lag
-                block = max(1, experiments._ULDP_BLOCK_ROWS // span)
+                block = max(1, innovations._PROJECTION_BLOCK_ROWS // span)
                 for size in sorted({1, 2, block - 1, block, block + 1, 8192}):
                     if size >= 1 and size * span <= 1 << 22:  # the oracle holds them all
                         yield pytest.param(spec, k, t, size, id=f"{model}-k{k}-t{t}-n{size}")
 
 
+def _row_sums(spec, k, t, size):
+    """Window sums from the default sampler, which draws every innovation row.
+
+    The Gaussian law overrides it with one draw per sum; it is called here
+    directly so the row-drawing path that other laws take stays checked.
+    """
+    lo, hi = _window_bounds(k, t)
+    kernel = experiments._window_kernel(spec, floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64))
+    return InnovationModel.sample_projections(spec.innovations, np.random.default_rng(size), kernel, size)
+
+
 class TestBlockedWindowSums:
     @pytest.mark.parametrize("spec, k, t, size", _block_cases())
     def test_bitwise_equal_to_one_shot(self, spec, k, t, size, monkeypatch):
-        lo, hi = _window_bounds(k, t)
-        weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
-        blocked = experiments._window_sums(spec, weights, size, np.random.default_rng(size))
+        blocked = _row_sums(spec, k, t, size)
         assert blocked.shape == (size,)
         for rows in (1, 1 << 62):  # one sample per block, and every sample in one block
-            monkeypatch.setattr(experiments, "_ULDP_BLOCK_ROWS", rows)
-            other = experiments._window_sums(spec, weights, size, np.random.default_rng(size))
+            monkeypatch.setattr(innovations, "_PROJECTION_BLOCK_ROWS", rows)
+            other = _row_sums(spec, k, t, size)
             assert other.tobytes() == blocked.tobytes()
 
     @pytest.mark.parametrize("spec, k, t, size", _block_cases())
     def test_near_filter_then_weights(self, spec, k, t, size):
-        lo, hi = _window_bounds(k, t)
-        weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
-        sums = experiments._window_sums(spec, weights, size, np.random.default_rng(size))
+        sums = _row_sums(spec, k, t, size)
         reference, scale = _one_shot_window_sums(spec, k, t, size, size)
         assert np.all(np.abs(sums - reference) <= 16 * np.finfo(np.float64).eps * scale)
+
+
+def _exact_law_case(model):
+    """(spec, kernel, closed-form variance (h . h) beta_sum' cov beta_sum) of the window (0, 40]."""
+    spec, _ = load_model(str(MODELS / model))
+    lo, hi = _window_bounds(Fraction(0), 40)
+    weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
+    phi = [spec.ma.coeffs.get(lag, 0.0) for lag in range(spec.ma.max_lag, spec.ma.min_lag - 1, -1)]
+    h = np.convolve(weights, phi)
+    beta = spec.beta_sum
+    variance = float(h @ h) * float(beta @ spec.innovations.cov @ beta)
+    return spec, experiments._window_kernel(spec, weights), variance
+
+
+class TestExactWindowSums:
+    @pytest.mark.parametrize("model", ["unit.json", "two_group.json"])
+    def test_one_normal_per_sum(self, model):
+        spec, kernel, variance = _exact_law_case(model)
+        size = 1000
+        rng = np.random.default_rng(5)
+        draws = spec.innovations.sample_projections(rng, kernel, size)
+        reference = np.random.default_rng(5)
+        sigma = np.sqrt(np.sum((kernel @ spec.innovations.cov) * kernel))
+        assert sigma == pytest.approx(np.sqrt(variance), rel=1e-12)
+        assert draws.tobytes() == (reference.standard_normal(size) * sigma).tobytes()
+        # the stream moved on by exactly `size` normals
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_loading_in_the_null_space_of_a_singular_cov(self):
+        # the quadratic form rounds to -5.5e-17 here; the sums are exactly 0
+        v = np.array([0.50084929, 0.07496536]) / np.sqrt(0.50084929)
+        law = GaussianInnovations(cov=np.outer(v, v))
+        kernel = np.multiply.outer(np.array([1.17, 1.47, 2.23, 2.56, 2.85]), np.array([v[1], -v[0]]))
+        assert np.sum((kernel @ law.cov) * kernel) < 0
+        assert np.all(law.sample_projections(np.random.default_rng(0), kernel, 100) == 0.0)
+
+    @pytest.mark.parametrize("model", ["unit.json", "two_group.json"])
+    def test_variance_matches_closed_form_and_row_draws(self, model):
+        spec, kernel, variance = _exact_law_case(model)
+        size = 1 << 16
+        exact = spec.innovations.sample_projections(np.random.default_rng(3), kernel, size)
+        rows = InnovationModel.sample_projections(spec.innovations, np.random.default_rng(4), kernel, size)
+        # standard error of a normal sample's variance: var * sqrt(2 / (n - 1))
+        se = variance * np.sqrt(2.0 / (size - 1))
+        assert abs(exact.var(ddof=1) - variance) <= 5 * se
+        assert abs(exact.var(ddof=1) - rows.var(ddof=1)) <= 5 * np.sqrt(2.0) * se
 
 
 class TestSlaPlan:

@@ -106,12 +106,12 @@ GOLDEN = {
         "summary.json": "02cad7323729740992b23005499c558bccbdee269b5eb320e0c8763112b9a708",
     },
     "verify_uldp": {
-        "csv": "8c93900f3dadaf70e7dcea34414db247d06710056e3bd6b1d1bf639f27196cee",
-        "summary.json": "5ce51374286cbfc258e10b87e34605e8980a9ea8abc3fda995ddd7ef94d778e0",
+        "csv": "bb72c0966d41c33f2d29a85d7aa45ce3faf3eba466776b71d2e8e2c1949d508a",
+        "summary.json": "6d3212f8963a3b6d68bc50eb7fcc2f2641132ccb8e7298bf0fd2d6683745bdd3",
     },
     "verify_uldp_partial": {
-        "csv": "3e3559c3780ced3f9676e2bb72a36589d732687f766a0b9d9f1d8dff01b48559",
-        "summary.json": "bf269a6261d78cf421bb0861829b2a85c12645df7781323a736bdcc7b29636be",
+        "csv": "bfb0c10b704c24ecc764a3d0aa87504f7b45e6f0ec02eaaa92298d381ed88968",
+        "summary.json": "51188aefcba56eea87cc3a910a27a9b63023c7057196f614e5b9f6ba917aedba",
     },
 }
 

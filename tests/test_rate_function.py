@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from strange_segments import (
     NumericalError,
     RateFunctionCtx,
     ThresholdSet,
+    check_steepness,
     gaussian_closed_form,
     invert_capacity,
     lambda_k,
@@ -54,6 +56,22 @@ class _SkellamModel(InnovationModel):
 
     def sample(self, rng, size):  # pragma: no cover - not exercised
         raise NotImplementedError
+
+
+class _NumpySkellamModel(_SkellamModel):
+    """The same law with ``np.sinh``, whose slope reads inf where ``math.sinh`` raises."""
+
+    def grad_log_mgf(self, eta):
+        return np.sinh(np.asarray(eta, dtype=np.float64))
+
+
+class TestSteepnessOverflow:
+    @pytest.mark.parametrize("model", [_SkellamModel(), _NumpySkellamModel()],
+                             ids=["math-sinh-raises", "np-sinh-inf"])
+    def test_overflowing_slope_counts_as_growth(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither a SteepnessWarning nor a numpy overflow
+            assert check_steepness(model, np.array([1.0])) is True
 
 
 def _skellam_transform(x):
