@@ -408,9 +408,10 @@ def build_parser() -> _Parser:
                        help="output prefix; writes PREFIX.csv / PREFIX.summary.json / "
                             "PREFIX.manifest.json (default: stdout)")
 
-    def add_noise_mode(p, modes=_NOISE_MODES):
-        p.add_argument("--noise-mode", choices=modes, default=None,
-                       help="noise handling (default: aggregate when the model has noise)")
+    def add_noise_mode(p):
+        p.add_argument("--noise-mode", choices=_NOISE_MODES, default=None,
+                       help="idiosyncratic noise: aggregate (one exact-law draw per sum) or off "
+                            "(default: aggregate when the model has a noise law)")
 
     def add_set(p):
         p.add_argument("--set", choices=_SET_KINDS, required=True, help="threshold set kind")
@@ -478,7 +479,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-grid", default="0", help="comma-separated window offsets k")
     p.add_argument("--samples", type=int, required=True, help="window samples per offset")
     add_set(p)
-    add_noise_mode(p, ("aggregate", "off"))  # literal noise is unsupported for window sampling
+    add_noise_mode(p)
     p.add_argument("--workers", type=int, default=1, help="parallel sample-chunk workers")
     p.add_argument("--band", action="append", default=None, metavar="K,PCT",
                    help="check the offset-K exponent is within PCT percent of prediction (repeatable)")

@@ -98,7 +98,7 @@ class UldpRun:
     tset: ThresholdSet
     samples: int
     master_seed: int = 0
-    noise_mode: Optional[str] = None  # resolved like PathConfig; literal is refused
+    noise_mode: Optional[str] = None  # resolved like PathConfig
 
     def __post_init__(self):
         grid = tuple(Fraction(str(k)) if not isinstance(k, Fraction) else k for k in self.k_grid)
@@ -118,12 +118,7 @@ class UldpRun:
                 )
         if self.samples < 1:
             raise ModelValidationError("samples", "need at least one sample")
-        mode = _resolve_noise_mode(self.spec, self.noise_mode)
-        if mode == "literal":
-            raise ModelValidationError(
-                "noise_mode", "literal noise is not supported for window sampling; use aggregate"
-            )
-        object.__setattr__(self, "noise_mode", mode)
+        object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))
 
 
 @dataclass

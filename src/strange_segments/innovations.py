@@ -3,8 +3,8 @@
 The shared driver of all customers is a K-dimensional i.i.d. mean-zero
 innovation sequence whose log moment generating function (log-MGF) is finite
 everywhere and available in closed form together with its gradient. The
-idiosyncratic per-customer noise needs only exact samplers, for one draw and
-for sums of independent draws; no rate function reads its law.
+idiosyncratic per-customer noise needs only one exact sampler, for sums of
+independent draws; no rate function reads its law.
 
 A window sum is one linear functional ``sum_j kernel[j] . xi_j`` of the
 innovations. ``InnovationModel.sample_projections`` draws such sums: any law
@@ -170,17 +170,12 @@ class NoiseModel(abc.ABC):
     """Idiosyncratic per-customer noise law (scalar, mean zero)."""
 
     @abc.abstractmethod
-    def sample_aggregate(self, counts, rng: np.random.Generator):
+    def sample_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Exact-law draws of sums of ``counts`` i.i.d. noise terms.
 
-        ``counts`` may be a scalar or an integer array; the result matches
-        its shape. This is the O(1)-per-step shortcut that replaces summing
-        one draw per customer.
+        ``counts`` is an integer array and the result a float array of its
+        shape: one draw per sum, in place of one draw per customer.
         """
-
-    @abc.abstractmethod
-    def sample_individual(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """``n`` literal single-customer draws (for literal mode and tests)."""
 
 
 @dataclass(frozen=True)
@@ -193,14 +188,9 @@ class GaussianNoise(NoiseModel):
         if self.var < 0:
             raise ModelValidationError("noise_var_nonnegative", "noise variance must be >= 0")
 
-    def sample_aggregate(self, counts, rng: np.random.Generator):
-        counts = np.asarray(counts)
-        scale = np.sqrt(self.var * counts)
-        draws = rng.standard_normal(counts.shape) * scale
-        return float(draws) if draws.ndim == 0 else draws
-
-    def sample_individual(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(n) * np.sqrt(self.var)
+    def sample_aggregate(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        scale = np.sqrt(self.var * counts)  # before the draws, so fewer arrays are alive at once
+        return rng.standard_normal(counts.shape) * scale
 
 
 def check_steepness(model: InnovationModel, direction: np.ndarray) -> bool:

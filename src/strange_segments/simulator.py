@@ -4,16 +4,16 @@ Each step aggregates the deviation of every customer present at time t. The
 shared component is the moving-average driver Z(t) weighted by the group
 loadings, which collapses to ``floor(t**alpha) * (beta_sum . Z(t))`` because
 all group populations scale with the same power of t; idiosyncratic noise is
-added as an exact-law aggregate draw (one per step), literal per-customer
-draws, or not at all. The path keeps the cumulative deviation S and the
-integer normalizer N; the steps are formed and summed block by block, so no
-path-length temporary is made beyond the loading product, floor(t**alpha)
-and the step noise. One path builder does this. It owns the path's two
-random streams and draws, forms, sums and normalizes only the steps past the
-horizon it last reached, continuing the summation block that horizon left
-open, so no step is formed twice: ``simulate`` forms a path in one go with a
-builder of its own, and a caller that grows a horizon keeps one builder
-across the growths, every element equal to a path formed in one go.
+added as one exact-law draw of each step's sum over its customers, or not at
+all. The path keeps the cumulative deviation S and the integer normalizer N;
+the steps are formed and summed block by block, so no path-length temporary
+is made beyond the loading product, floor(t**alpha) and the step noise. One
+path builder does this. It owns the path's two random streams and draws,
+forms, sums and normalizes only the steps past the horizon it last reached,
+continuing the summation block that horizon left open, so no step is formed
+twice: ``simulate`` forms a path in one go with a builder of its own, and a
+caller that grows a horizon keeps one builder across the growths, every
+element equal to a path formed in one go.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .errors import ModelValidationError
 from .innovations import _rows_matmul
 from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix, floor_power_prefix
 
-_NOISE_MODES = ("aggregate", "literal", "off")
-_LITERAL_DRAW_BUDGET = 10**9
+_NOISE_MODES = ("aggregate", "off")
 _CUMSUM_CHUNK = 8192
 
 
@@ -48,10 +47,8 @@ class PathConfig:
     def __post_init__(self):
         if self.t_max < 1:
             raise ModelValidationError("t_max_positive", "t_max must be >= 1")
-        if self.noise_mode is not None and self.noise_mode not in _NOISE_MODES:
-            raise ModelValidationError(
-                "noise_mode", f"noise_mode must be one of {_NOISE_MODES}"
-            )
+        if self.noise_mode is not None:
+            _check_noise_mode(self.noise_mode)
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,19 @@ def innovation_span(spec: ModelSpec, t_max: int) -> tuple[int, int]:
     return 1 - spec.ma.max_lag, t_max - spec.ma.min_lag
 
 
+def _check_noise_mode(mode: str) -> None:
+    """Refuse a noise mode outside ``_NOISE_MODES``."""
+    if mode not in _NOISE_MODES:
+        raise ModelValidationError(
+            "noise_mode", f"noise_mode must be one of {_NOISE_MODES}, got {mode!r}"
+        )
+
+
 def _resolve_noise_mode(spec: ModelSpec, mode: Optional[str]) -> str:
     """Noise mode to run: None means "aggregate" when the model has a noise law, else "off"."""
     if mode is None:
         return "aggregate" if spec.noise is not None else "off"
+    _check_noise_mode(mode)
     if mode != "off" and spec.noise is None:
         raise ModelValidationError(
             "noise_model_missing", f"noise_mode {mode!r} requires a noise law in the model"
@@ -109,20 +115,6 @@ def _ma_filter(ma: MACoefficients, loaded: np.ndarray, width: int) -> np.ndarray
     for lag, coeff in ma.coeffs.items():
         start = ma.max_lag - lag
         out += coeff * loaded[..., start : start + width]
-    return out
-
-
-def _step_noise(spec: ModelSpec, mode: str, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Idiosyncratic noise terms of consecutive steps with ``counts`` customers each.
-
-    ``mode`` is a resolved mode other than "off". Aggregate mode draws each
-    step's sum in one exact-law draw; literal mode sums one draw per customer.
-    """
-    if mode == "aggregate":
-        return np.asarray(spec.noise.sample_aggregate(counts, rng), dtype=np.float64)
-    out = np.empty(len(counts), dtype=np.float64)
-    for i, n in enumerate(counts.tolist()):
-        out[i] = spec.noise.sample_individual(n, rng).sum()
     return out
 
 
@@ -194,13 +186,6 @@ class _PathBuilder:
         del xi, rows  # a sampled innovation array is no longer needed
 
         n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
-        # literal noise draws one value per customer-step: N(t_max) for the whole path
-        if eps is None and self.mode == "literal" and n_new[-1] > _LITERAL_DRAW_BUDGET:
-            raise ModelValidationError(
-                "literal_draw_budget",
-                f"literal noise would need {int(n_new[-1])} draws "
-                f"(budget {_LITERAL_DRAW_BUDGET}); use aggregate mode",
-            )
         if lo == 0:  # formed in one go, the path keeps the normalizer's own array as N
             self.n = n_new if t_max == self.cap else np.empty(self.cap + 1, dtype=np.int64)
         if self.n is not n_new:
@@ -214,8 +199,8 @@ class _PathBuilder:
                     f"injected step noise must have shape ({t_max},), got {eps.shape}",
                 )
             eps = eps[lo:]
-        elif self.mode != "off":
-            eps = _step_noise(spec, self.mode, np.diff(self.n[lo : t_max + 1]), self._rng_eps)
+        elif self.mode == "aggregate":  # one exact-law draw of each step's noise sum
+            eps = spec.noise.sample_aggregate(np.diff(self.n[lo : t_max + 1]), self._rng_eps)
         fp = floor_power_prefix(t_max, spec.alpha, lo)  # floor(t**alpha), t = lo..t_max
         if lo == 0:  # last, so S and D are not live with the draws and temporaries above
             self.s = np.empty(self.cap + 1, dtype=np.float64)

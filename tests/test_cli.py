@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strange_segments import WorkloadPath, load_model, simulate
-from strange_segments import cli
+from strange_segments import ModelValidationError, WorkloadPath, load_model, simulate
+from strange_segments import cli, experiments
 from strange_segments.cli import _fmt, _path_csv_lines, build_parser, main
 from strange_segments.segments import _SET_KINDS
 from strange_segments.simulator import _NOISE_MODES, PathConfig
@@ -24,6 +24,11 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_in_worker(args):
+    """A strong-law replicate that fails, naming the process it ran in."""
+    raise ModelValidationError("worker_probe", f"raised in process {os.getpid()}")
 
 
 def run_fresh(argv):
@@ -145,6 +150,18 @@ class TestValidationErrors:
         path = model_file(unit_document())
         code, _, err = run_cli(capsys, ["rate", "--model", path, "--x", "1.0", "--frobnicate"])
         assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "1", "--t-max", "10"],
+        ["segments", "--seed", "1", "--t-max", "10", "--set", "above", "--a", "0.5"],
+        ["verify-strong-law", "--seed", "1", "--cp", "1.0"],
+        ["verify-uldp", "--seed", "1", "--t", "4", "--samples", "10", "--set", "above", "--a", "0.5"],
+    ])
+    def test_literal_noise_mode_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", str(MODELS / "unit_noisy.json")]
+                                 + argv[1:] + ["--noise-mode", "literal"])
+        assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "usage"
 
     def test_missing_seed_exits_1(self, capsys, model_file):
@@ -282,6 +299,22 @@ class TestOutputsAndManifest:
         assert (tmp_path / "run1.csv").read_bytes() == (tmp_path / "run2.csv").read_bytes()
         assert (tmp_path / "run1.summary.json").read_bytes() == (tmp_path / "run2.summary.json").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["sometimes", "literal"])
+    def test_replay_refuses_unknown_noise_mode(self, tmp_path, capsys, mode):
+        # replay bypasses the parser's choices; the run's config must refuse the
+        # mode instead of running without noise
+        assert main(["verify-uldp", "--model", str(MODELS / "unit_noisy.json"), "--seed", "1",
+                     "--t", "10", "--samples", "200", "--set", "above", "--a", "0.4",
+                     "--out", str(tmp_path / "run1")]) == 0
+        manifest = json.loads((tmp_path / "run1.manifest.json").read_text())
+        manifest["config"]["noise_mode"] = mode
+        (tmp_path / "edited.manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, ["replay", "--manifest", str(tmp_path / "edited.manifest.json"),
+                                          "--out", str(tmp_path / "run2")])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "noise_mode"
+        assert not (tmp_path / "run2.csv").exists()
+
     def test_replay_detects_model_change(self, tmp_path, capsys, model_file):
         path = model_file(unit_document())
         out1 = tmp_path / "r1"
@@ -382,16 +415,18 @@ class TestCheckSpecsBeforeRun:
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == invariant
 
-    def test_worker_error_reaches_the_error_record(self, capsys):
-        # the draw budget is refused inside each pooled replicate; the error must cross
-        # the process pool intact to become the JSON record
+    def test_worker_error_reaches_the_error_record(self, capsys, monkeypatch):
+        # each pooled replicate raises in its worker; the error must cross the
+        # process pool intact to become the JSON record
+        monkeypatch.setattr(experiments, "_strong_law_replicate", _refuse_in_worker)
         code, out, err = run_cli(capsys, [
             "verify-strong-law", "--model", str(MODELS / "unit_noisy.json"), "--seed", "1",
-            "--cp", "1.0", "--replicates", "2", "--noise-mode", "literal",
-            "--initial-horizon", "50000", "--horizon-cap", "100000", "--workers", "2",
+            "--cp", "1.0", "--replicates", "2", "--workers", "2",
         ])
         assert code == 1 and out == ""
-        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "literal_draw_budget"
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["invariant"] == "worker_probe"
+        assert record["message"] != f"raised in process {os.getpid()}"
 
     @pytest.mark.parametrize("argv", [STRONG + ["--workers", "0"], ULDP + ["--workers", "-1"]])
     def test_worker_count_below_one_exits_1(self, capsys, model_file, argv):
@@ -450,7 +485,7 @@ class TestHygiene:
             ("simulate", "noise_mode"): _NOISE_MODES,
             ("segments", "noise_mode"): _NOISE_MODES,
             ("verify-strong-law", "noise_mode"): _NOISE_MODES,
-            ("verify-uldp", "noise_mode"): ("aggregate", "off"),
+            ("verify-uldp", "noise_mode"): _NOISE_MODES,
             ("segments", "set"): _SET_KINDS,
             ("verify-uldp", "set"): _SET_KINDS,
         }

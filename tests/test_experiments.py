@@ -87,25 +87,6 @@ class TestStrongLaw:
         for row in censored:
             assert row["value"] is None and row["normalized"] is None
 
-    def test_noise_mode_literal_runs(self, noisy_unit_spec):
-        cfg = small_strong_law(
-            noisy_unit_spec, noise_mode="literal", replicates=2, initial_horizon=32, r_grid=(2,)
-        )
-        res = run_strong_law(cfg)
-        assert res.summary["duality_consistent"] is True
-
-    def test_literal_noise_respects_draw_budget(self, noisy_unit_spec, monkeypatch):
-        # N(64) = 2080 fits the budget and the extension to 128 draws only
-        # 6176 more, but the whole path then needs N(128) = 8256 draws.
-        monkeypatch.setattr(simulator, "_LITERAL_DRAW_BUDGET", 8000)
-        cfg = small_strong_law(
-            noisy_unit_spec, noise_mode="literal", c_p=3.0, r_grid=(20,), t_grid=(16,),
-            replicates=1, initial_horizon=64, horizon_cap=4096,
-        )
-        with pytest.raises(ModelValidationError) as excinfo:
-            run_strong_law(cfg)
-        assert excinfo.value.invariant == "literal_draw_budget"
-
     def test_replicates_logged_at_debug_only(self, unit_spec, caplog):
         cfg = small_strong_law(unit_spec, replicates=3)
         caplog.set_level(logging.DEBUG, logger="strange_segments.experiments")
@@ -220,20 +201,6 @@ class TestUldp:
         se = np.sqrt(p_path * (1 - p_path) / 4000)
         assert abs(p_window - p_path) <= 5 * se
 
-    def test_literal_noise_rejected(self, noisy_unit_spec):
-        # refused with the run's configuration, before any work unit
-        with pytest.raises(ModelValidationError, match="literal") as info:
-            UldpRun(
-                spec=noisy_unit_spec,
-                k_grid=(0,),
-                t=5,
-                tset=ThresholdSet.above(0.5),
-                samples=100,
-                master_seed=1,
-                noise_mode="literal",
-            )
-        assert info.value.invariant == "noise_mode"
-
     def test_noise_mode_resolved_once(self, unit_spec, noisy_unit_spec):
         def run(spec, mode=None):
             return UldpRun(spec=spec, k_grid=(0,), t=5, tset=ThresholdSet.above(0.5),
@@ -245,6 +212,10 @@ class TestUldp:
         with pytest.raises(ModelValidationError) as info:
             run(unit_spec, "aggregate")
         assert info.value.invariant == "noise_model_missing"
+        for mode in ("sometimes", "literal"):  # refused, not run without noise
+            with pytest.raises(ModelValidationError) as info:
+                run(noisy_unit_spec, mode)
+            assert info.value.invariant == "noise_mode"
 
 
 def _one_shot_window_sums(spec, k, t, size, seed):
@@ -413,10 +384,14 @@ class TestConfigValidation:
     def test_strong_law_noise_mode_resolved_once(self, unit_spec, noisy_unit_spec):
         assert small_strong_law(unit_spec, noise_mode=None).noise_mode == "off"
         assert small_strong_law(noisy_unit_spec, noise_mode=None).noise_mode == "aggregate"
-        assert small_strong_law(noisy_unit_spec, noise_mode="literal").noise_mode == "literal"
+        assert small_strong_law(noisy_unit_spec, noise_mode="off").noise_mode == "off"
         with pytest.raises(ModelValidationError) as info:
             small_strong_law(unit_spec, noise_mode="aggregate")
         assert info.value.invariant == "noise_model_missing"
+        for mode in ("sometimes", "literal"):
+            with pytest.raises(ModelValidationError) as info:
+                small_strong_law(noisy_unit_spec, noise_mode=mode)
+            assert info.value.invariant == "noise_mode"
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_horizon_cap_positive(self, unit_spec, cap):

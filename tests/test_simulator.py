@@ -20,7 +20,6 @@ from strange_segments.simulator import (
     _child_streams,
     _ma_filter,
     _resolve_noise_mode,
-    _step_noise,
     innovation_span,
 )
 
@@ -113,13 +112,17 @@ class TestReproducibility:
 
 class TestNoiseModes:
     def test_aggregate_vs_literal_distribution(self, noisy_unit_spec):
-        # S(20) under both modes over many replicates: same law
+        # S(20) with aggregate noise against a noise-free path plus one draw
+        # per customer, N(20) draws in all: same law
         n = 10_000
+        rng = np.random.default_rng(20)
+        sd = np.sqrt(noisy_unit_spec.noise.var)
         agg = np.empty(n)
         lit = np.empty(n)
         for i in range(n):
             agg[i] = simulate(noisy_unit_spec, PathConfig(t_max=20, seed=i, noise_mode="aggregate")).S[-1]
-            lit[i] = simulate(noisy_unit_spec, PathConfig(t_max=20, seed=i + n, noise_mode="literal")).S[-1]
+            off = simulate(noisy_unit_spec, PathConfig(t_max=20, seed=i + n, noise_mode="off"))
+            lit[i] = off.S[-1] + (rng.standard_normal(int(off.N[-1])) * sd).sum()
         from test_innovations import ks_critical, two_sample_ks
 
         assert two_sample_ks(agg, lit) < ks_critical(n, n)
@@ -150,12 +153,6 @@ class TestNoiseModes:
         slope = np.polyfit(log_n, log_var, 1)[0]
         assert -1.2 <= slope <= -0.8
 
-    def test_literal_budget_guard(self):
-        doc = unit_document(noise={"type": "gaussian_noise", "var": 1.0}, alpha=2.0)
-        spec = parse_model_document(doc)
-        with pytest.raises(ModelValidationError, match="literal"):
-            simulate(spec, PathConfig(t_max=3000, seed=0, noise_mode="literal"))
-
     def test_noise_mode_needs_noise_model(self, unit_spec):
         with pytest.raises(ModelValidationError, match="noise"):
             simulate(unit_spec, PathConfig(t_max=10, seed=0, noise_mode="aggregate"))
@@ -180,8 +177,10 @@ class TestPathInvariants:
     def test_config_validation(self):
         with pytest.raises(ModelValidationError):
             PathConfig(t_max=0, seed=0)
-        with pytest.raises(ModelValidationError):
-            PathConfig(t_max=10, seed=0, noise_mode="sometimes")
+        for mode in ("sometimes", "literal"):
+            with pytest.raises(ModelValidationError) as info:
+                PathConfig(t_max=10, seed=0, noise_mode=mode)
+            assert info.value.invariant == "noise_mode"
 
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -207,7 +206,7 @@ def full_array_path(spec, cfg, injected_innovations=None, injected_step_noise=No
     if injected_step_noise is not None:
         d = d + injected_step_noise
     elif mode != "off":
-        d = d + _step_noise(spec, mode, n_prefix[1:] - n_prefix[:-1], rng_eps)
+        d = d + spec.noise.sample_aggregate(n_prefix[1:] - n_prefix[:-1], rng_eps)
     s = np.zeros(t_max + 1)
     carry = comp = 0.0
     for i in range(0, t_max, _CUMSUM_CHUNK):
@@ -264,12 +263,6 @@ class TestBlockEdges:
             cfg = PathConfig(t_max=t_max, seed=3, record_steps=True)
             self.assert_same(simulate(spec, cfg, injected_innovations=xi),
                              full_array_path(spec, cfg, injected_innovations=xi))
-
-    @pytest.mark.parametrize("t_max", [1, _CUMSUM_CHUNK + 1])
-    def test_literal_noise(self, t_max):
-        spec = self.spec("unit_noisy.json")
-        cfg = PathConfig(t_max=t_max, seed=9, noise_mode="literal", record_steps=True)
-        self.assert_same(simulate(spec, cfg), full_array_path(spec, cfg))
 
     def test_steps_not_recorded(self):
         spec = self.spec("two_group.json")
