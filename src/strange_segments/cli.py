@@ -359,6 +359,56 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _argv_text(value) -> str:
+    """One recorded config value as flag text: a list joined by commas, else ``str``."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _replay_args(sub: str, config: dict, out) -> argparse.Namespace:
+    """Parse a manifest's ``config`` again as ``sub``'s argv, with the parser's types and choices.
+
+    The argv is rebuilt from the subparser's actions. A value outside an
+    action's choices is refused under that action's name (as ``noise_mode``
+    for a noise mode a run would refuse); anything that does not parse, or
+    parses to anything but the recorded config, is refused as ``replay_config``.
+    """
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if sub not in subparsers.choices:
+        raise ModelValidationError("replay_config", f"the manifest names no subcommand {sub!r}")
+    argv = [sub]
+    for action in subparsers.choices[sub]._actions:
+        value = config.get(action.dest)
+        if not action.option_strings or action.dest == "out" or value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.choices is not None and value not in action.choices:
+            raise ModelValidationError(
+                action.dest, f"the manifest records {action.dest}={value!r}, "
+                f"which is not one of {tuple(action.choices)}"
+            )
+        if action.nargs == 0:  # a store_true flag
+            argv += [flag] if value else []
+        elif isinstance(action, argparse._AppendAction):
+            argv += [f"{flag}={_argv_text(v)}" for v in (value if isinstance(value, list) else [value])]
+        else:
+            argv.append(f"{flag}={_argv_text(value)}")
+    try:
+        replay_args = parser.parse_args(argv)
+    except ModelValidationError as exc:
+        raise ModelValidationError(
+            "replay_config", f"the manifest config does not parse as {sub}: {exc}"
+        ) from None
+    if _manifest_config(replay_args) != config:
+        raise ModelValidationError(
+            "replay_config", f"the manifest config is not what {sub} parses its values to"
+        )
+    replay_args.out = out
+    return replay_args
+
+
 def _cmd_replay(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
     sub = manifest["subcommand"]
@@ -373,9 +423,7 @@ def _cmd_replay(args) -> int:
                 "input_digest_mismatch",
                 f"model document {model_path} no longer matches the manifest digest",
             )
-    replay_args = argparse.Namespace(**config)
-    replay_args.subcommand = sub
-    replay_args.out = args.out
+    replay_args = _replay_args(sub, config, args.out)
     return _DISPATCH[sub](replay_args)
 
 

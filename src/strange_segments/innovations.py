@@ -11,6 +11,12 @@ innovations. ``InnovationModel.sample_projections`` draws such sums: any law
 draws every innovation row and reduces the rows in blocks, and the Gaussian
 law draws each sum from its exact normal law, one normal per sum.
 
+The window quadrature reads a law along one direction, ``beta_bar``, at many
+scalars at once: ``InnovationModel.ray(direction)`` returns a ``Ray``, the vectorized
+``log_mgf(scales)`` and ``slope(scales)`` of ``log_mgf(s * direction)``. The
+default ray evaluates the law once per scalar; the Gaussian ray forms the
+quadratic form ``direction' cov direction`` once and is then a product.
+
 Closed-form log-MGFs are a hard requirement: the rate-function machinery
 does convex analysis on them, so purely empirical laws are rejected at model
 load time.
@@ -22,6 +28,7 @@ import abc
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +49,18 @@ def _rows_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray
         return np.matmul(rows, m, out=out)
     out[...] = np.matmul(np.concatenate([rows, rows]), m)[:1]
     return out
+
+
+class Ray(NamedTuple):
+    """An innovation law along one direction ``u``, for arrays of scalars ``s``.
+
+    ``log_mgf(s)`` is ``log_mgf(s * u)`` at each scalar and ``slope(s)`` its
+    derivative in ``s``, ``u . grad_log_mgf(s * u)``; both return an array of
+    the shape of ``s``.
+    """
+
+    log_mgf: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
 
 
 class InnovationModel(abc.ABC):
@@ -86,22 +105,23 @@ class InnovationModel(abc.ABC):
             xi.sum(axis=1, out=out[start : start + n])
         return out
 
-    def log_mgf_ray(self, direction: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        """log_mgf(s * direction) for an array of scalars s.
+    def ray(self, direction: np.ndarray) -> Ray:
+        """This law along ``direction``, evaluated once per scalar.
 
-        Quadrature only ever evaluates along one ray; models with a closed
-        form along rays (e.g. Gaussian) override this with a vectorized
-        version.
+        Laws with a closed form along rays (e.g. Gaussian) override this with a
+        vectorized ray.
         """
         direction = np.asarray(direction, dtype=np.float64)
-        return np.array([self.log_mgf(s * direction) for s in np.asarray(scales)])
 
-    def grad_log_mgf_ray(self, direction: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        """Directional derivative direction . grad log_mgf(s * direction)."""
-        direction = np.asarray(direction, dtype=np.float64)
-        return np.array(
-            [float(direction @ self.grad_log_mgf(s * direction)) for s in np.asarray(scales)]
-        )
+        def log_mgf(scales: np.ndarray) -> np.ndarray:
+            return np.array([self.log_mgf(s * direction) for s in np.asarray(scales)])
+
+        def slope(scales: np.ndarray) -> np.ndarray:
+            return np.array(
+                [float(direction @ self.grad_log_mgf(s * direction)) for s in np.asarray(scales)]
+            )
+
+        return Ray(log_mgf, slope)
 
 
 @dataclass(frozen=True)
@@ -156,14 +176,18 @@ class GaussianInnovations(InnovationModel):
         sigma = math.sqrt(max(float(np.sum((kernel @ self.cov) * kernel)), 0.0))
         return rng.standard_normal(size) * sigma
 
-    def log_mgf_ray(self, direction: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    def ray(self, direction: np.ndarray) -> Ray:
+        """``0.5 q s**2`` and ``q s`` with ``q = direction' cov direction``, formed once."""
         quad = float(np.asarray(direction) @ self.cov @ np.asarray(direction))
-        s = np.asarray(scales, dtype=np.float64)
-        return 0.5 * quad * s * s
 
-    def grad_log_mgf_ray(self, direction: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        quad = float(np.asarray(direction) @ self.cov @ np.asarray(direction))
-        return quad * np.asarray(scales, dtype=np.float64)
+        def log_mgf(scales: np.ndarray) -> np.ndarray:
+            s = np.asarray(scales, dtype=np.float64)
+            return 0.5 * quad * s * s
+
+        def slope(scales: np.ndarray) -> np.ndarray:
+            return quad * np.asarray(scales, dtype=np.float64)
+
+        return Ray(log_mgf, slope)
 
 
 class NoiseModel(abc.ABC):
@@ -206,9 +230,10 @@ def check_steepness(model: InnovationModel, direction: np.ndarray) -> bool:
     ok = True
     probes = np.asarray(_STEEPNESS_PROBES)
     with np.errstate(over="ignore", invalid="ignore"):
+        slope = model.ray(direction).slope
         for sign in (1.0, -1.0):
             try:
-                mags = np.abs(model.grad_log_mgf_ray(direction, sign * probes)).tolist()
+                mags = np.abs(slope(sign * probes)).tolist()
             except OverflowError:
                 continue
             if not all(a < b or not math.isfinite(b) for a, b in zip(mags, mags[1:])):

@@ -19,14 +19,28 @@ guarded by bisection) is globally safe and converges superlinearly. The
 capacity inversion solves ``Lambda*(C) = target`` on the increasing branch
 through the duality ``Lambda*(Lambda'(lam)) = lam Lambda'(lam) - Lambda(lam)``,
 so it needs one root search in lam rather than a transform per probe.
+
+A ``RateFunctionCtx`` keeps one ``_Curve`` per curve it is asked about: the
+limit curve, or a window offset ``k``. A window curve keeps the innovation
+law's ray along ``beta_bar`` (``InnovationModel.ray``) and the window
+constant ``phi (alpha+1) / mass(k)`` for its quadrature. Every curve keeps
+its slope, and its value where asked, at the points all queries on it share:
+lam = 0, where the slope is the mean, and the bracket probes
+``+-_LAMBDA_BRACKET * 2**j``. One context therefore serves any number of x on
+a curve, and each x pays only for its own Brent steps. The points are keyed by
+probe index, so a curve holds at most ``2 * _MAX_BRACKET_DOUBLINGS + 1`` of
+them. A curve holds the model and the tolerance, not the context, so a
+dropped context is freed at once. Every value and slope is computed through
+``lambda_limit``, ``lambda_limit_prime``, ``lambda_k`` or ``lambda_k_prime``,
+looked up by name at each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import copysign, expm1, inf, isfinite, log1p
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -46,17 +60,24 @@ _MAX_BRACKET_DOUBLINGS = 60
 # tolerances; the cap stops a search on a g that is not finite or not monotone.
 _MAX_ROOT_STEPS = 500
 _EPS = 2.0**-52  # spacing of doubles at 1.0
+_ZERO = (0, 0)  # key of lam = 0 among a curve's shared points; probe j on side s is (s, j)
 
 WhichCurve = Union[str, float]  # "limit" or a window offset k >= 0
 
 
 @dataclass(frozen=True)
 class RateFunctionCtx:
-    """Numerical context: model reference plus tolerances."""
+    """Numerical context: model reference plus tolerances.
+
+    It also keeps one ``_Curve`` per curve asked about, keyed "limit" or by
+    the float window offset, so a curve's shared points are computed once per
+    context.
+    """
 
     spec: ModelSpec
     quad_tol: float = 1e-10
     root_tol: float = 1e-12
+    _curves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(isfinite(tol) and tol > 0 for tol in (self.quad_tol, self.root_tol)):
@@ -102,6 +123,81 @@ def _interval_mass(alpha: float, k: float, p: float = 1.0) -> float:
     return k ** (alpha + 1.0) * expm1((alpha + 1.0) * log1p(p / k))
 
 
+class _Curve:
+    """One curve of a context: the limit curve (``k`` None) or the window curve at offset ``k``.
+
+    ``slopes`` and ``values`` hold the curve at its shared points, keyed
+    ``_ZERO`` for lam = 0 and ``(side, j)`` for the j-th bracket probe on
+    ``side``: keys, not float lambdas, so that +0.0 and -0.0 never collide.
+    """
+
+    __slots__ = ("spec", "quad_tol", "k", "ray", "coeff", "slopes", "values")
+
+    def __init__(self, spec: ModelSpec, quad_tol: float, k: Optional[float] = None):
+        self.spec = spec
+        self.quad_tol = quad_tol
+        self.k = k
+        self.slopes: dict[tuple, float] = {}
+        self.values: dict[tuple, float] = {}
+        if k is not None:
+            if not 0.0 <= k < inf:
+                raise ModelValidationError(
+                    "window_offset", f"window offset k must be finite and >= 0, got {k:g}"
+                )
+            self.coeff = spec.phi_total * (spec.alpha + 1.0) / _interval_mass(spec.alpha, k)
+            self.ray = spec.innovations.ray(spec.beta_bar)
+
+    def slope_at(self, key: tuple, lam: float, fprime: Callable[[float], float]) -> float:
+        """Slope at the shared point ``key``, which lies at ``lam``; ``fprime`` computes it once."""
+        slope = self.slopes.get(key)
+        if slope is None:
+            slope = self.slopes[key] = fprime(lam)
+        return slope
+
+    def value_at(self, key: tuple, lam: float, f: Callable[[float], float]) -> float:
+        """Value at the shared point ``key``, which lies at ``lam``; ``f`` computes it once."""
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = f(lam)
+        return value
+
+    def quadrature(self, lam: float, differentiated: bool) -> float:
+        """Adaptive Gauss-Legendre over (k, k+1) of the (optionally differentiated)
+        window integrand."""
+        alpha, coeff, k = self.spec.alpha, self.coeff, self.k
+        ray = self.ray
+
+        def estimate(order: int) -> float:
+            g, weights = _window_grid(alpha, coeff, k, order)
+            if differentiated:
+                vals = g * ray.slope(g * lam)
+            else:
+                vals = ray.log_mgf(g * lam)
+            return 0.5 * float(weights @ vals)
+
+        order = _QUAD_ORDER
+        prev = estimate(order)
+        while order < _MAX_QUAD_ORDER:
+            order *= 2
+            cur = estimate(order)
+            if abs(cur - prev) < self.quad_tol:
+                return cur
+            prev = cur
+        raise QuadratureError(
+            f"quadrature did not reach tolerance {self.quad_tol:g} by order {_MAX_QUAD_ORDER}",
+            achieved=abs(cur - prev),
+        )
+
+
+def _window(ctx: RateFunctionCtx, k: float) -> _Curve:
+    """The context's window curve at offset ``k``, built on first use (which refuses k < 0)."""
+    k = float(k)
+    curve = ctx._curves.get(k)
+    if curve is None:
+        curve = ctx._curves[k] = _Curve(ctx.spec, ctx.quad_tol, k)
+    return curve
+
+
 def lambda_limit(ctx: RateFunctionCtx, lam: float) -> float:
     """Limit log-MGF: log_mgf(lam * phi * beta_bar)."""
     spec = ctx.spec
@@ -115,61 +211,34 @@ def lambda_limit_prime(ctx: RateFunctionCtx, lam: float) -> float:
     return float(v @ spec.innovations.grad_log_mgf(lam * v))
 
 
-def _segment_quadrature(ctx: RateFunctionCtx, k: float, lam: float, differentiated: bool) -> float:
-    """Adaptive Gauss-Legendre over (k, k+1) of the (optionally differentiated)
-    window integrand."""
-    spec = ctx.spec
-    denom = _interval_mass(spec.alpha, k)
-    coeff = spec.phi_total * (spec.alpha + 1.0) / denom
-    beta_bar = spec.beta_bar
-    model = spec.innovations
-
-    def estimate(order: int) -> float:
-        g, weights = _window_grid(spec.alpha, coeff, k, order)
-        if differentiated:
-            vals = g * model.grad_log_mgf_ray(beta_bar, g * lam)
-        else:
-            vals = model.log_mgf_ray(beta_bar, g * lam)
-        return 0.5 * float(weights @ vals)
-
-    order = _QUAD_ORDER
-    prev = estimate(order)
-    while order < _MAX_QUAD_ORDER:
-        order *= 2
-        cur = estimate(order)
-        if abs(cur - prev) < ctx.quad_tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"quadrature did not reach tolerance {ctx.quad_tol:g} by order {_MAX_QUAD_ORDER}",
-        achieved=abs(cur - prev),
-    )
-
-
 def lambda_k(ctx: RateFunctionCtx, k: float, lam: float) -> float:
     """Window log-MGF at offset ``k`` (exactly 0 at lam = 0)."""
-    if k < 0:
-        raise ValueError("window offset k must be >= 0")
+    curve = _window(ctx, k)
     if lam == 0.0:
         return 0.0
-    return _segment_quadrature(ctx, k, lam, differentiated=False)
+    return curve.quadrature(lam, differentiated=False)
 
 
 def lambda_k_prime(ctx: RateFunctionCtx, k: float, lam: float) -> float:
     """Derivative of the window log-MGF in lam, by the differentiated integrand."""
-    if k < 0:
-        raise ValueError("window offset k must be >= 0")
-    return _segment_quadrature(ctx, k, lam, differentiated=True)
+    return _window(ctx, k).quadrature(lam, differentiated=True)
 
 
 def _curve(ctx: RateFunctionCtx, which: WhichCurve):
-    """Return (f, f') callables for the requested curve."""
+    """Return the context's curve for ``which`` with its (f, f') callables.
+
+    f and f' call the module functions by name on each evaluation.
+    """
     if isinstance(which, str):
         if which != "limit":
             raise ValueError(f"unknown curve {which!r}; expected 'limit' or a window offset")
-        return (lambda lam: lambda_limit(ctx, lam), lambda lam: lambda_limit_prime(ctx, lam))
-    k = float(which)
-    return (lambda lam: lambda_k(ctx, k, lam), lambda lam: lambda_k_prime(ctx, k, lam))
+        curve = ctx._curves.get("limit")
+        if curve is None:
+            curve = ctx._curves["limit"] = _Curve(ctx.spec, ctx.quad_tol)
+        return (curve, lambda lam: lambda_limit(ctx, lam), lambda lam: lambda_limit_prime(ctx, lam))
+    curve = _window(ctx, which)
+    k = curve.k
+    return (curve, lambda lam: lambda_k(ctx, k, lam), lambda lam: lambda_k_prime(ctx, k, lam))
 
 
 def _increasing_root(g, lo: float, hi: float, tol: float, *, g_lo: float, g_hi: float) -> float:
@@ -224,16 +293,18 @@ def _increasing_root(g, lo: float, hi: float, tol: float, *, g_lo: float, g_hi: 
     )
 
 
-def _root_beyond_zero(g, g_zero: float, side: float, tol: float, what: str) -> float:
+def _root_beyond_zero(g, probe, g_zero: float, side: float, tol: float, what: str) -> float:
     """Root of a nondecreasing continuous ``g`` on the ``side`` (+1 or -1) of 0, where it is ``g_zero``.
 
     The bracket doubles from _LAMBDA_BRACKET until ``side * g`` reaches 0 (else
     BracketError(``what``)), then Brent's method runs on the last doubling step.
+    ``probe(j, lam)`` is ``g`` at the j-th bracket probe ``lam``, which it may
+    build from a curve's shared points.
     """
     near, g_near = 0.0, g_zero
     b = _LAMBDA_BRACKET
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        g_far = g(side * b)
+    for j in range(_MAX_BRACKET_DOUBLINGS):
+        g_far = probe(j, side * b)
         if side * g_far >= 0.0:
             break
         near, g_near = side * b, g_far
@@ -251,17 +322,21 @@ def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResul
     Solves ``f'(lam) = x`` by ``_root_beyond_zero`` on the side of 0 where
     the derivative passes ``x``; a bracket that never reaches it means the
     model is not steep along the loading direction. ``x`` exactly at the
-    mean slope ``f'(0)`` returns 0 without any root finding.
+    mean slope ``f'(0)`` returns 0 without any root finding. The mean and
+    the bracket probes come from the curve's shared points.
     """
     if not isfinite(x):
         raise ValueError(f"the transform needs a finite x, got {x!r}")
-    f, fprime = _curve(ctx, which)
-    mean = fprime(0.0)
+    curve, f, fprime = _curve(ctx, which)
+    mean = curve.slope_at(_ZERO, 0.0, fprime)
     if x == mean:
         return LegendreResult(0.0, 0.0)
 
+    side = 1.0 if x > mean else -1.0
     lam = _root_beyond_zero(
-        lambda lam: fprime(lam) - x, mean - x, 1.0 if x > mean else -1.0, ctx.root_tol,
+        lambda lam: fprime(lam) - x,
+        lambda j, lam: curve.slope_at((side, j), lam, fprime) - x,
+        mean - x, side, ctx.root_tol,
         "steepness violation: derivative of the log-MGF never passed "
         f"x={x:g} within {_MAX_BRACKET_DOUBLINGS} bracket doublings",
     )
@@ -296,19 +371,26 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
     On that branch ``C = Lambda'(lam)`` for some lam > 0, where
     ``Lambda*(C) = lam Lambda'(lam) - Lambda(lam)``. The right side is 0 at
     lam = 0 and nondecreasing for lam > 0, so ``_root_beyond_zero`` finds
-    lam to root_tol, and C is the slope there.
+    lam to root_tol, and C is the slope there. The bracket probes take the
+    limit curve's shared points, which a later ``legendre`` on the same
+    context reuses.
     """
     if not 0.0 < target_rate < inf:
         raise ValueError("target rate must be finite and > 0")
+    curve, f, fprime = _curve(ctx, "limit")
 
     def excess(lam: float) -> float:
-        return lam * lambda_limit_prime(ctx, lam) - lambda_limit(ctx, lam) - target_rate
+        return lam * fprime(lam) - f(lam) - target_rate
+
+    def excess_at_probe(j: int, lam: float) -> float:
+        key = (1.0, j)
+        return lam * curve.slope_at(key, lam, fprime) - curve.value_at(key, lam, f) - target_rate
 
     lam = _root_beyond_zero(  # the excess is -target_rate at lam = 0, where Lambda(0) = 0
-        excess, -target_rate, 1.0, ctx.root_tol,
+        excess, excess_at_probe, -target_rate, 1.0, ctx.root_tol,
         f"could not bracket the capacity for target rate {target_rate:g}",
     )
-    return lambda_limit_prime(ctx, lam)
+    return fprime(lam)
 
 
 def lorenz(alpha: float, k: float, p: float) -> float:
@@ -336,8 +418,8 @@ def set_rate(ctx: RateFunctionCtx, which: WhichCurve, tset: ThresholdSet) -> flo
     the infimum over the closure is the same, so a single number covers both
     the optimistic and conservative asymptotic bounds.
     """
-    _, fprime = _curve(ctx, which)
-    mean = fprime(0.0)
+    curve, _, fprime = _curve(ctx, which)
+    mean = curve.slope_at(_ZERO, 0.0, fprime)
     if tset.kind == "above":
         return 0.0 if tset.a <= mean else legendre(ctx, which, tset.a).value
     if tset.kind == "below":

@@ -61,6 +61,14 @@ class TestRate:
         assert values["0"] == pytest.approx(0.375, abs=1e-8)
 
 
+    def test_negative_offset_names_its_invariant(self, capsys, model_file):
+        path = model_file(unit_document())
+        code, out, err = run_cli(capsys, ["rate", "--model", path, "--x", "1.0", "--k=-1"])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "validation" and record["invariant"] == "window_offset"
+
+
 class TestSegments:
     def test_inject_example(self, capsys, model_file):
         path = model_file(unit_document())
@@ -314,6 +322,47 @@ class TestOutputsAndManifest:
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "noise_mode"
         assert not (tmp_path / "run2.csv").exists()
+
+    @pytest.mark.parametrize("key, value, invariant", [
+        ("samples", "200", "replay_config"),
+        ("workers", "2", "replay_config"),
+        ("t", 10.5, "replay_config"),
+        ("set", "sideways", "set"),
+        ("limit", True, "replay_config"),  # a key the subcommand does not have
+    ])
+    def test_replay_refuses_config_the_parser_would_refuse(self, tmp_path, capsys, key, value,
+                                                           invariant):
+        assert main(["verify-uldp", "--model", str(MODELS / "unit_noisy.json"), "--seed", "1",
+                     "--t", "10", "--samples", "200", "--set", "above", "--a", "0.4",
+                     "--out", str(tmp_path / "run1")]) == 0
+        manifest = json.loads((tmp_path / "run1.manifest.json").read_text())
+        manifest["config"][key] = value
+        (tmp_path / "edited.manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, ["replay", "--manifest", str(tmp_path / "edited.manifest.json"),
+                                          "--out", str(tmp_path / "run2")])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "validation" and record["invariant"] == invariant
+        assert not (tmp_path / "run2.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--x=-0.8,0.3", "--k", "0,2.5", "--limit", "--root-tol", "1e-11"],
+        ["segments", "--set", "interval", "--a=-0.5", "--b", "0.5", "--inject", "1,-2,3,0.5"],
+        ["verify-strong-law", "--seed", "3", "--cp", "1.0", "--replicates", "2", "--r-grid", "2,3",
+         "--t-grid", "16", "--initial-horizon", "64", "--horizon-cap", "4096", "--noise-mode", "off",
+         "--band", "2,0.0,5.0", "--band", "3,0.0,5.0", "--trend", "2,3"],
+        ["plan", "--r-target", "12", "--horizon", "100000"],
+    ])
+    def test_replay_reparses_every_kind_of_flag(self, tmp_path, capsys, argv):
+        model = str(MODELS / "unit.json")
+        assert main(argv[:1] + ["--model", model] + argv[1:] + ["--out", str(tmp_path / "run1")]) == 0
+        assert main(["replay", "--manifest", str(tmp_path / "run1.manifest.json"),
+                     "--out", str(tmp_path / "run2")]) == 0
+        first = json.loads((tmp_path / "run1.manifest.json").read_text())
+        again = json.loads((tmp_path / "run2.manifest.json").read_text())
+        assert again["config"] == first["config"]
+        for name in first["outputs"]:
+            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("run1", "run2")).read_bytes()
 
     def test_replay_detects_model_change(self, tmp_path, capsys, model_file):
         path = model_file(unit_document())

@@ -53,8 +53,9 @@ class TestGaussianLogMgf:
         m = GaussianInnovations(cov=cov)
         u = np.array([0.8, -0.4])
         s = np.linspace(-3, 3, 11)
-        vals = m.log_mgf_ray(u, s)
-        grads = m.grad_log_mgf_ray(u, s)
+        ray = m.ray(u)
+        vals = ray.log_mgf(s)
+        grads = ray.slope(s)
         for i, si in enumerate(s):
             assert vals[i] == pytest.approx(m.log_mgf(si * u), abs=1e-14)
             assert grads[i] == pytest.approx(float(u @ m.grad_log_mgf(si * u)), abs=1e-14)

@@ -1,10 +1,14 @@
+import gc
 import json
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strange_segments.rate_function as rate_function
 from strange_segments import (
@@ -12,6 +16,7 @@ from strange_segments import (
     CustomerGroup,
     GaussianInnovations,
     InnovationModel,
+    LegendreResult,
     MACoefficients,
     ModelSpec,
     ModelValidationError,
@@ -79,15 +84,18 @@ def _skellam_transform(x):
     return x * math.asinh(x) - x * x / (math.sqrt(1.0 + x * x) + 1.0)
 
 
-@pytest.fixture
-def skellam_ctx():
-    spec = ModelSpec(
+def _skellam_spec():
+    return ModelSpec(
         alpha=1.0,
         groups=(CustomerGroup(c=1, mu=0.0, beta=(1.0,)),),
         ma=MACoefficients({0: 1.0}),
         innovations=_SkellamModel(),
     )
-    return RateFunctionCtx(spec)
+
+
+@pytest.fixture
+def skellam_ctx():
+    return RateFunctionCtx(_skellam_spec())
 
 
 @pytest.fixture
@@ -145,8 +153,14 @@ class TestLambdaK:
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
     def test_negative_k_rejected(self, unit_ctx):
-        with pytest.raises(ValueError):
-            lambda_k(unit_ctx, -0.5, 1.0)
+        for call in (lambda_k, lambda_k_prime):
+            with pytest.raises(ModelValidationError, match="window offset") as info:
+                call(unit_ctx, -0.5, 1.0)
+            assert info.value.invariant == "window_offset"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ModelValidationError, match="finite"):
+                legendre(unit_ctx, bad, 1.0)
+        assert unit_ctx._curves == {}  # a refused offset leaves no curve behind
 
 
 class TestLegendre:
@@ -370,16 +384,16 @@ def _uncached_quadrature(ctx, k, lam, differentiated):
     """The window quadrature with the Gauss-Legendre grid rebuilt on every estimate."""
     spec = ctx.spec
     coeff = spec.phi_total * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, k)
-    model = spec.innovations
+    ray = spec.innovations.ray(spec.beta_bar)
 
     def estimate(order):
         nodes, weights = np.polynomial.legendre.leggauss(order)
         y = k + 0.5 * (nodes + 1.0)
         g = coeff * y**spec.alpha
         if differentiated:
-            vals = g * model.grad_log_mgf_ray(spec.beta_bar, g * lam)
+            vals = g * ray.slope(g * lam)
         else:
-            vals = model.log_mgf_ray(spec.beta_bar, g * lam)
+            vals = ray.log_mgf(g * lam)
         return 0.5 * float(weights @ vals)
 
     order = rate_function._QUAD_ORDER
@@ -428,3 +442,104 @@ class TestQuadratureGrid:
             outputs.append(capsys.readouterr().out)
         assert outputs[0].count("\n") == 1 + 8 * 4
         assert outputs[4] == outputs[0]
+
+
+_SHARED_SPECS = {
+    "unit": parse_model_document(json.loads((MODELS / "unit.json").read_text())),
+    "two_group": parse_model_document(json.loads((MODELS / "two_group.json").read_text())),
+    "skellam": _skellam_spec(),  # the default, per-node ray
+}
+_CURVES = ("limit", 0.0, 0.5, 2.0, 20.0, 100.0)
+_BOUND = 2 * rate_function._MAX_BRACKET_DOUBLINGS + 1
+
+
+def _query(ctx, query):
+    kind, which, x = query
+    if kind == "legendre":
+        return legendre(ctx, which, x)
+    if kind == "set_rate":
+        return set_rate(ctx, which, ThresholdSet.above(x) if x >= 0.0 else ThresholdSet.below(x))
+    return invert_capacity(ctx, abs(x) + 0.05)
+
+
+_queries = st.tuples(
+    st.sampled_from(("legendre", "legendre", "set_rate", "invert_capacity")),
+    st.sampled_from(_CURVES),
+    st.one_of(st.sampled_from((0.0, -0.0)),  # exactly the mean slope of every model here
+              st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)),
+)
+
+
+class TestSharedCurvePoints:
+    """One context serves many queries; each curve computes its shared points once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(sorted(_SHARED_SPECS)), queries=st.lists(_queries, min_size=1, max_size=6))
+    def test_shared_ctx_equals_fresh_ctx(self, model, queries):
+        spec = _SHARED_SPECS[model]
+        shared = RateFunctionCtx(spec)
+        for query in queries:
+            got, want = _query(shared, query), _query(RateFunctionCtx(spec), query)
+            assert got == want
+            if query[0] == "legendre":
+                assert got.argmax_lambda == want.argmax_lambda
+                assert math.copysign(1.0, got.value) == math.copysign(1.0, want.value)
+
+    def test_mean_and_both_sides_on_every_curve(self):
+        for spec in _SHARED_SPECS.values():
+            shared = RateFunctionCtx(spec)
+            for which in _CURVES:
+                for x in (0.0, 0.4, -0.4, 1.3, -1.3):
+                    got, want = legendre(shared, which, x), legendre(RateFunctionCtx(spec), which, x)
+                    assert (got.value, got.argmax_lambda) == (want.value, want.argmax_lambda)
+                assert legendre(shared, which, 0.0) == LegendreResult(0.0, 0.0)
+
+    def test_points_stay_bounded(self):
+        ctx = RateFunctionCtx(_SHARED_SPECS["unit"])
+        window_xs = np.linspace(-40.0, 40.0, 500).tolist()
+        limit_xs = window_xs[:494] + [-1e12, 1e12, -1e-9, 1e-9, 0.0, 1e6]
+        assert len(set(window_xs)) == len(set(limit_xs)) == 500
+        for x in limit_xs:
+            legendre(ctx, "limit", x)
+            if x > 0.0:
+                invert_capacity(ctx, x)
+        for x in window_xs:
+            legendre(ctx, 2.0, x)
+        assert set(ctx._curves) == {"limit", 2.0}
+        for curve in ctx._curves.values():
+            keys = curve.slopes.keys() | curve.values.keys()
+            assert len(keys) <= _BOUND
+            assert keys <= {rate_function._ZERO} | {
+                (side, j) for side in (1.0, -1.0) for j in range(rate_function._MAX_BRACKET_DOUBLINGS)
+            }
+
+    def test_one_ctx_makes_fewer_window_evaluations(self, monkeypatch):
+        calls = [0]
+        original = rate_function.lambda_k_prime
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rate_function, "lambda_k_prime", counted)
+        spec, xs = _SHARED_SPECS["two_group"], (0.3, 0.9, 1.7, 2.6)
+        shared = RateFunctionCtx(spec)
+        one = [legendre(shared, 0.5, x) for x in xs]
+        on_one, calls[0] = calls[0], 0
+        four = [legendre(RateFunctionCtx(spec), 0.5, x) for x in xs]
+        assert one == four
+        assert on_one < calls[0]
+
+    def test_dropped_ctx_is_freed_without_the_collector(self):
+        ctx = RateFunctionCtx(_SHARED_SPECS["two_group"])
+        legendre(ctx, "limit", 1.0)
+        legendre(ctx, 0.5, -1.0)
+        set_rate(ctx, 20.0, ThresholdSet.above(0.7))
+        invert_capacity(ctx, 0.3)
+        ref = weakref.ref(ctx)
+        gc.disable()
+        try:
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
