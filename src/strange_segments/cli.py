@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _csvfmt
 from .errors import ModelValidationError, NumericalError
 from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
 from .modeldoc import load_model
@@ -35,7 +35,7 @@ from .segments import _SET_KINDS, ThresholdSet, r_stat, t_stat
 from .simulator import _NOISE_MODES, PathConfig, WorkloadPath, simulate
 
 
-# Rows of the simulate CSV formatted per `%` call; bounds the transient lists.
+# Rows of the simulate CSV formatted per block; bounds the transient arrays and lists.
 _CSV_BLOCK_ROWS = 65_536
 
 
@@ -205,8 +205,13 @@ def _cmd_simulate(args) -> int:
 def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
     """Lines of the simulate CSV t,N,S[,D]: the header, row 0, then one entry per block of rows.
 
-    The cells are those of `_fmt`: `%.17g` gives its bytes on a float and `%d`
-    those of `str` on an int. Row 0 has no step, so its D cell is empty.
+    The cells are those of `_fmt`: each float cell is the bytes of `%.17g`
+    and each int cell those of `%d`. `_csvfmt.rows` writes a block's cells
+    for whole columns at once with exact integer arithmetic. A block holding
+    a float that it does not cover (0, -0.0, |x| < 1e-4, |x| >= 1e17 or a
+    non-finite value) goes through one `%` call per block instead, which is
+    also the reference the kernel is tested against. Row 0 has no step, so
+    its D cell is empty.
     """
     cols = (path.N, path.S, path.D) if record_steps else (path.N, path.S)
     width = len(cols) + 1
@@ -217,11 +222,15 @@ def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
     ]
     for start in range(1, path.t_max + 1, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, path.t_max + 1)
-        cells = [None] * ((stop - start) * width)
-        cells[::width] = range(start, stop)
-        for j, col in enumerate(cols, start=1):
-            cells[j::width] = col[start:stop].tolist()
-        lines.append("\n".join([row] * (stop - start)) % tuple(cells))
+        block = [col[start:stop] for col in cols]
+        text = _csvfmt.rows([np.arange(start, stop)] + block)
+        if text is None:
+            cells = [None] * ((stop - start) * width)
+            cells[::width] = range(start, stop)
+            for j, col in enumerate(block, start=1):
+                cells[j::width] = col.tolist()
+            text = "\n".join([row] * (stop - start)) % tuple(cells)
+        lines.append(text)
     return lines
 
 

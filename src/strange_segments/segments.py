@@ -34,7 +34,8 @@ import numpy as np
 
 from .simulator import WorkloadPath
 
-# Walk indices per block of the t_stat scan; its few block-sized arrays stay in cache.
+# Walk indices per block of the t_stat scan and of each r_stat probe; its few
+# block-sized arrays stay in cache.
 _SCAN_BLOCK = 16384
 _SET_KINDS = ("above", "below", "interval")
 
@@ -118,20 +119,38 @@ def _ramp_widths(g: np.ndarray) -> np.ndarray:
 
 
 def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, start: int, stop: int) -> np.ndarray:
-    """Indices start..stop-1 of the walk for which membership of (k, l) means walk[l] > walk[k]."""
-    g = path.S[start:stop] - tset.a * path.N[start:stop].astype(np.float64)
-    return g if tset.kind == "above" else -g
+    """Indices start..stop-1 of the walk for which membership of (k, l) means walk[l] > walk[k].
 
-
-def _first_deviant_end(g: np.ndarray, prefix_min: np.ndarray, w: int) -> Optional[int]:
-    """First l with g[l] > min(g[:l - w + 1]), or None; needs 1 <= w < len(g).
-
-    This ends the earliest ramp of width >= w on the walk; ``prefix_min`` is
-    ``np.minimum.accumulate(g)``.
+    That is ``S - a N`` above a and ``a N - S`` below it, formed in one array;
+    the two round alike, since x - y = -(y - x) exactly in floating point.
     """
-    hit = g[w:] > prefix_min[:-w]
-    i = int(np.argmax(hit))
-    return i + w if hit[i] else None
+    g = path.N[start:stop].astype(np.float64)
+    if tset.kind == "above":
+        g *= -tset.a
+        g += path.S[start:stop]
+    else:
+        g *= tset.a
+        g -= path.S[start:stop]
+    return g
+
+
+def _first_deviant_end(
+    g: np.ndarray, prefix_min: np.ndarray, w: int, start: int = 0
+) -> Optional[int]:
+    """First l >= start with g[l] > min(g[:l - w + 1]), or None; needs w >= 1.
+
+    This ends the earliest ramp of width >= w on the walk that ends at or
+    after ``start``; ``prefix_min`` is ``np.minimum.accumulate(g)``. The
+    ends are compared in blocks of ``_SCAN_BLOCK``, and the scan stops at
+    the first block with a hit.
+    """
+    for lo in range(max(start, w), len(g), _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, len(g))
+        hit = g[lo:hi] > prefix_min[lo - w:hi - w]
+        i = int(np.argmax(hit))
+        if hit[i]:
+            return lo + i
+    return None
 
 
 def _direct_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
@@ -168,10 +187,12 @@ def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
 
     One-sided sets use the duality with ``T``: ``R_t >= w`` exactly when a
     ramp of width >= w ends by t, a predicate that shrinks as w grows. The
-    largest such w is found by galloping (1, 2, 4, ...) and then bisection,
-    one vectorised comparison per probe. Its witness ends at the first such
-    ramp's end l, which is also the first endpoint of widest width. Interval
-    sets fall back to direct enumeration.
+    largest such w is found by galloping (1, 2, 4, ...) and then bisection.
+    The first end ``T_w`` of a ramp of width >= w does not decrease as w
+    grows, so each probe resumes at the end the last successful probe found
+    and stops at its first hit; only a failing probe reads on to t. The
+    witness ends at the first such ramp's end l, which is also the first
+    endpoint of widest width. Interval sets fall back to direct enumeration.
     """
     if tset.kind == "interval":
         return _widest(_endpoint_widths(path, tset, t))
@@ -183,14 +204,14 @@ def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
         return SegmentReport(0, None)
     lo, hi = 1, 2  # the widest ramp found (first ending at `end`) and the next width to try
     while hi <= t:
-        probe = _first_deviant_end(g, prefix_min, hi)
+        probe = _first_deviant_end(g, prefix_min, hi, end)
         if probe is None:
             break
         lo, end, hi = hi, probe, 2 * hi
     hi = min(hi, t + 1)  # no ramp of width hi ends by t
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe = _first_deviant_end(g, prefix_min, mid)
+        probe = _first_deviant_end(g, prefix_min, mid, end)
         if probe is None:
             hi = mid
         else:

@@ -1,8 +1,15 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from strange_segments import parse_model_document
+
+# Example budgets for the properties that set none of their own: "dev" is the
+# default, and CI selects the larger "ci" budget with --hypothesis-profile=ci.
+settings.register_profile("dev", max_examples=300)
+settings.register_profile("ci", max_examples=1500)
+settings.load_profile("dev")
 
 
 def unit_document(**overrides):

@@ -3,8 +3,9 @@
 Each case runs one small subcommand at a fixed seed and compares the digests
 of its CSV and summary bytes with the values recorded before any
 performance work. A change that is meant to keep every output byte the same
-must leave this file untouched; a change that moves an output on purpose
-updates the digest and says which output moved and why.
+must leave every recorded digest untouched; a case it adds records its
+digest on the tree before the change. A change that moves an output on
+purpose updates the digest and says which output moved and why.
 
 To print the current digests, run
 ``PYTHONPATH=src python tests/test_golden_outputs.py``.
@@ -37,6 +38,9 @@ CASES = {
                                 "--record-steps"],
     "simulate_unit_off": ["simulate", "unit.json", "--seed", "3", "--t-max", "100",
                           "--noise-mode", "off", "--record-steps"],
+    # Longer than one 65,536-row CSV block, so the export's second block is covered.
+    "simulate_two_group_blocks": ["simulate", "two_group.json", "--seed", "13", "--t-max", "70000",
+                                  "--record-steps"],
     "segments_above": ["segments", "two_group.json", "--seed", "3", "--t-max", "5000",
                        "--set", "above", "--a", "0.8", "--r", "12"],
     "segments_below_horizon": ["segments", "two_group.json", "--seed", "4", "--t-max", "5000",
@@ -90,6 +94,9 @@ GOLDEN = {
     },
     "simulate_two_group_long": {
         "csv": "1fe7a743630460c5c2b24810afccf53a5372a97d8b0f0cce9fb39460b5b148ef",
+    },
+    "simulate_two_group_blocks": {
+        "csv": "5f536e18b434378c7cc39d8df7d790e56794bec6db11112ea404f137caeacfcc",
     },
     "simulate_two_group_steps": {
         "csv": "a07ac65eb5e97a5b83e68aca2dc42bf7fd37a809089a60115cf353058fd8796e",

@@ -1,20 +1,27 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strange_segments import (
+    PathConfig,
     ThresholdSet,
     WorkloadPath,
     brute_force_r,
     brute_force_t,
+    load_model,
     r_stat,
     r_stat_trajectory,
     segment_average,
+    simulate,
     t_stat,
 )
 from strange_segments import segments
 from strange_segments.segments import SegmentReport, _endpoint_widths, _first_deviant_end, _widest
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def make_path(d, n_steps=None):
@@ -247,7 +254,7 @@ def widest_scan(path, tset, t):
                 st.floats(min_value=-2.0, max_value=2.0)),
     kind=st.sampled_from(["above", "below"]),
 )
-@settings(max_examples=300, deadline=None)
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
 def test_duality_search_equals_widest_scan(d, growth, a, kind):
     path = make_path(d, growth[: len(d)])
     tset = ThresholdSet(kind, a)
@@ -272,6 +279,15 @@ class TestDualitySearchEdges:
         rep = r_stat(path, self.above, t)
         assert (rep.value, rep.witness) == (value, witness)
         assert rep == widest_scan(path, self.above, t)
+
+    @pytest.mark.parametrize("kind, a", [("above", 0.4), ("below", -0.4)])
+    def test_long_two_group_walk(self, kind, a):
+        # resumed probes across many scan blocks, at block edges and at the full horizon
+        spec, _ = load_model(str(MODELS / "two_group.json"))
+        path = simulate(spec, PathConfig(t_max=200_000, seed=21))
+        tset = ThresholdSet(kind, a)
+        for t in (1, 8191, 8192, 65536, 200_000):
+            assert r_stat(path, tset, t) == widest_scan(path, tset, t), t
 
     def test_positive_drift_long_path(self):
         rng = np.random.default_rng(5)
