@@ -192,19 +192,15 @@ def rows(columns: list[np.ndarray]) -> Optional[str]:
     (zero, -0.0 and non-finite values included); the caller formats that
     block with `%`.
     """
-    digits = []
+    cells = []
     for col in columns:
-        if col.dtype.kind == "f":
-            got = _float_digits(col)
-            if got is None:
-                return None
-            digits.append(got)
-        else:
-            digits.append(None)
-    cells = [
-        _int_cell(col) if got is None else _float_cell(col, *got)
-        for col, got in zip(columns, digits)
-    ]
+        if col.dtype.kind != "f":
+            cells.append(_int_cell(col))
+            continue
+        got = _float_digits(col)
+        if got is None:
+            return None
+        cells.append(_float_cell(col, *got))
     size = sum(width for pieces in cells for width, _ in pieces) + len(cells)
     # the words of each row, word by word; a spare one takes the last piece's carry
     mat = np.zeros((size // 8 + 2, len(columns[0])), dtype=_WORD)

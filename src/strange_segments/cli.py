@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, _csvfmt
+from . import __version__
 from .errors import ModelValidationError, NumericalError
 from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
 from .modeldoc import load_model
@@ -213,6 +213,9 @@ def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
     also the reference the kernel is tested against. Row 0 has no step, so
     its D cell is empty.
     """
+    # imported here, so the other subcommands do not load the kernel and its tables
+    from . import _csvfmt
+
     cols = (path.N, path.S, path.D) if record_steps else (path.N, path.S)
     width = len(cols) + 1
     row = "%d,%d,%.17g,%.17g" if record_steps else "%d,%d,%.17g"
