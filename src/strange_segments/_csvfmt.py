@@ -184,8 +184,8 @@ def _int_cell(v: np.ndarray) -> list[tuple[int, list]]:
     return ([(1, [_minus(neg)])] if neg.any() else []) + [(width, words)]
 
 
-def rows(columns: list[np.ndarray]) -> Optional[str]:
-    """The CSV rows of equal-length columns, joined by newlines with none at the end.
+def rows(columns: list[np.ndarray]) -> Optional[bytes]:
+    """The ASCII CSV rows of equal-length columns, joined by newlines with none at the end.
 
     Integer columns give the bytes of `%d` and float columns those of
     `%.17g`. Returns None when a float lies outside ``1e-4 <= |x| < 1e17``
@@ -217,4 +217,4 @@ def rows(columns: list[np.ndarray]) -> Optional[str]:
         mat[c] |= ord("," if j + 1 < len(cells) else "\n") << 8 * b
         at += 1
     text = mat.T.copy().view(np.uint8).ravel()
-    return text[text != 0][:-1].tobytes().decode("ascii")
+    return text[text != 0][:-1].tobytes()

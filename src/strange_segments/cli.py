@@ -138,10 +138,17 @@ def _manifest_config(args) -> dict:
     return {key: value for key, value in sorted(vars(args).items()) if key != "out"}
 
 
-def _emit(args, seed: Optional[int], digest: Optional[str], csv_lines: Optional[list[str]],
+def _emit(args, seed: Optional[int], digest: Optional[str], csv_lines: Optional[list],
           summary: Optional[dict]) -> None:
-    """Write the CSV/summary outputs and the run manifest."""
-    csv_text = "\n".join(csv_lines) + "\n" if csv_lines is not None else None
+    """Write the CSV/summary outputs and the run manifest.
+
+    Each entry of ``csv_lines`` is a CSV line (str) or a block of lines
+    (ASCII bytes), written with a newline after it. A CSV file takes the
+    entries' bytes one at a time, so the whole text is never joined.
+    """
+    csv_chunks = None if csv_lines is None else [
+        line.encode() if isinstance(line, str) else line for line in csv_lines
+    ]
     summary_text = (
         json.dumps(summary, sort_keys=True, indent=2) + "\n" if summary is not None else None
     )
@@ -156,17 +163,22 @@ def _emit(args, seed: Optional[int], digest: Optional[str], csv_lines: Optional[
         "outputs": outputs,
     }
     if prefix is None:
-        if csv_text is not None:
-            sys.stdout.write(csv_text)
+        if csv_chunks is not None:
+            for chunk in csv_chunks:
+                sys.stdout.write(chunk.decode())
+                sys.stdout.write("\n")
         if summary_text is not None:
             sys.stdout.write(summary_text)
         sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
         return
     base = Path(prefix)
     base.parent.mkdir(parents=True, exist_ok=True)
-    if csv_text is not None:
+    if csv_chunks is not None:
         name = base.with_name(base.name + ".csv")
-        name.write_text(csv_text, newline="")
+        with name.open("wb") as out:
+            for chunk in csv_chunks:
+                out.write(chunk)
+                out.write(b"\n")
         outputs.append(name.name)
     if summary_text is not None:
         name = base.with_name(base.name + ".summary.json")
@@ -202,8 +214,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
-    """Lines of the simulate CSV t,N,S[,D]: the header, row 0, then one entry per block of rows.
+def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[bytes]:
+    """ASCII lines of the simulate CSV t,N,S[,D]: the header, row 0, then one entry per block of rows.
 
     The cells are those of `_fmt`: each float cell is the bytes of `%.17g`
     and each int cell those of `%d`. `_csvfmt.rows` writes a block's cells
@@ -220,8 +232,8 @@ def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
     width = len(cols) + 1
     row = "%d,%d,%.17g,%.17g" if record_steps else "%d,%d,%.17g"
     lines = [
-        "t,N,S,D" if record_steps else "t,N,S",
-        f"0,{int(path.N[0])},{_fmt(float(path.S[0]))}" + ("," if record_steps else ""),
+        b"t,N,S,D" if record_steps else b"t,N,S",
+        (f"0,{int(path.N[0])},{_fmt(float(path.S[0]))}" + ("," if record_steps else "")).encode(),
     ]
     for start in range(1, path.t_max + 1, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, path.t_max + 1)
@@ -232,7 +244,7 @@ def _path_csv_lines(path: WorkloadPath, record_steps: bool) -> list[str]:
             cells[::width] = range(start, stop)
             for j, col in enumerate(block, start=1):
                 cells[j::width] = col.tolist()
-            text = "\n".join([row] * (stop - start)) % tuple(cells)
+            text = ("\n".join([row] * (stop - start)) % tuple(cells)).encode()
         lines.append(text)
     return lines
 

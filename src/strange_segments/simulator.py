@@ -5,21 +5,26 @@ shared component is the moving-average driver Z(t) weighted by the group
 loadings, which collapses to ``floor(t**alpha) * (beta_sum . Z(t))`` because
 all group populations scale with the same power of t; idiosyncratic noise is
 added as one exact-law draw of each step's sum over its customers, or not at
-all. The path keeps the cumulative deviation S and the integer normalizer N;
-the steps are formed and summed block by block, so no path-length temporary
-is made beyond the loading product, floor(t**alpha) and the step noise. One
-path builder does this. It owns the path's two random streams and draws,
-forms, sums and normalizes only the steps past the horizon it last reached,
-continuing the summation block that horizon left open, so no step is formed
-twice: ``simulate`` forms a path in one go with a builder of its own, and a
-caller that grows a horizon keeps one builder across the growths, every
-element equal to a path formed in one go.
+all. The path keeps the cumulative deviation S and the integer normalizer N.
+The innovations are drawn in blocks of rows, and the steps are formed, given
+their noise and summed block by block, so no path-length temporary is made
+beyond the loading product and floor(t**alpha). A large growth draws its
+innovation blocks on one worker thread while the calling thread forms and
+sums the steps of the block before. One path builder does this. It owns the
+path's two random streams and draws, forms, sums and normalizes only the
+steps past the horizon it last reached, continuing the summation block that
+horizon left open, so no step is formed twice: ``simulate`` forms a path in
+one go with a builder of its own, and a caller that grows a horizon keeps
+one builder across the growths, every element equal to a path formed in one
+go.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -29,6 +34,10 @@ from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix,
 
 _NOISE_MODES = ("aggregate", "off")
 _CUMSUM_CHUNK = 8192
+_DRAW_BLOCK_ROWS = 1 << 16  # innovation rows drawn at once
+# A growth drawing at least this many innovation rows draws them on a worker
+# thread; below it, starting the thread costs more than the overlap saves.
+_THREAD_MIN_ROWS = 4 * _DRAW_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,17 @@ class _PathBuilder:
     (default ``SeedSequence(cfg.seed)``), and its resolved noise mode. Each
     growth draws only the innovations and step noise past the last horizon,
     continuing both streams, so a path grown in pieces draws what a path
-    formed in one go draws. Injected whole-path arrays replace the draws.
+    formed in one go draws. Injected whole-path arrays replace the draws;
+    their shapes are checked before anything is drawn or written.
+
+    Innovations come in ``_DRAW_BLOCK_ROWS``-row blocks. A growth of at
+    least ``_THREAD_MIN_ROWS`` new rows draws them on a worker thread of a
+    pool that lives only for that growth; a smaller one draws them inline,
+    where a thread would cost more than it saves. Only the worker reads the
+    innovation stream and only the caller reads the noise stream, which it
+    draws per summation block. Block draws continue a stream exactly and
+    ``_rows_matmul`` rounds each row alike for any row count, so the path
+    does not depend on the blocks or the thread.
 
     S and N are buffers sized for the horizon cap. Steps are formed and
     summed in ``_CUMSUM_CHUNK``-step blocks aligned at step 0: within a block
@@ -161,6 +180,7 @@ class _PathBuilder:
         j_min, j_max = innovation_span(spec, t_max)
         span = j_max - j_min + 1
         kept = len(self._loaded)  # innovation rows lo+kept.. are new: the last horizon's span on
+        fresh = span - lo - kept
         if xi is not None:
             xi = np.asarray(xi, dtype=np.float64)
             if xi.ndim == 1:
@@ -171,26 +191,6 @@ class _PathBuilder:
                     f"injected innovations must have shape ({span}, {spec.dim}) for "
                     f"t_max={t_max}, got {xi.shape}",
                 )
-            rows = xi[lo + kept :]
-        else:
-            rows = spec.innovations.sample(self._rng_xi, span - lo - kept)
-
-        # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
-        # loading first so each lag is one vectorized slice.
-        loaded = np.empty(span - lo, dtype=np.float64)
-        loaded[:kept] = self._loaded
-        if spec.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
-            np.multiply(rows[:, 0], spec.beta_sum[0], out=loaded[kept:])
-        else:
-            _rows_matmul(rows, spec.beta_sum, out=loaded[kept:])
-        del xi, rows  # a sampled innovation array is no longer needed
-
-        n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
-        if lo == 0:  # formed in one go, the path keeps the normalizer's own array as N
-            self.n = n_new if t_max == self.cap else np.empty(self.cap + 1, dtype=np.int64)
-        if self.n is not n_new:
-            self.n[lo : t_max + 1] = n_new
-        del n_new
         if eps is not None:
             eps = np.asarray(eps, dtype=np.float64)
             if eps.shape != (t_max,):
@@ -198,45 +198,89 @@ class _PathBuilder:
                     "injected_noise_shape",
                     f"injected step noise must have shape ({t_max},), got {eps.shape}",
                 )
-            eps = eps[lo:]
-        elif self.mode == "aggregate":  # one exact-law draw of each step's noise sum
-            eps = spec.noise.sample_aggregate(np.diff(self.n[lo : t_max + 1]), self._rng_eps)
+
+        n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
+        if lo == 0:  # formed in one go, the path keeps the normalizer's own array as N
+            self.n = n_new if t_max == self.cap else np.empty(self.cap + 1, dtype=np.int64)
+        if self.n is not n_new:
+            self.n[lo : t_max + 1] = n_new
+        del n_new
         fp = floor_power_prefix(t_max, spec.alpha, lo)  # floor(t**alpha), t = lo..t_max
-        if lo == 0:  # last, so S and D are not live with the draws and temporaries above
+        if lo == 0:
             self.s = np.empty(self.cap + 1, dtype=np.float64)
             self.s[0] = 0.0
             self.d = np.zeros(self.cap + 1, dtype=np.float64) if self.cfg.record_steps else None
 
-        s, steps = self.s, self.d
+        n, s, steps = self.n, self.s, self.d
+        noise = spec.noise if eps is None and self.mode == "aggregate" else None
         reach = spec.ma.max_lag - spec.ma.min_lag
+        # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
+        # loading first so each lag is one vectorized slice.
+        loaded = np.empty(span - lo, dtype=np.float64)
+        loaded[:kept] = self._loaded
+        filled = kept  # loading values formed so far
         carry, comp, total = self._carry, self._comp, self._open
         i = lo
-        while i < t_max:  # steps i+1..j: the rest of the block holding step i+1
-            j = min(i - i % _CUMSUM_CHUNK + _CUMSUM_CHUNK, t_max)
-            d = _ma_filter(spec.ma, loaded[i - lo : j - lo + reach], j - i)
-            d *= fp[i + 1 - lo : j + 1 - lo]
-            if eps is not None:
-                d += eps[i - lo : j - lo]
-            if steps is not None:
-                steps[i + 1 : j + 1] = d
-            d[0] += total
-            block = np.cumsum(d, out=s[i + 1 : j + 1])
-            total = float(block[-1])
-            block += carry + comp
-            if j % _CUMSUM_CHUNK == 0:  # the block is complete: hand its total to the carry
-                new = carry + total
-                if abs(carry) >= abs(total):
-                    comp += (carry - new) + total
+        threaded = xi is None and 0 < fresh and fresh >= _THREAD_MIN_ROWS
+        with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
+            for rows in [xi[lo + kept :]] if xi is not None else self._draw_blocks(fresh, pool):
+                if spec.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
+                    np.multiply(rows[:, 0], spec.beta_sum[0], out=loaded[filled : filled + len(rows)])
                 else:
-                    comp += (total - new) + carry
-                carry, total = new, 0.0
-            i = j
+                    _rows_matmul(rows, spec.beta_sum, out=loaded[filled : filled + len(rows)])
+                filled += len(rows)
+                while i < t_max:  # steps i+1..j: the rest of the block holding step i+1
+                    j = min(i - i % _CUMSUM_CHUNK + _CUMSUM_CHUNK, t_max)
+                    if j - lo + reach > filled:  # its loading is not formed yet
+                        break
+                    d = _ma_filter(spec.ma, loaded[i - lo : j - lo + reach], j - i)
+                    d *= fp[i + 1 - lo : j + 1 - lo]
+                    if eps is not None:
+                        d += eps[i:j]
+                    elif noise is not None:  # one exact-law draw of each step's noise sum
+                        d += noise.sample_aggregate(np.diff(n[i : j + 1]), self._rng_eps)
+                    if steps is not None:
+                        steps[i + 1 : j + 1] = d
+                    d[0] += total
+                    block = np.cumsum(d, out=s[i + 1 : j + 1])
+                    total = float(block[-1])
+                    block += carry + comp
+                    if j % _CUMSUM_CHUNK == 0:  # the block is complete: hand its total to the carry
+                        new = carry + total
+                        if abs(carry) >= abs(total):
+                            comp += (carry - new) + total
+                        else:
+                            comp += (total - new) + carry
+                        carry, total = new, 0.0
+                    i = j
         self._carry, self._comp, self._open = carry, comp, total
         self._loaded = loaded[t_max - lo :].copy()
         self.t = t_max
         return WorkloadPath(
-            S=s[: t_max + 1], N=self.n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
+            S=s[: t_max + 1], N=n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
         )
+
+    def _draw_blocks(self, count: int, pool: Optional[ThreadPoolExecutor]) -> Iterator[np.ndarray]:
+        """The innovation stream's next ``count`` rows, in blocks of ``_DRAW_BLOCK_ROWS`` rows.
+
+        Without ``pool`` each block is drawn when it is asked for. With it,
+        each block is drawn on the pool's one worker while the caller forms
+        the steps of the block before: the next draw is submitted before a
+        block is handed over, so at most one draw is in flight. Block draws
+        continue the stream exactly, so the rows do not depend on either.
+        """
+        sample, rng = self.spec.innovations.sample, self._rng_xi
+        sizes = [min(_DRAW_BLOCK_ROWS, count - a) for a in range(0, count, _DRAW_BLOCK_ROWS)]
+        if pool is None:
+            for size in sizes:
+                yield sample(rng, size)
+            return
+        ahead = pool.submit(sample, rng, sizes[0])
+        for size in sizes[1:]:
+            rows = ahead.result()
+            ahead = pool.submit(sample, rng, size)
+            yield rows
+        yield ahead.result()
 
 
 def simulate(
@@ -255,19 +299,23 @@ def simulate(
     ``injected_step_noise`` (one aggregate term per step) bypass the samplers
     entirely and make the path a deterministic function of the inputs.
 
-    The loading product ``xi @ beta_sum``, ``floor(t**alpha)``, the
-    normalizer N and the step noise are whole-path arrays. The MA filter, the
-    ``floor(t**alpha)`` weighting, the noise add, the copy into D and the
-    cumulative sum then run over ``_CUMSUM_CHUNK``-step blocks aligned at
-    step 0 and write straight into S, so the path allocates no other
-    path-length array.
+    The loading product ``xi @ beta_sum``, ``floor(t**alpha)`` and the
+    normalizer N are whole-path arrays. The innovations are drawn in blocks
+    of ``_DRAW_BLOCK_ROWS`` rows, on a worker thread when the path draws at
+    least ``_THREAD_MIN_ROWS`` of them; the calling thread folds each block
+    into the loading product. The MA filter, the ``floor(t**alpha)``
+    weighting, the step noise, drawn per block, the copy into D and the
+    cumulative sum run over ``_CUMSUM_CHUNK``-step blocks aligned at step 0,
+    each as soon as its innovations are loaded, and write straight into S,
+    so the path allocates no other path-length array. The worker is gone
+    when ``simulate`` returns or raises.
 
     Without ``builder`` the path is formed in one go by a builder of its own.
     A ``builder`` made for the same spec and the same ``cfg`` up to its
     horizon, and holding an earlier, shorter horizon, grows that path in
     place instead: it draws from its own streams, the loading product,
-    ``floor(t**alpha)``, N and the step noise then cover only the steps past
-    the earlier horizon, and the summation continues that horizon's open
+    ``floor(t**alpha)`` and N then cover only the steps past the earlier
+    horizon, and the summation continues that horizon's open
     block. The returned path shares the builder's buffers and equals the one
     formed in one go.
     """

@@ -270,7 +270,7 @@ class TestSimulateExport:
         spec, _ = load_model(str(MODELS / "two_group.json"))
         t_max = cli._CSV_BLOCK_ROWS + 1  # rows 1..t_max fill one block and start the next
         path = simulate(spec, PathConfig(t_max=t_max, seed=4, record_steps=True))
-        text = "\n".join(_path_csv_lines(path, True)) + "\n"
+        text = (b"\n".join(_path_csv_lines(path, True)) + b"\n").decode()
         assert text == per_row_csv(path, True)
 
     @pytest.mark.parametrize("record_steps", [False, True])
@@ -283,7 +283,7 @@ class TestSimulateExport:
                                              7.0])])
         n = np.arange(len(s), dtype=np.int64) * 10**12
         path = WorkloadPath(S=s, N=n, D=np.concatenate([[0.0], d]))
-        text = "\n".join(_path_csv_lines(path, record_steps)) + "\n"
+        text = (b"\n".join(_path_csv_lines(path, record_steps)) + b"\n").decode()
         assert text == per_row_csv(path, record_steps)
         assert {"-0", "1e-300", "1e+17"} <= set(text.replace("\n", ",").split(","))
 

@@ -40,7 +40,7 @@ def assert_floats_match(x) -> None:
     x = np.asarray(x, dtype=np.float64)
     for lo in range(0, len(x), CHUNK):
         part = x[lo:lo + CHUNK]
-        assert _csvfmt.rows([part]) == "\n".join("%.17g" % v for v in part.tolist())
+        assert _csvfmt.rows([part]) == "\n".join("%.17g" % v for v in part.tolist()).encode()
 
 
 def test_random_bit_patterns_in_the_covered_exponents():
@@ -89,7 +89,7 @@ def test_exact_ties_round_half_even():
     assert len(ties) > 5000
     assert_floats_match(np.concatenate([ties, -ties]))
     assert _csvfmt.rows([np.array([(4 * 10**15 + 1) / 4, (4 * 10**15 + 3) / 4])]) == (
-        "1000000000000000.2\n1000000000000000.8"
+        b"1000000000000000.2\n1000000000000000.8"
     )
 
 
@@ -120,9 +120,9 @@ def test_int_cells():
     v = np.concatenate([np.array(edges, dtype=np.int64),
                         rng.integers(-2**63, 2**63 - 1, size=5000, dtype=np.int64),
                         rng.integers(-10**6, 10**6, size=5000, dtype=np.int64)])
-    assert _csvfmt.rows([v]) == "\n".join("%d" % n for n in v.tolist())
+    assert _csvfmt.rows([v]) == "\n".join("%d" % n for n in v.tolist()).encode()
     small = np.arange(1, 9, dtype=np.int64)  # one digit: a single group with leading zeros
-    assert _csvfmt.rows([small]) == "\n".join(str(n) for n in range(1, 9))
+    assert _csvfmt.rows([small]) == "\n".join(str(n) for n in range(1, 9)).encode()
 
 
 def test_rows_of_mixed_columns():
@@ -134,7 +134,7 @@ def test_rows_of_mixed_columns():
     assert covered(s).all() and covered(d).all()
     want = "\n".join("%d,%d,%.17g,%.17g" % row for row in zip(t.tolist(), big.tolist(),
                                                               s.tolist(), d.tolist()))
-    assert _csvfmt.rows([t, big, s, d]) == want
+    assert _csvfmt.rows([t, big, s, d]) == want.encode()
 
 
 def test_blocks_mixing_kernel_and_fallback(monkeypatch):
@@ -153,7 +153,7 @@ def test_blocks_mixing_kernel_and_fallback(monkeypatch):
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
     monkeypatch.setattr(_csvfmt, "rows", spy)
     for record_steps in (False, True):
-        text = "\n".join(_path_csv_lines(path, record_steps)) + "\n"
+        text = (b"\n".join(_path_csv_lines(path, record_steps)) + b"\n").decode()
         assert text == per_row_csv(path, record_steps)
     assert results == [True, False, True, False, True, False, True, False]
 
@@ -180,5 +180,5 @@ def test_export_equals_percent_formatting(s, steps, n, block, record_steps):
                         D=np.array(steps[:size]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_CSV_BLOCK_ROWS", block)
-        text = "\n".join(_path_csv_lines(path, record_steps)) + "\n"
+        text = (b"\n".join(_path_csv_lines(path, record_steps)) + b"\n").decode()
     assert text == per_row_csv(path, record_steps)

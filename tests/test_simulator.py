@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,13 @@ from strange_segments import (
     segment_average,
     simulate,
 )
+from strange_segments import simulator
+from strange_segments.innovations import GaussianInnovations
 from strange_segments.model_core import floor_power_prefix
 from strange_segments.simulator import (
     _CUMSUM_CHUNK,
+    _DRAW_BLOCK_ROWS,
+    _THREAD_MIN_ROWS,
     _PathBuilder,
     _child_streams,
     _ma_filter,
@@ -62,6 +67,17 @@ class TestInjectedExamples:
         cfg = PathConfig(t_max=5, seed=0, noise_mode="off")
         with pytest.raises(ModelValidationError, match="injected"):
             simulate(unit_spec, cfg, injected_innovations=np.zeros(4))
+
+    def test_injected_noise_refused_before_any_draw(self, noisy_unit_spec):
+        # a refused growth leaves the builder as it was: it drew nothing and wrote nothing
+        cfg = PathConfig(t_max=20, seed=3)
+        builder = _PathBuilder(noisy_unit_spec, cfg, 20)
+        with pytest.raises(ModelValidationError) as info:
+            simulate(noisy_unit_spec, cfg, injected_step_noise=np.zeros(19), builder=builder)
+        assert info.value.invariant == "injected_noise_shape"
+        assert builder.t == 0 and builder.n is None
+        grown = simulate(noisy_unit_spec, cfg, builder=builder)
+        assert grown.S.tobytes() == simulate(noisy_unit_spec, cfg).S.tobytes()
 
 
 class TestTwoSidedMA:
@@ -362,3 +378,74 @@ class TestGrowInPlace:
             with pytest.raises(ValueError, match="builder"):
                 simulate(spec, cfg, builder=builder)
         assert simulate(unit_spec, PathConfig(t_max=60, seed=1), builder=builder).t_max == 60
+
+
+class TestDrawThread:
+    """Innovation blocks drawn on a worker thread or inline give the same path, and no thread outlives a growth."""
+
+    # around one draw block and around the thread threshold, in innovation rows
+    T_MAX = (_DRAW_BLOCK_ROWS - 3, _DRAW_BLOCK_ROWS + 1, _THREAD_MIN_ROWS - 3, _THREAD_MIN_ROWS + 1)
+    MODES = [("unit.json", "off"), ("unit_noisy.json", "aggregate"), ("two_group.json", "aggregate"),
+             ("two_group.json", "off")]
+
+    @pytest.mark.parametrize("t_max", T_MAX)
+    @pytest.mark.parametrize("model, noise_mode", MODES)
+    def test_one_go(self, monkeypatch, model, noise_mode, t_max):
+        spec = TestBlockEdges.spec(model)
+        cfg = PathConfig(t_max=t_max, seed=t_max, noise_mode=noise_mode, record_steps=True)
+        ref = full_array_path(spec, cfg)
+        for threshold in (0, _THREAD_MIN_ROWS, 2**62):  # always, at its size, never threaded
+            monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+            TestBlockEdges.assert_same(simulate(spec, cfg), ref)
+
+    HORIZONS = [1000, _DRAW_BLOCK_ROWS + 5, _THREAD_MIN_ROWS + 7, 2 * _THREAD_MIN_ROWS + 11]
+
+    @pytest.mark.parametrize("record_steps", [False, True])
+    @pytest.mark.parametrize("model, noise_mode", MODES)
+    def test_grown_in_pieces(self, monkeypatch, model, noise_mode, record_steps):
+        spec = TestBlockEdges.spec(model)
+        cfg_for = lambda h: PathConfig(t_max=h, seed=31, noise_mode=noise_mode, record_steps=record_steps)
+        one_go = simulate(spec, cfg_for(self.HORIZONS[-1]))  # at the size's own threshold
+        for threshold in (0, _THREAD_MIN_ROWS, 2**62):
+            monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+            for path, ref in TestGrowInPlace.grow(spec, self.HORIZONS, cfg_for):
+                for a, b in [(path.S, ref.S), (path.N, ref.N), (path.D, ref.D), (ref.S, one_go.S[: len(ref.S)])]:
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("threshold, on_worker", [(0, True), (2**62, False)])
+    def test_draws_run_on_a_worker_and_leave_no_thread(self, monkeypatch, threshold, on_worker):
+        spec = TestBlockEdges.spec("two_group.json")
+        sample, threads = GaussianInnovations.sample, set()
+
+        def spy(self, rng, size):
+            threads.add(threading.get_ident())
+            return sample(self, rng, size)
+
+        monkeypatch.setattr(GaussianInnovations, "sample", spy)
+        monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+        before = threading.active_count()
+        simulate(spec, PathConfig(t_max=3 * _DRAW_BLOCK_ROWS, seed=2))
+        assert threading.active_count() == before
+        assert (threads != {threading.get_ident()}) == on_worker and len(threads) == 1
+
+    @pytest.mark.parametrize("threshold", [0, 2**62])
+    def test_sampler_failure_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, threshold):
+        class Boom(RuntimeError):
+            pass
+
+        spec = TestBlockEdges.spec("two_group.json")
+        sample, calls = GaussianInnovations.sample, []
+
+        def fails_on_second_block(self, rng, size):
+            calls.append(size)
+            if len(calls) == 2:
+                raise Boom("second block")
+            return sample(self, rng, size)
+
+        monkeypatch.setattr(GaussianInnovations, "sample", fails_on_second_block)
+        monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="second block"):
+            simulate(spec, PathConfig(t_max=3 * _DRAW_BLOCK_ROWS, seed=2))
+        assert threading.active_count() == before
+        assert calls == [_DRAW_BLOCK_ROWS, _DRAW_BLOCK_ROWS]
