@@ -212,7 +212,7 @@ class _PathBuilder:
             self.d = np.zeros(self.cap + 1, dtype=np.float64) if self.cfg.record_steps else None
 
         n, s, steps = self.n, self.s, self.d
-        noise = spec.noise if eps is None and self.mode == "aggregate" else None
+        noise = spec.noise if self.mode == "aggregate" else None
         reach = spec.ma.max_lag - spec.ma.min_lag
         # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
         # loading first so each lag is one vectorized slice.

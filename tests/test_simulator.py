@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -383,8 +384,9 @@ class TestGrowInPlace:
 class TestDrawThread:
     """Innovation blocks drawn on a worker thread or inline give the same path, and no thread outlives a growth."""
 
-    # around one draw block and around the thread threshold, in innovation rows
-    T_MAX = (_DRAW_BLOCK_ROWS - 3, _DRAW_BLOCK_ROWS + 1, _THREAD_MIN_ROWS - 3, _THREAD_MIN_ROWS + 1)
+    # innovation rows just below and above one draw block and the thread
+    # threshold: a path draws t_max rows plus at most 3 for the MA lags
+    T_MAX = (_DRAW_BLOCK_ROWS - 4, _DRAW_BLOCK_ROWS + 1, _THREAD_MIN_ROWS - 4, _THREAD_MIN_ROWS + 1)
     MODES = [("unit.json", "off"), ("unit_noisy.json", "aggregate"), ("two_group.json", "aggregate"),
              ("two_group.json", "off")]
 
@@ -405,7 +407,7 @@ class TestDrawThread:
     def test_grown_in_pieces(self, monkeypatch, model, noise_mode, record_steps):
         spec = TestBlockEdges.spec(model)
         cfg_for = lambda h: PathConfig(t_max=h, seed=31, noise_mode=noise_mode, record_steps=record_steps)
-        one_go = simulate(spec, cfg_for(self.HORIZONS[-1]))  # at the size's own threshold
+        one_go = simulate(spec, cfg_for(self.HORIZONS[-1]))  # with the default threshold
         for threshold in (0, _THREAD_MIN_ROWS, 2**62):
             monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
             for path, ref in TestGrowInPlace.grow(spec, self.HORIZONS, cfg_for):
@@ -426,7 +428,26 @@ class TestDrawThread:
         before = threading.active_count()
         simulate(spec, PathConfig(t_max=3 * _DRAW_BLOCK_ROWS, seed=2))
         assert threading.active_count() == before
-        assert (threads != {threading.get_ident()}) == on_worker and len(threads) == 1
+        assert len(threads) == 1 and (threading.get_ident() not in threads) == on_worker
+
+    def test_hand_off_under_fast_thread_switches(self, monkeypatch):
+        # switching threads every microsecond interleaves the worker's draws with
+        # the caller's steps as finely as the interpreter allows; the path is
+        # formed on a helper thread so that a stuck hand-off fails here, not hangs
+        spec = TestBlockEdges.spec("two_group.json")
+        cfg = PathConfig(t_max=5 * _DRAW_BLOCK_ROWS + 7, seed=12, record_steps=True)
+        monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", 0)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.append(simulate(spec, cfg)), daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(got) == 1
+        TestBlockEdges.assert_same(got[0], full_array_path(spec, cfg))
 
     @pytest.mark.parametrize("threshold", [0, 2**62])
     def test_sampler_failure_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, threshold):
