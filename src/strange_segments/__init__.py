@@ -22,11 +22,9 @@ from .model_core import (
     CustomerGroup,
     MACoefficients,
     ModelSpec,
-    cumulative_population,
     floor_power,
-    population,
 )
-from .modeldoc import canonical_document, load_model, parse_model_document
+from .modeldoc import load_model, parse_model_document
 from .rate_function import (
     LegendreResult,
     RateFunctionCtx,
@@ -48,7 +46,7 @@ from .segments import (
     r_stat_trajectory,
     t_stat,
 )
-from .simulator import PathConfig, WorkloadPath, segment_average, simulate
+from .simulator import PathConfig, WorkloadPath, simulate
 from .experiments import RunResult, StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
 
 __all__ = [
@@ -76,9 +74,7 @@ __all__ = [
     "WorkloadPath",
     "brute_force_r",
     "brute_force_t",
-    "canonical_document",
     "check_steepness",
-    "cumulative_population",
     "floor_power",
     "gaussian_closed_form",
     "invert_capacity",
@@ -89,12 +85,10 @@ __all__ = [
     "load_model",
     "lorenz",
     "parse_model_document",
-    "population",
     "r_stat",
     "r_stat_trajectory",
     "run_strong_law",
     "run_uldp",
-    "segment_average",
     "set_rate",
     "simulate",
     "sla_plan",

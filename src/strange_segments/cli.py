@@ -259,11 +259,11 @@ def _segments_path(args, spec):
             raise ModelValidationError(
                 "inject_dimension", "--inject supports only 1-dimensional innovation models"
             )
-        overhang = spec.ma.max_lag - spec.ma.min_lag
-        t_max = len(values) - overhang
+        t_max = len(values) - spec.ma.reach
         if t_max < 1:
             raise ModelValidationError(
-                "inject_length", f"injected sequence too short for the MA support (needs > {overhang})"
+                "inject_length",
+                f"injected sequence too short for the MA support (needs > {spec.ma.reach})",
             )
         cfg = PathConfig(t_max=t_max, seed=0, noise_mode="off")
         return simulate(spec, cfg, injected_innovations=values)
@@ -499,7 +499,8 @@ def build_parser() -> _Parser:
                    help="comma-separated window offsets k; omit for the limit curve only")
     p.add_argument("--limit", action="store_true",
                    help="also emit the limit curve when --k is given")
-    p.add_argument("--quad-tol", type=_finite_float, default=1e-10, help="quadrature error target")
+    p.add_argument("--quad-tol", type=_finite_float, default=1e-10,
+                   help="quadrature error target, relative to the estimate above 1")
     p.add_argument("--root-tol", type=_finite_float, default=1e-12, help="Legendre root tolerance")
 
     p = sub.add_parser("simulate", help="simulate a workload-deviation path and write t,N,S[,D]")

@@ -314,7 +314,7 @@ def _window_kernel(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
     the reversed, zero-padded weights, reversed. Row j of the kernel is
     ``h[j] * beta_sum``.
     """
-    reach = spec.ma.max_lag - spec.ma.min_lag
+    reach = spec.ma.reach
     h = _ma_filter(spec.ma, np.pad(weights[::-1], reach), len(weights) + reach)[::-1]
     return np.multiply.outer(h, spec.beta_sum)
 

@@ -147,6 +147,11 @@ class MACoefficients:
         """Smallest lag; -min_lag is the look-ahead depth L-."""
         return min(min(self.coeffs), 0)
 
+    @property
+    def reach(self) -> int:
+        """Width max_lag - min_lag of the filter's support: one output reads reach + 1 innovations."""
+        return self.max_lag - self.min_lag
+
     def total(self) -> float:
         return float(sum(self.coeffs.values()))
 
@@ -218,40 +223,15 @@ class ModelSpec:
         return self.ma.total()
 
 
-def population(spec: ModelSpec, i: int, t: int) -> int:
-    """Number of group-``i`` customers at time ``t``: c_i * floor(t**alpha).
-
-    ``i`` is 1-based. Exact integer result; see ``floor_power`` for how the
-    boundary at exact powers is handled.
-    """
-    if not 1 <= i <= spec.n_groups:
-        raise ModelValidationError(
-            "group_index", f"group index {i} outside 1..{spec.n_groups}"
-        )
-    return spec.groups[i - 1].c * floor_power(t, spec.alpha)
-
-
-def cumulative_population(spec: ModelSpec, t: int) -> int:
-    """Normalizer N(t) = sum_{k=1..t} sum_i n_i(k), exactly (N(0) = 0).
-
-    Computed in arbitrary-precision integers, so it is exact for any horizon.
-    Strictly increasing for t >= 1 because every group contributes at least
-    c_i per step once floor(k**alpha) >= 1.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return spec.total_c * sum(floor_power(k, spec.alpha) for k in range(1, t + 1))
-
-
 def cumulative_population_prefix(
     spec: ModelSpec, t_max: int, start: int = 0, before: int = 0
 ) -> np.ndarray:
     """Normalizer N(start..t_max) as int64, with an overflow guard.
 
-    ``before`` is N(start - 1) (0 for ``start`` 0). Must agree exactly with
-    ``cumulative_population`` at every index; the integer sums are exact,
-    so a range that starts later is a slice of the full array. The guard
-    rejects horizons whose normalizer would not fit in 64-bit.
+    N(t) = sum_{k=1..t} sum_i c_i * floor(k**alpha), with N(0) = 0. ``before``
+    is N(start - 1) (0 for ``start`` 0). The integer sums are exact, so a
+    range that starts later is a slice of the full array. The guard rejects
+    horizons whose normalizer would not fit in 64-bit.
     """
     bound = spec.total_c * (t_max + 1) * max(floor_power(t_max, spec.alpha), 1)
     if bound >= 2**62:

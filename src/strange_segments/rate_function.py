@@ -50,8 +50,9 @@ from .model_core import ModelSpec
 from .segments import ThresholdSet
 
 # Gauss-Legendre order is doubled from _QUAD_ORDER until two successive
-# estimates agree to quad_tol; the cap only guards against a non-smooth
-# integrand, which the closed-form log-MGF contract rules out.
+# estimates agree to quad_tol, relative to the estimate once it exceeds 1; the
+# cap only guards against a non-smooth integrand, which the closed-form
+# log-MGF contract rules out.
 _QUAD_ORDER = 32
 _MAX_QUAD_ORDER = 8192
 _LAMBDA_BRACKET = 1.0  # first |lam| a root bracket tries before doubling
@@ -68,6 +69,10 @@ WhichCurve = Union[str, float]  # "limit" or a window offset k >= 0
 @dataclass(frozen=True)
 class RateFunctionCtx:
     """Numerical context: model reference plus tolerances.
+
+    ``quad_tol`` bounds the change between successive quadrature estimates,
+    absolutely for estimates up to 1 in magnitude and relative to the
+    estimate above that. ``root_tol`` is the root searches' tolerance.
 
     It also keeps one ``_Curve`` per curve asked about, keyed "limit" or by
     the float window offset, so a curve's shared points are computed once per
@@ -180,7 +185,7 @@ class _Curve:
         while order < _MAX_QUAD_ORDER:
             order *= 2
             cur = estimate(order)
-            if abs(cur - prev) < self.quad_tol:
+            if abs(cur - prev) < self.quad_tol * max(1.0, abs(cur)):
                 return cur
             prev = cur
         raise QuadratureError(

@@ -195,7 +195,7 @@ def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
     endpoint of widest width. Interval sets fall back to direct enumeration.
     """
     if tset.kind == "interval":
-        return _widest(_endpoint_widths(path, tset, t))
+        return brute_force_r(path, tset, t)
     _check_horizon(path, t)
     g = _one_sided_walk(path, tset, 0, t + 1)
     prefix_min = np.minimum.accumulate(g)

@@ -16,7 +16,7 @@ steps past the horizon it last reached, continuing the summation block that
 horizon left open, so no step is formed twice: ``simulate`` forms a path in
 one go with a builder of its own, and a caller that grows a horizon keeps
 one builder across the growths, every element equal to a path formed in one
-go.
+go. Injected innovations replace the draws only of a path formed in one go.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ def innovation_span(spec: ModelSpec, t_max: int) -> tuple[int, int]:
     Every Z(t) needs xi(t - lag) over the stored lags, so the span covers
     1 - L+ through t_max + L- and no window at the path edges is truncated.
     """
-    return 1 - spec.ma.max_lag, t_max - spec.ma.min_lag
+    j_min = 1 - spec.ma.max_lag
+    return j_min, j_min + t_max - 1 + spec.ma.reach
 
 
 def _check_noise_mode(mode: str) -> None:
@@ -134,8 +135,9 @@ class _PathBuilder:
     (default ``SeedSequence(cfg.seed)``), and its resolved noise mode. Each
     growth draws only the innovations and step noise past the last horizon,
     continuing both streams, so a path grown in pieces draws what a path
-    formed in one go draws. Injected whole-path arrays replace the draws;
-    their shapes are checked before anything is drawn or written.
+    formed in one go draws. Injected innovations replace the innovation
+    draws of a first growth; their shape is checked before anything is drawn
+    or written.
 
     Innovations come in ``_DRAW_BLOCK_ROWS``-row blocks. A growth of at
     least ``_THREAD_MIN_ROWS`` new rows draws them on a worker thread of a
@@ -171,10 +173,11 @@ class _PathBuilder:
         self._open = 0.0  # plain sum of the open block's steps (0 at a block edge)
         self._carry = self._comp = 0.0  # compensated sum of the steps before the open block
 
-    def grow(
-        self, t_max: int, xi: Optional[np.ndarray] = None, eps: Optional[np.ndarray] = None
-    ) -> WorkloadPath:
-        """The path up to ``t_max``; ``xi`` and ``eps`` are whole-path arrays to inject, or None to draw."""
+    def grow(self, t_max: int, xi: Optional[np.ndarray] = None) -> WorkloadPath:
+        """The path up to ``t_max``; ``xi`` is the whole path's innovations to inject, or None to draw.
+
+        Only a first growth takes ``xi``: it covers the innovation span from its start.
+        """
         spec = self.spec
         lo = self.t  # steps lo+1..t_max are formed
         j_min, j_max = innovation_span(spec, t_max)
@@ -191,13 +194,6 @@ class _PathBuilder:
                     f"injected innovations must have shape ({span}, {spec.dim}) for "
                     f"t_max={t_max}, got {xi.shape}",
                 )
-        if eps is not None:
-            eps = np.asarray(eps, dtype=np.float64)
-            if eps.shape != (t_max,):
-                raise ModelValidationError(
-                    "injected_noise_shape",
-                    f"injected step noise must have shape ({t_max},), got {eps.shape}",
-                )
 
         n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
         if lo == 0:  # formed in one go, the path keeps the normalizer's own array as N
@@ -213,7 +209,7 @@ class _PathBuilder:
 
         n, s, steps = self.n, self.s, self.d
         noise = spec.noise if self.mode == "aggregate" else None
-        reach = spec.ma.max_lag - spec.ma.min_lag
+        reach = spec.ma.reach
         # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
         # loading first so each lag is one vectorized slice.
         loaded = np.empty(span - lo, dtype=np.float64)
@@ -223,7 +219,7 @@ class _PathBuilder:
         i = lo
         threaded = xi is None and 0 < fresh and fresh >= _THREAD_MIN_ROWS
         with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-            for rows in [xi[lo + kept :]] if xi is not None else self._draw_blocks(fresh, pool):
+            for rows in [xi] if xi is not None else self._draw_blocks(fresh, pool):
                 if spec.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
                     np.multiply(rows[:, 0], spec.beta_sum[0], out=loaded[filled : filled + len(rows)])
                 else:
@@ -235,9 +231,7 @@ class _PathBuilder:
                         break
                     d = _ma_filter(spec.ma, loaded[i - lo : j - lo + reach], j - i)
                     d *= fp[i + 1 - lo : j + 1 - lo]
-                    if eps is not None:
-                        d += eps[i:j]
-                    elif noise is not None:  # one exact-law draw of each step's noise sum
+                    if noise is not None:  # one exact-law draw of each step's noise sum
                         d += noise.sample_aggregate(np.diff(n[i : j + 1]), self._rng_eps)
                     if steps is not None:
                         steps[i + 1 : j + 1] = d
@@ -287,7 +281,6 @@ def simulate(
     spec: ModelSpec,
     cfg: PathConfig,
     injected_innovations: Optional[np.ndarray] = None,
-    injected_step_noise: Optional[np.ndarray] = None,
     *,
     builder: Optional[_PathBuilder] = None,
 ) -> WorkloadPath:
@@ -295,9 +288,10 @@ def simulate(
 
     Randomness is drawn from two child streams of ``cfg.seed``, innovations
     first and noise second. ``injected_innovations`` (shape (span, K) or
-    (span,) when K == 1, covering ``innovation_span``) and
-    ``injected_step_noise`` (one aggregate term per step) bypass the samplers
-    entirely and make the path a deterministic function of the inputs.
+    (span,) when K == 1, covering ``innovation_span``) bypass the innovation
+    sampler; with noise off they make the path a deterministic function of
+    the input. Injection forms a path in one go only, so it is refused
+    together with ``builder``.
 
     The loading product ``xi @ beta_sum``, ``floor(t**alpha)`` and the
     normalizer N are whole-path arrays. The innovations are drawn in blocks
@@ -321,6 +315,8 @@ def simulate(
     """
     if builder is None:
         builder = _PathBuilder(spec, cfg, cfg.t_max)
+    elif injected_innovations is not None:
+        raise ValueError("injected innovations form a path in one go; they take no builder")
     elif (
         builder.spec is not spec
         or replace(builder.cfg, t_max=cfg.t_max) != cfg
@@ -330,11 +326,4 @@ def simulate(
             f"a builder at horizon {builder.t} (cap {builder.cap}) cannot grow this path "
             f"to t_max={cfg.t_max}"
         )
-    return builder.grow(cfg.t_max, injected_innovations, injected_step_noise)
-
-
-def segment_average(path: WorkloadPath, k: int, l: int) -> float:
-    """Average deviation over (k, l]: (S(l) - S(k)) / (N(l) - N(k))."""
-    if not 0 <= k < l <= path.t_max:
-        raise ValueError(f"need 0 <= k < l <= {path.t_max}, got ({k}, {l})")
-    return float((path.S[l] - path.S[k]) / float(path.N[l] - path.N[k]))
+    return builder.grow(cfg.t_max, injected_innovations)

@@ -12,6 +12,12 @@ settings.register_profile("ci", max_examples=1500)
 settings.load_profile("dev")
 
 
+def segment_average(path, k, l):
+    """Oracle: the average deviation over (k, l], (S(l) - S(k)) / (N(l) - N(k))."""
+    assert 0 <= k < l <= path.t_max
+    return float((path.S[l] - path.S[k]) / float(path.N[l] - path.N[k]))
+
+
 def unit_document(**overrides):
     doc = {
         "alpha": 1.0,

@@ -29,6 +29,8 @@ from strange_segments.innovations import InnovationModel
 from strange_segments.model_core import floor_power_prefix
 from strange_segments.modeldoc import canonical_document
 
+from conftest import segment_average
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -184,7 +186,7 @@ class TestUldp:
     def test_window_sampling_matches_path_simulation(self, unit_spec):
         # the direct window sampler and whole-path simulation share the law;
         # compare empirical means/variances of the window average at k=1
-        from strange_segments import PathConfig, segment_average, simulate
+        from strange_segments import PathConfig, simulate
         from strange_segments.experiments import _uldp_chunk
         from strange_segments.modeldoc import canonical_document
 

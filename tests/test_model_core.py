@@ -6,15 +6,23 @@ from strange_segments import (
     MACoefficients,
     ModelSpec,
     ModelValidationError,
-    cumulative_population,
     floor_power,
     parse_model_document,
-    population,
 )
 from strange_segments.innovations import GaussianInnovations
 from strange_segments.model_core import cumulative_population_prefix, floor_power_prefix
 
 from conftest import unit_document
+
+
+def population(spec, i, t):
+    """Oracle: group-``i`` customers at time ``t`` (``i`` 1-based), c_i * floor(t**alpha)."""
+    return spec.groups[i - 1].c * floor_power(t, spec.alpha)
+
+
+def cumulative_population(spec, t):
+    """Oracle: N(t), every group's population summed over steps 1..t in Python integers."""
+    return sum(population(spec, i, k) for k in range(1, t + 1) for i in range(1, spec.n_groups + 1))
 
 
 def make_spec(alpha=1.0, groups=None, phi=None, dim=1):
@@ -65,44 +73,40 @@ class TestFloorPower:
 
 
 class TestPopulation:
+    """The normalizer's increment at t is the population there, C * floor(t**alpha)."""
+
     def test_examples(self):
         spec = make_spec(groups=[CustomerGroup(c=2, mu=0.0, beta=(1.0,))])
-        assert population(spec, 1, 3) == 6
+        assert np.diff(cumulative_population_prefix(spec, 3))[-1] == 6
         spec = make_spec(alpha=0.5)
-        assert population(spec, 1, 5) == 2
-        assert population(spec, 1, 0) == 0
-
-    def test_bad_group_index(self):
-        spec = make_spec()
-        with pytest.raises(ModelValidationError):
-            population(spec, 0, 1)
-        with pytest.raises(ModelValidationError):
-            population(spec, 2, 1)
+        assert np.diff(cumulative_population_prefix(spec, 5))[-1] == 2
+        assert cumulative_population_prefix(spec, 0).tolist() == [0]
 
     def test_monotone_in_t(self):
         spec = make_spec(alpha=0.7)
-        values = [population(spec, 1, t) for t in range(100)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
+        values = np.diff(cumulative_population_prefix(spec, 99))
+        assert (np.diff(values) >= 0).all()
 
 
 class TestCumulativePopulation:
     def test_examples(self):
-        assert cumulative_population(make_spec(), 3) == 6
-        assert cumulative_population(make_spec(alpha=1.7), 0) == 0
+        assert cumulative_population_prefix(make_spec(), 3)[3] == 6
+        assert cumulative_population_prefix(make_spec(alpha=1.7), 0)[0] == 0
         two = make_spec(
             groups=[CustomerGroup(c=1, mu=0.0, beta=(1.0,)), CustomerGroup(c=2, mu=0.0, beta=(0.0,))]
         )
-        assert cumulative_population(two, 2) == 9
+        assert cumulative_population_prefix(two, 2)[2] == 9
 
     def test_telescoping_exact(self):
         spec = make_spec(
             alpha=0.8,
             groups=[CustomerGroup(c=2, mu=1.0, beta=(1.0,)), CustomerGroup(c=3, mu=0.5, beta=(0.5,))],
         )
+        prefix = cumulative_population_prefix(spec, 59)
         for t in range(1, 60):
             step = sum(population(spec, i, t) for i in (1, 2))
-            assert cumulative_population(spec, t) - cumulative_population(spec, t - 1) == step
-            assert cumulative_population(spec, t) >= spec.total_c
+            assert int(prefix[t]) - int(prefix[t - 1]) == step
+            assert prefix[t] >= spec.total_c
 
     def test_prefix_matches_scalar(self):
         for alpha in (1.0, 0.5, 1.3):
@@ -175,3 +179,8 @@ class TestMACoefficients:
         ma = MACoefficients({-1: 0.25, 0: 1.0})
         assert ma.coeffs == {-1: 0.25, 0: 1.0}
         assert ma.max_lag == 0 and ma.min_lag == -1
+
+    def test_reach(self):
+        # lags on one side of 0 still reach back to lag 0
+        for coeffs, reach in [({0: 1.0}, 0), ({-1: 0.5, 0: 1.0, 2: 0.25}, 3), ({3: 1.0}, 3), ({-2: 1.0}, 2)]:
+            assert MACoefficients(coeffs).reach == reach

@@ -180,6 +180,13 @@ class TestLegendre:
         res = legendre(unit_ctx, 0.0, 1.0)
         assert res.value == pytest.approx(0.375, abs=1e-8)
 
+    @pytest.mark.parametrize("x", [1e3, 1e4])
+    def test_segment_conjugate_at_large_x(self, unit_ctx, x):
+        # the window estimates grow like x^2, so the quadrature tolerance is relative to them
+        res = legendre(unit_ctx, 0.0, x)
+        assert res.value == pytest.approx(0.375 * x * x, rel=1e-12)
+        assert res.argmax_lambda == pytest.approx(0.75 * x, rel=1e-12)
+
     def test_negative_branch(self, unit_ctx):
         res = legendre(unit_ctx, "limit", -2.0)
         assert res.value == pytest.approx(2.0, abs=1e-9)
@@ -401,7 +408,7 @@ def _uncached_quadrature(ctx, k, lam, differentiated):
     while True:
         order *= 2
         cur = estimate(order)
-        if abs(cur - prev) < ctx.quad_tol:
+        if abs(cur - prev) < ctx.quad_tol * max(1.0, abs(cur)):
             return cur
         prev = cur
 

@@ -12,7 +12,6 @@ from strange_segments import (
     ModelValidationError,
     PathConfig,
     parse_model_document,
-    segment_average,
     simulate,
 )
 from strange_segments import simulator
@@ -29,7 +28,7 @@ from strange_segments.simulator import (
     innovation_span,
 )
 
-from conftest import unit_document
+from conftest import segment_average, unit_document
 
 
 class TestInjectedExamples:
@@ -50,10 +49,6 @@ class TestInjectedExamples:
         path = simulate(unit_spec, cfg, injected_innovations=np.array([1.0, -1.0, 1.0]))
         assert segment_average(path, 0, 3) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert segment_average(path, 1, 2) == -1.0
-        with pytest.raises(ValueError):
-            segment_average(path, 2, 2)
-        with pytest.raises(ValueError):
-            segment_average(path, 3, 1)
 
     def test_injection_is_exact_integer_sum(self, unit_spec):
         # integer innovations and integer weights keep every partial sum exact
@@ -69,14 +64,18 @@ class TestInjectedExamples:
         with pytest.raises(ModelValidationError, match="injected"):
             simulate(unit_spec, cfg, injected_innovations=np.zeros(4))
 
-    def test_injected_noise_refused_before_any_draw(self, noisy_unit_spec):
+    def test_injected_innovations_refused_before_any_draw(self, monkeypatch, noisy_unit_spec):
         # a refused growth leaves the builder as it was: it drew nothing and wrote nothing
         cfg = PathConfig(t_max=20, seed=3)
         builder = _PathBuilder(noisy_unit_spec, cfg, 20)
+        draws = []
+        for law, name in [(GaussianInnovations, "sample"), (type(noisy_unit_spec.noise), "sample_aggregate")]:
+            monkeypatch.setattr(law, name, lambda *args: draws.append(args))
         with pytest.raises(ModelValidationError) as info:
-            simulate(noisy_unit_spec, cfg, injected_step_noise=np.zeros(19), builder=builder)
-        assert info.value.invariant == "injected_noise_shape"
-        assert builder.t == 0 and builder.n is None
+            builder.grow(20, np.zeros(19))
+        assert info.value.invariant == "injected_innovations_shape"
+        assert builder.t == 0 and builder.n is None and draws == []
+        monkeypatch.undo()
         grown = simulate(noisy_unit_spec, cfg, builder=builder)
         assert grown.S.tobytes() == simulate(noisy_unit_spec, cfg).S.tobytes()
 
@@ -203,7 +202,7 @@ class TestPathInvariants:
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
-def full_array_path(spec, cfg, injected_innovations=None, injected_step_noise=None):
+def full_array_path(spec, cfg, injected_innovations=None):
     """The whole-path synthesis `simulate` replaced: one array per stage, then a chunked cumsum.
 
     Returns (S, N, D); `simulate` must reproduce every element exactly.
@@ -220,9 +219,7 @@ def full_array_path(spec, cfg, injected_innovations=None, injected_step_noise=No
     fp = floor_power_prefix(t_max, spec.alpha)
     n_prefix = np.cumsum(spec.total_c * fp, dtype=np.int64)
     d = fp[1:].astype(np.float64) * driver
-    if injected_step_noise is not None:
-        d = d + injected_step_noise
-    elif mode != "off":
+    if mode != "off":
         d = d + spec.noise.sample_aggregate(n_prefix[1:] - n_prefix[:-1], rng_eps)
     s = np.zeros(t_max + 1)
     carry = comp = 0.0
@@ -267,14 +264,10 @@ class TestBlockEdges:
     def test_injected(self, model, t_max):
         spec = self.spec(model)
         j_min, j_max = innovation_span(spec, t_max)
-        rng = np.random.default_rng(t_max)
-        xi = rng.standard_normal((j_max - j_min + 1, spec.dim))
-        eps = rng.standard_normal(t_max)
+        xi = np.random.default_rng(t_max).standard_normal((j_max - j_min + 1, spec.dim))
         cfg = PathConfig(t_max=t_max, seed=0, noise_mode="off", record_steps=True)
-        self.assert_same(
-            simulate(spec, cfg, injected_innovations=xi, injected_step_noise=eps),
-            full_array_path(spec, cfg, injected_innovations=xi, injected_step_noise=eps),
-        )
+        self.assert_same(simulate(spec, cfg, injected_innovations=xi),
+                         full_array_path(spec, cfg, injected_innovations=xi))
         # injected innovations with sampled aggregate noise
         if spec.noise is not None:
             cfg = PathConfig(t_max=t_max, seed=3, record_steps=True)
@@ -300,12 +293,15 @@ class TestGrowInPlace:
     }
 
     @staticmethod
-    def grow(spec, horizons, cfg_for, inputs_for=lambda h: (None, None)):
-        """(grown path, one-shot path) per horizon, compared after the last growth."""
+    def grow(spec, horizons, cfg_for, inputs_for=lambda h: None):
+        """(grown path, one-shot path) per horizon, compared after the last growth.
+
+        ``inputs_for(h)`` gives the innovations the one-shot path at horizon h injects, or None.
+        """
         builder = _PathBuilder(spec, cfg_for(horizons[0]), horizons[-1] + 5)
-        grown = [simulate(spec, cfg_for(h), *inputs_for(h), builder=builder) for h in horizons]
+        grown = [simulate(spec, cfg_for(h), builder=builder) for h in horizons]
         # earlier paths share the buffers, which each growth extends past the last horizon
-        return [(path, simulate(spec, cfg_for(h), *inputs_for(h))) for h, path in zip(horizons, grown)]
+        return [(path, simulate(spec, cfg_for(h), inputs_for(h))) for h, path in zip(horizons, grown)]
 
     @staticmethod
     def assert_same(path, ref):
@@ -324,21 +320,19 @@ class TestGrowInPlace:
     @pytest.mark.parametrize("horizons", HORIZONS.values(), ids=HORIZONS.keys())
     @pytest.mark.parametrize("model", ["unit.json", "unit_noisy.json", "two_group.json"])
     def test_injected(self, model, horizons):
-        spec = TestBlockEdges.spec(model)
+        # a path grown in pieces equals one formed in one go from the rows its
+        # innovation stream draws, injected, with the noise it draws itself
+        spec = TestBlockEdges.spec(model)  # aggregate noise where the model has a noise law
         cap = horizons[-1]
         j_min, j_max = innovation_span(spec, cap)
-        rng = np.random.default_rng(cap)
-        xi = rng.standard_normal((j_max - j_min + 1, spec.dim))
-        eps = rng.standard_normal(cap)
+        rng_xi, _ = _child_streams(np.random.SeedSequence(4))
+        xi = spec.innovations.sample(rng_xi, j_max - j_min + 1)
 
         def inputs_for(h):
             j_min, j_max = innovation_span(spec, h)
-            return xi[: j_max - j_min + 1], eps[:h]
+            return xi[: j_max - j_min + 1]
 
-        pairs = self.grow(
-            spec, horizons, lambda h: PathConfig(t_max=h, seed=0, noise_mode="off", record_steps=True),
-            inputs_for,
-        )
+        pairs = self.grow(spec, horizons, lambda h: PathConfig(t_max=h, seed=4, record_steps=True), inputs_for)
         for path, ref in pairs:
             self.assert_same(path, ref)
 
@@ -378,7 +372,12 @@ class TestGrowInPlace:
         ]:
             with pytest.raises(ValueError, match="builder"):
                 simulate(spec, cfg, builder=builder)
-        assert simulate(unit_spec, PathConfig(t_max=60, seed=1), builder=builder).t_max == 60
+        # injection forms a path in one go only, so a builder that fits is refused too
+        with pytest.raises(ValueError, match="builder"):
+            simulate(unit_spec, PathConfig(t_max=60, seed=1), np.zeros(60), builder=builder)
+        assert builder.t == 50
+        grown = simulate(unit_spec, PathConfig(t_max=60, seed=1), builder=builder)
+        assert grown.S.tobytes() == simulate(unit_spec, PathConfig(t_max=60, seed=1)).S.tobytes()
 
 
 class TestDrawThread:
