@@ -30,7 +30,7 @@ from . import __version__
 from .errors import ModelValidationError, NumericalError
 from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
 from .modeldoc import load_model
-from .rate_function import RateFunctionCtx, legendre, set_rate
+from .rate_function import _QUAD_TOL, _ROOT_TOL, RateFunctionCtx, legendre, set_rate
 from .segments import _SET_KINDS, ThresholdSet, r_stat, t_stat
 from .simulator import _NOISE_MODES, PathConfig, WorkloadPath, simulate
 
@@ -190,7 +190,7 @@ def _emit(args, seed: Optional[int], digest: Optional[str], csv_lines: Optional[
 
 def _cmd_rate(args) -> int:
     spec, digest = load_model(args.model)
-    ctx = RateFunctionCtx(spec, quad_tol=args.quad_tol, root_tol=args.root_tol)
+    ctx = RateFunctionCtx(spec)
     lines = ["k,x,lambda_star"]
     curves: list = list(args.k or [])
     if args.limit or not curves:
@@ -307,7 +307,6 @@ def _cmd_verify_strong_law(args) -> int:
         master_seed=args.seed,
         noise_mode=args.noise_mode,
         horizon_cap=args.horizon_cap,
-        initial_horizon=args.initial_horizon,
     )
     bands = _bands(args.band, "R,LO,HI", _int, cfg.r_grid, "r")
     if args.trend is not None:
@@ -390,6 +389,16 @@ def _argv_text(value) -> str:
     return str(value)
 
 
+# Recorded config keys of flags a subcommand no longer takes, with the one
+# value at which ``replay`` drops the key and runs the manifest (None: any
+# value). The strong-law start horizon never changed an output; a rate
+# tolerance other than its constant computed other numbers, so it is refused.
+_RETIRED = {
+    "rate": {"quad_tol": _QUAD_TOL, "root_tol": _ROOT_TOL},
+    "verify-strong-law": {"initial_horizon": None},
+}
+
+
 def _replay_args(sub: str, config: dict, out) -> argparse.Namespace:
     """Parse a manifest's ``config`` again as ``sub``'s argv, with the parser's types and choices.
 
@@ -447,6 +456,13 @@ def _cmd_replay(args) -> int:
                 "input_digest_mismatch",
                 f"model document {model_path} no longer matches the manifest digest",
             )
+    for key, kept in _RETIRED.get(sub, {}).items():
+        value = config.pop(key, kept)
+        if kept is not None and value != kept:
+            raise ModelValidationError(
+                "replay_config", f"the manifest records {key}={value!r}; {sub} no longer takes "
+                f"that flag and always uses {kept!r}, so the run does not replay"
+            )
     replay_args = _replay_args(sub, config, args.out)
     return _DISPATCH[sub](replay_args)
 
@@ -499,9 +515,6 @@ def build_parser() -> _Parser:
                    help="comma-separated window offsets k; omit for the limit curve only")
     p.add_argument("--limit", action="store_true",
                    help="also emit the limit curve when --k is given")
-    p.add_argument("--quad-tol", type=_finite_float, default=1e-10,
-                   help="quadrature error target, relative to the estimate above 1")
-    p.add_argument("--root-tol", type=_finite_float, default=1e-12, help="Legendre root tolerance")
 
     p = sub.add_parser("simulate", help="simulate a workload-deviation path and write t,N,S[,D]")
     add_common(p)
@@ -534,10 +547,6 @@ def build_parser() -> _Parser:
     add_noise_mode(p)
     p.add_argument("--horizon-cap", type=int, default=10_000_000,
                    help="largest horizon a replicate's path grows to")
-    p.add_argument("--initial-horizon", type=int, default=None,
-                   help="horizon where each replicate's path starts, before it grows by an eighth "
-                        "(>= 1; raised to the largest t-grid entry, lowered to the cap); sets the "
-                        "run time, not the results")
     p.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
     p.add_argument("--band", action="append", default=None, metavar="R,LO,HI",
                    help="check that the median of log T_r / r lies in [LO, HI] (repeatable)")

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ModelValidationError
-from .model_core import ModelSpec, floor_power_prefix
+from .model_core import ModelSpec, _check_normalizer_width, floor_power_prefix
 from .modeldoc import canonical_document, parse_model_document
 from .rate_function import RateFunctionCtx, invert_capacity, lambda_limit_prime, legendre, set_rate
 from .segments import ThresholdSet, _TScan, r_stat, t_stat
@@ -45,11 +45,11 @@ _NEAR_MEAN_RATE = 1e-4
 class StrongLawRun:
     """Configuration of a strong-law verification run.
 
-    ``initial_horizon`` (>= 1, raised to the largest ``t_grid`` entry and lowered
-    to ``horizon_cap``) only sets where a replicate's horizon starts to grow,
-    not the results. The horizon grows by an eighth, and by at least one
-    8,192-step summation block, until T of the largest r appears or the cap
-    is reached.
+    A replicate's horizon starts at ``max(8 * max(r_grid), 256)``, raised to
+    the largest ``t_grid`` entry and lowered to ``horizon_cap``. It grows by
+    an eighth, and by at least one 8,192-step summation block, until T of the
+    largest r appears or the cap is reached. The path, and so every result,
+    does not depend on where it started, so the start is not a setting.
     """
 
     spec: ModelSpec
@@ -60,7 +60,6 @@ class StrongLawRun:
     master_seed: int = 0
     noise_mode: Optional[str] = None  # resolved like PathConfig
     horizon_cap: int = 10_000_000
-    initial_horizon: Optional[int] = None
 
     def __post_init__(self):
         if not self.r_grid or min(self.r_grid) < 1:
@@ -77,15 +76,9 @@ class StrongLawRun:
             raise ModelValidationError(
                 "horizon_cap", "horizon_cap must cover the largest t_grid entry"
             )
-        if self.initial_horizon is not None and self.initial_horizon < 1:
-            raise ModelValidationError("initial_horizon", "initial_horizon must be >= 1")
         if self.replicates < 1:
             raise ModelValidationError("replicates", "need at least one replicate")
         object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))
-
-    def resolved_initial_horizon(self) -> int:
-        base = self.initial_horizon or max(8 * max(self.r_grid), 256)  # None: the default start
-        return min(max(base, max(self.t_grid, default=2)), self.horizon_cap)
 
 
 @dataclass(frozen=True)
@@ -116,6 +109,10 @@ class UldpRun:
                     "k_grid", f"the window ({float(k * self.t):g}, {float((k + 1) * self.t):g}] "
                     f"at offset {k} holds no integer step; use a longer t",
                 )
+            _check_normalizer_width(  # before any draw: the chunks sum the window's weights in int64
+                self.spec, hi - lo + 1, hi, f"the normalizer of steps {lo}..{hi} (offset {k})",
+                "use a smaller offset or a shorter t",
+            )
         if self.samples < 1:
             raise ModelValidationError("samples", "need at least one sample")
         object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))
@@ -171,7 +168,7 @@ def _run_units(fn, units: list, workers: int) -> list:
 
 
 def _strong_law_replicate(args: tuple) -> dict:
-    (doc, c_p, r_grid, t_grid, noise_mode, horizon_cap, initial_horizon, master_seed, rep) = args
+    (doc, c_p, r_grid, t_grid, noise_mode, horizon_cap, master_seed, rep) = args
     spec = parse_model_document(doc)
     tset = ThresholdSet.above(c_p)
     r_max = max(r_grid)
@@ -179,7 +176,7 @@ def _strong_law_replicate(args: tuple) -> dict:
     # One builder keeps the path across the growths: each one draws, forms
     # and sums, and the scan reads, only the steps past the last horizon. A
     # growth by an eighth ends the path less than one growth past T_{r_max}.
-    horizon = initial_horizon
+    horizon = min(max(8 * r_max, 256, max(t_grid, default=2)), horizon_cap)
     cfg = PathConfig(horizon, seed=master_seed, noise_mode=noise_mode)
     builder = _PathBuilder(spec, cfg, horizon_cap, np.random.SeedSequence(master_seed, spawn_key=(rep,)))
     scan = _TScan(tset, r_max)
@@ -219,9 +216,8 @@ def run_strong_law(cfg: StrongLawRun, workers: int = 1) -> RunResult:
     predicted = legendre(ctx, "limit", cfg.c_p).value
 
     doc = canonical_document(cfg.spec)
-    initial = cfg.resolved_initial_horizon()
     units = [
-        (doc, cfg.c_p, cfg.r_grid, cfg.t_grid, cfg.noise_mode, cfg.horizon_cap, initial, cfg.master_seed, rep)
+        (doc, cfg.c_p, cfg.r_grid, cfg.t_grid, cfg.noise_mode, cfg.horizon_cap, cfg.master_seed, rep)
         for rep in range(cfg.replicates)
     ]
     reps = _run_units(_strong_law_replicate, units, workers)

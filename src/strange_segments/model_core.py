@@ -223,6 +223,20 @@ class ModelSpec:
         return self.ma.total()
 
 
+def _check_normalizer_width(spec: ModelSpec, steps: int, last: int, what: str, remedy: str) -> None:
+    """Refuse a normalizer over ``steps`` steps up to step ``last`` that may not fit in int64.
+
+    Each step adds at most ``total_c * floor(last**alpha)`` customers, so
+    ``steps`` times that bounds the sum, which must stay below 2**62.
+    ``what`` names the normalizer in the error and ``remedy`` says what to change.
+    """
+    if spec.total_c * steps * max(floor_power(last, spec.alpha), 1) >= 2**62:
+        raise ModelValidationError(
+            "normalizer_width",
+            f"{what} may exceed 64-bit integer range for alpha={spec.alpha}; {remedy}",
+        )
+
+
 def cumulative_population_prefix(
     spec: ModelSpec, t_max: int, start: int = 0, before: int = 0
 ) -> np.ndarray:
@@ -233,13 +247,7 @@ def cumulative_population_prefix(
     range that starts later is a slice of the full array. The guard rejects
     horizons whose normalizer would not fit in 64-bit.
     """
-    bound = spec.total_c * (t_max + 1) * max(floor_power(t_max, spec.alpha), 1)
-    if bound >= 2**62:
-        raise ModelValidationError(
-            "normalizer_width",
-            f"N({t_max}) may exceed 64-bit integer range for alpha={spec.alpha}; "
-            "reduce the horizon",
-        )
+    _check_normalizer_width(spec, t_max + 1, t_max, f"N({t_max})", "reduce the horizon")
     out = floor_power_prefix(t_max, spec.alpha, start)
     out *= spec.total_c
     out[:1] += before

@@ -29,10 +29,13 @@ lam = 0, where the slope is the mean, and the bracket probes
 ``+-_LAMBDA_BRACKET * 2**j``. One context therefore serves any number of x on
 a curve, and each x pays only for its own Brent steps. The points are keyed by
 probe index, so a curve holds at most ``2 * _MAX_BRACKET_DOUBLINGS + 1`` of
-them. A curve holds the model and the tolerance, not the context, so a
-dropped context is freed at once. Every value and slope is computed through
-``lambda_limit``, ``lambda_limit_prime``, ``lambda_k`` or ``lambda_k_prime``,
-looked up by name at each call.
+them. A curve holds the model, not the context, so a dropped context is
+freed at once. Every value and slope is computed through ``lambda_limit``,
+``lambda_limit_prime``, ``lambda_k`` or ``lambda_k_prime``, looked up by name
+at each call.
+
+The quadrature and root tolerances are the module constants ``_QUAD_TOL``
+and ``_ROOT_TOL``; no caller sets them.
 """
 
 from __future__ import annotations
@@ -50,15 +53,17 @@ from .model_core import ModelSpec
 from .segments import ThresholdSet
 
 # Gauss-Legendre order is doubled from _QUAD_ORDER until two successive
-# estimates agree to quad_tol, relative to the estimate once it exceeds 1; the
-# cap only guards against a non-smooth integrand, which the closed-form
+# estimates agree to _QUAD_TOL, relative to the estimate once it exceeds 1;
+# the cap only guards against a non-smooth integrand, which the closed-form
 # log-MGF contract rules out.
 _QUAD_ORDER = 32
 _MAX_QUAD_ORDER = 8192
+_QUAD_TOL = 1e-10
+_ROOT_TOL = 1e-12  # bracket width at which a root search stops
 _LAMBDA_BRACKET = 1.0  # first |lam| a root bracket tries before doubling
 _MAX_BRACKET_DOUBLINGS = 60
-# Brent's method on a monotone g needs a few dozen steps at the default
-# tolerances; the cap stops a search on a g that is not finite or not monotone.
+# Brent's method on a monotone g needs a few dozen steps at _ROOT_TOL; the cap
+# stops a search on a g that is not finite or not monotone.
 _MAX_ROOT_STEPS = 500
 _EPS = 2.0**-52  # spacing of doubles at 1.0
 _ZERO = (0, 0)  # key of lam = 0 among a curve's shared points; probe j on side s is (s, j)
@@ -68,27 +73,17 @@ WhichCurve = Union[str, float]  # "limit" or a window offset k >= 0
 
 @dataclass(frozen=True)
 class RateFunctionCtx:
-    """Numerical context: model reference plus tolerances.
+    """Numerical context: the model, plus one ``_Curve`` per curve asked about.
 
-    ``quad_tol`` bounds the change between successive quadrature estimates,
-    absolutely for estimates up to 1 in magnitude and relative to the
-    estimate above that. ``root_tol`` is the root searches' tolerance.
-
-    It also keeps one ``_Curve`` per curve asked about, keyed "limit" or by
-    the float window offset, so a curve's shared points are computed once per
-    context.
+    The curves are keyed "limit" or by the float window offset, so a curve's
+    shared points are computed once per context. The quadrature stops when
+    successive estimates differ by less than ``_QUAD_TOL``, absolutely for
+    estimates up to 1 in magnitude and relative to the estimate above that;
+    the root searches stop at ``_ROOT_TOL``.
     """
 
     spec: ModelSpec
-    quad_tol: float = 1e-10
-    root_tol: float = 1e-12
     _curves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not all(isfinite(tol) and tol > 0 for tol in (self.quad_tol, self.root_tol)):
-            raise ModelValidationError(
-                "tolerances_positive", "quad_tol and root_tol must be finite and > 0"
-            )
 
 
 @dataclass(frozen=True)
@@ -136,11 +131,10 @@ class _Curve:
     ``side``: keys, not float lambdas, so that +0.0 and -0.0 never collide.
     """
 
-    __slots__ = ("spec", "quad_tol", "k", "ray", "coeff", "slopes", "values")
+    __slots__ = ("spec", "k", "ray", "coeff", "slopes", "values")
 
-    def __init__(self, spec: ModelSpec, quad_tol: float, k: Optional[float] = None):
+    def __init__(self, spec: ModelSpec, k: Optional[float] = None):
         self.spec = spec
-        self.quad_tol = quad_tol
         self.k = k
         self.slopes: dict[tuple, float] = {}
         self.values: dict[tuple, float] = {}
@@ -149,7 +143,16 @@ class _Curve:
                 raise ModelValidationError(
                     "window_offset", f"window offset k must be finite and >= 0, got {k:g}"
                 )
-            self.coeff = spec.phi_total * (spec.alpha + 1.0) / _interval_mass(spec.alpha, k)
+            try:
+                mass = _interval_mass(spec.alpha, k)
+            except OverflowError:  # k**(alpha+1) beyond the range of doubles
+                mass = inf
+            if not isfinite(mass):
+                raise ModelValidationError(
+                    "window_offset", f"the window mass (k+1)**(alpha+1) - k**(alpha+1) at offset "
+                    f"k={k:g} overflows a double for alpha={spec.alpha}; use a smaller k",
+                )
+            self.coeff = spec.phi_total * (spec.alpha + 1.0) / mass
             self.ray = spec.innovations.ray(spec.beta_bar)
 
     def slope_at(self, key: tuple, lam: float, fprime: Callable[[float], float]) -> float:
@@ -185,11 +188,11 @@ class _Curve:
         while order < _MAX_QUAD_ORDER:
             order *= 2
             cur = estimate(order)
-            if abs(cur - prev) < self.quad_tol * max(1.0, abs(cur)):
+            if abs(cur - prev) < _QUAD_TOL * max(1.0, abs(cur)):
                 return cur
             prev = cur
         raise QuadratureError(
-            f"quadrature did not reach tolerance {self.quad_tol:g} by order {_MAX_QUAD_ORDER}",
+            f"quadrature did not reach tolerance {_QUAD_TOL:g} by order {_MAX_QUAD_ORDER}",
             achieved=abs(cur - prev),
         )
 
@@ -199,7 +202,7 @@ def _window(ctx: RateFunctionCtx, k: float) -> _Curve:
     k = float(k)
     curve = ctx._curves.get(k)
     if curve is None:
-        curve = ctx._curves[k] = _Curve(ctx.spec, ctx.quad_tol, k)
+        curve = ctx._curves[k] = _Curve(ctx.spec, k)
     return curve
 
 
@@ -239,7 +242,7 @@ def _curve(ctx: RateFunctionCtx, which: WhichCurve):
             raise ValueError(f"unknown curve {which!r}; expected 'limit' or a window offset")
         curve = ctx._curves.get("limit")
         if curve is None:
-            curve = ctx._curves["limit"] = _Curve(ctx.spec, ctx.quad_tol)
+            curve = ctx._curves["limit"] = _Curve(ctx.spec)
         return (curve, lambda lam: lambda_limit(ctx, lam), lambda lam: lambda_limit_prime(ctx, lam))
     curve = _window(ctx, which)
     k = curve.k
@@ -298,11 +301,12 @@ def _increasing_root(g, lo: float, hi: float, tol: float, *, g_lo: float, g_hi: 
     )
 
 
-def _root_beyond_zero(g, probe, g_zero: float, side: float, tol: float, what: str) -> float:
+def _root_beyond_zero(g, probe, g_zero: float, side: float, what: str) -> float:
     """Root of a nondecreasing continuous ``g`` on the ``side`` (+1 or -1) of 0, where it is ``g_zero``.
 
     The bracket doubles from _LAMBDA_BRACKET until ``side * g`` reaches 0 (else
-    BracketError(``what``)), then Brent's method runs on the last doubling step.
+    BracketError(``what``)), then Brent's method runs on the last doubling step
+    to ``_ROOT_TOL``.
     ``probe(j, lam)`` is ``g`` at the j-th bracket probe ``lam``, which it may
     build from a curve's shared points.
     """
@@ -317,8 +321,8 @@ def _root_beyond_zero(g, probe, g_zero: float, side: float, tol: float, what: st
     else:
         raise BracketError(what)
     if side > 0:
-        return _increasing_root(g, near, b, tol, g_lo=g_near, g_hi=g_far)
-    return _increasing_root(g, -b, near, tol, g_lo=g_far, g_hi=g_near)
+        return _increasing_root(g, near, b, _ROOT_TOL, g_lo=g_near, g_hi=g_far)
+    return _increasing_root(g, -b, near, _ROOT_TOL, g_lo=g_far, g_hi=g_near)
 
 
 def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResult:
@@ -341,7 +345,7 @@ def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResul
     lam = _root_beyond_zero(
         lambda lam: fprime(lam) - x,
         lambda j, lam: curve.slope_at((side, j), lam, fprime) - x,
-        mean - x, side, ctx.root_tol,
+        mean - x, side,
         "steepness violation: derivative of the log-MGF never passed "
         f"x={x:g} within {_MAX_BRACKET_DOUBLINGS} bracket doublings",
     )
@@ -376,7 +380,7 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
     On that branch ``C = Lambda'(lam)`` for some lam > 0, where
     ``Lambda*(C) = lam Lambda'(lam) - Lambda(lam)``. The right side is 0 at
     lam = 0 and nondecreasing for lam > 0, so ``_root_beyond_zero`` finds
-    lam to root_tol, and C is the slope there. The bracket probes take the
+    lam to _ROOT_TOL, and C is the slope there. The bracket probes take the
     limit curve's shared points, which a later ``legendre`` on the same
     context reuses.
     """
@@ -392,7 +396,7 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
         return lam * curve.slope_at(key, lam, fprime) - curve.value_at(key, lam, f) - target_rate
 
     lam = _root_beyond_zero(  # the excess is -target_rate at lam = 0, where Lambda(0) = 0
-        excess, excess_at_probe, -target_rate, 1.0, ctx.root_tol,
+        excess, excess_at_probe, -target_rate, 1.0,
         f"could not bracket the capacity for target rate {target_rate:g}",
     )
     return fprime(lam)

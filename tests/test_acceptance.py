@@ -212,8 +212,7 @@ class TestCriterion9Reproducibility:
             prefix = tmp_path / f"sl_{tag}"
             assert main(["verify-strong-law", "--model", model, "--seed", "23", "--cp", "1.0",
                          "--replicates", "8", "--r-grid", "2,4", "--t-grid", "32",
-                         "--initial-horizon", "64", "--noise-mode", "off",
-                         "--workers", workers, "--out", str(prefix)]) == 0
+                         "--noise-mode", "off", "--workers", workers, "--out", str(prefix)]) == 0
         sl_ok = (
             (tmp_path / "sl_a.csv").read_bytes() == (tmp_path / "sl_b.csv").read_bytes()
             and (tmp_path / "sl_a.summary.json").read_bytes() == (tmp_path / "sl_b.summary.json").read_bytes()

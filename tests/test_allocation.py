@@ -66,11 +66,11 @@ def test_t_stat_without_hit_peaks_below_six_blocks(t_max, kind):
 ])
 def test_strong_law_replicate_peak_in_cap_arrays(model, noise_mode, cap_arrays):
     # a capacity no segment average of length 10 reaches, so the horizon
-    # grows by an eighth from 1000 up to the cap; each growth draws only its
+    # grows by an eighth from 256 up to the cap; each growth draws only its
     # new steps
     spec, _ = load_model(str(MODELS / model))
     cap = 1_024_000
-    args = (canonical_document(spec), 100.0, (10,), (100,), noise_mode, cap, 1000, 1, 0)
+    args = (canonical_document(spec), 100.0, (10,), (100,), noise_mode, cap, 1, 0)
     rep, peak = traced_peak(lambda: _strong_law_replicate(args))
     assert rep["horizon"] == cap and rep["T"] == {10: None}
     assert peak < cap_arrays * 8 * (cap + 1)

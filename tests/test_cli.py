@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from strange_segments import ModelValidationError, WorkloadPath, load_model, simulate
-from strange_segments import cli, experiments
+from strange_segments import cli, experiments, innovations
 from strange_segments.cli import _fmt, _path_csv_lines, build_parser, main
 from strange_segments.segments import _SET_KINDS
 from strange_segments.simulator import _NOISE_MODES, PathConfig
@@ -61,12 +61,19 @@ class TestRate:
         assert values["0"] == pytest.approx(0.375, abs=1e-8)
 
 
-    def test_negative_offset_names_its_invariant(self, capsys, model_file):
+    @pytest.mark.parametrize("k", ["-1", "1e160"])  # at 1e160, (k+1)**2 - k**2 passes the largest double
+    def test_bad_offset_names_its_invariant(self, capsys, model_file, k):
         path = model_file(unit_document())
-        code, out, err = run_cli(capsys, ["rate", "--model", path, "--x", "1.0", "--k=-1"])
+        code, out, err = run_cli(capsys, ["rate", "--model", path, "--x", "1.0", f"--k={k}"])
         assert code == 1 and out == ""
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "validation" and record["invariant"] == "window_offset"
+
+    def test_far_offset_below_the_overflow_still_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["rate", "--model", str(MODELS / "unit.json"), "--x", "0.5",
+                                        "--k", "1e150"])
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[2]) == pytest.approx(0.125)
 
 
 class TestSegments:
@@ -178,8 +185,6 @@ class TestValidationErrors:
         assert code == 1
 
     @pytest.mark.parametrize("argv", [
-        ["rate", "--x", "1.0", "--root-tol", "nan"],
-        ["rate", "--x", "1.0", "--quad-tol", "inf"],
         ["rate", "--x", "nan"],
         ["rate", "--x", "1.0,inf"],
         ["segments", "--inject", "1,nan,2,3", "--set", "above", "--a", "0.5"],
@@ -346,10 +351,10 @@ class TestOutputsAndManifest:
         assert not (tmp_path / "run2.csv").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["rate", "--x=-0.8,0.3", "--k", "0,2.5", "--limit", "--root-tol", "1e-11"],
+        ["rate", "--x=-0.8,0.3", "--k", "0,2.5", "--limit"],
         ["segments", "--set", "interval", "--a=-0.5", "--b", "0.5", "--inject", "1,-2,3,0.5"],
         ["verify-strong-law", "--seed", "3", "--cp", "1.0", "--replicates", "2", "--r-grid", "2,3",
-         "--t-grid", "16", "--initial-horizon", "64", "--horizon-cap", "4096", "--noise-mode", "off",
+         "--t-grid", "16", "--horizon-cap", "4096", "--noise-mode", "off",
          "--band", "2,0.0,5.0", "--band", "3,0.0,5.0", "--trend", "2,3"],
         ["plan", "--r-target", "12", "--horizon", "100000"],
     ])
@@ -382,12 +387,66 @@ class TestOutputsAndManifest:
         for tag, workers in (("w1", "1"), ("w2", "2")):
             prefix = tmp_path / tag
             assert main(["verify-strong-law", "--model", path, "--seed", "9", "--cp", "1.0",
-                         "--replicates", "6", "--r-grid", "2,3", "--t-grid", "16",
-                         "--initial-horizon", "64", "--noise-mode", "off",
+                         "--replicates", "6", "--r-grid", "2,3", "--t-grid", "16", "--noise-mode", "off",
                          "--workers", workers, "--out", str(prefix)]) == 0
             outs.append((prefix.with_name(tag + ".csv").read_bytes(),
                          prefix.with_name(tag + ".summary.json").read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestRetiredFlags:
+    """``--quad-tol``, ``--root-tol`` and ``--initial-horizon`` are gone; their manifests still replay."""
+
+    STRONG = ["verify-strong-law", "--model", str(MODELS / "unit.json"), "--seed", "3", "--cp", "1.0",
+              "--replicates", "2", "--r-grid", "2,3", "--t-grid", "16", "--horizon-cap", "4096",
+              "--noise-mode", "off"]
+    RATE = ["rate", "--model", str(MODELS / "unit.json"), "--x=-0.8,0.3", "--k", "0,2.5", "--limit"]
+
+    @pytest.mark.parametrize("argv", [
+        RATE + ["--quad-tol", "1e-10"],
+        RATE + ["--root-tol", "1e-12"],
+        STRONG + ["--initial-horizon", "64"],
+    ])
+    def test_retired_flag_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "usage"
+
+    def replay_with(self, tmp_path, capsys, argv, recorded):
+        """Run ``argv``, add ``recorded`` to its manifest's config and replay that manifest."""
+        assert main(argv + ["--out", str(tmp_path / "run1")]) == 0
+        manifest = json.loads((tmp_path / "run1.manifest.json").read_text())
+        manifest["config"].update(recorded)
+        (tmp_path / "edited.manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, ["replay", "--manifest", str(tmp_path / "edited.manifest.json"),
+                                          "--out", str(tmp_path / "run2")])
+        return code, out, err, manifest["outputs"]
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (RATE, {"quad_tol": 1e-10, "root_tol": 1e-12}),
+        (STRONG, {"initial_horizon": 64}),
+        (STRONG, {"initial_horizon": None}),  # recorded when the flag was not given
+        (STRONG, {"initial_horizon": 4096}),
+    ])
+    def test_manifest_with_a_retired_key_replays_byte_for_byte(self, tmp_path, capsys, argv, recorded):
+        code, _, _, outputs = self.replay_with(tmp_path, capsys, argv, recorded)
+        assert code == 0 and outputs
+        for name in outputs:
+            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("run1", "run2")).read_bytes()
+
+    @pytest.mark.parametrize("recorded", [{"root_tol": 1e-11}, {"quad_tol": 1e-9, "root_tol": 1e-12}])
+    def test_other_recorded_tolerance_is_refused(self, tmp_path, capsys, recorded):
+        code, out, err, _ = self.replay_with(tmp_path, capsys, self.RATE, recorded)
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["invariant"] == "replay_config"
+        assert next(iter(recorded)) in record["message"]
+        assert not (tmp_path / "run2.csv").exists()
+
+    def test_retired_key_of_another_subcommand_is_refused(self, tmp_path, capsys):
+        code, _, err, _ = self.replay_with(tmp_path, capsys, self.RATE, {"initial_horizon": None})
+        assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "replay_config"
 
 
 class TestChecksInSummary:
@@ -395,8 +454,7 @@ class TestChecksInSummary:
         path = model_file(unit_document())
         prefix = tmp_path / "chk"
         assert main(["verify-strong-law", "--model", path, "--seed", "3", "--cp", "1.0",
-                     "--replicates", "6", "--r-grid", "2,3,4", "--t-grid", "16",
-                     "--initial-horizon", "64", "--noise-mode", "off",
+                     "--replicates", "6", "--r-grid", "2,3,4", "--t-grid", "16", "--noise-mode", "off",
                      "--band", "3,0.0,5.0", "--trend", "2,4", "--out", str(prefix)]) == 0
         summary = json.loads((tmp_path / "chk.summary.json").read_text())
         assert summary["checks"]["median_band_r3"]["pass"] is True
@@ -443,10 +501,10 @@ class TestCheckSpecsBeforeRun:
         (ULDP + ["--a=-0.5", "--band", "0,10"], "band"),  # predicted exponent 0 at offset 0
         (ULDP + ["--t", "1", "--k-grid", "0,0.5"], "k_grid"),  # the window (0.5, 1.5] is empty
         (ULDP + ["--noise-mode", "aggregate"], "noise_model_missing"),
+        (ULDP + ["--t", "40", "--k-grid", "1e16"], "normalizer_width"),  # its int64 sum would wrap
+        (ULDP + ["--t", "5", "--k-grid", "1e20"], "normalizer_width"),  # its steps pass int64
         (STRONG + ["--noise-mode", "aggregate", "--workers", "2"], "noise_model_missing"),
         (STRONG + ["--t-grid", "", "--horizon-cap", "-3"], "horizon_cap"),
-        (STRONG + ["--initial-horizon", "-5"], "initial_horizon"),
-        (STRONG + ["--initial-horizon", "0"], "initial_horizon"),
         (SEGMENTS + ["--t", "99"], "horizon"),  # the injected path has 3 steps
         (SEGMENTS + ["--t", "0"], "horizon"),
         (SEGMENTS + ["--t", "99", "--r", "0"], "segment_length"),
@@ -463,6 +521,25 @@ class TestCheckSpecsBeforeRun:
         code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == invariant
+
+    def test_far_window_that_fits_still_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify-uldp", "--model", str(MODELS / "unit.json"), "--seed", "2",
+                                        "--t", "40", "--k-grid", "1e15", "--samples", "2000",
+                                        "--set", "above", "--a", "0.5"])
+        assert code == 0
+        assert out.splitlines()[1].startswith("1000000000000000,40,2000,")
+
+    def test_simulate_refuses_a_normalizer_past_int64_before_any_draw(self, capsys, model_file,
+                                                                       monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("drew before the normalizer was checked")
+
+        monkeypatch.setattr(innovations.GaussianInnovations, "sample", never)
+        path = model_file(unit_document(alpha=2.0))  # N(1e7) is about 3e20
+        code, out, err = run_cli(capsys, ["simulate", "--model", path, "--seed", "1", "--t-max", "10000000"])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "validation" and record["invariant"] == "normalizer_width"
 
     def test_worker_error_reaches_the_error_record(self, capsys, monkeypatch):
         # each pooled replicate raises in its worker; the error must cross the
@@ -483,21 +560,6 @@ class TestCheckSpecsBeforeRun:
         code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "workers"
-
-
-class TestInitialHorizon:
-    # grows to a censored T_40 at the cap with aggregate noise; T_6 and T_8 complete
-    # past the first 8,192-step block
-    ARGV = ["verify-strong-law", "--model", str(MODELS / "unit_noisy.json"), "--seed", "29",
-            "--cp", "1.5", "--replicates", "3", "--r-grid", "6,8,9,40", "--t-grid", "100",
-            "--horizon-cap", "32000"]
-
-    def test_start_of_the_doubling_does_not_change_the_outputs(self, capsys):
-        # 7 is raised to the largest t-grid entry; 20000 reaches the cap in two growths
-        outs = {value: run_cli(capsys, self.ARGV + (["--initial-horizon", value] if value else []))
-                for value in (None, "7", "1000", "20000")}
-        assert all(code == 0 for code, _, _ in outs.values())
-        assert len({out for _, out, _ in outs.values()}) == 1
 
 
 class TestPlan:
@@ -541,13 +603,13 @@ class TestHygiene:
 
     @pytest.mark.parametrize("argv, keys", [
         (["rate", "--model", "m", "--x", "1"],
-         "k limit model quad_tol root_tol subcommand x"),
+         "k limit model subcommand x"),
         (["simulate", "--model", "m", "--seed", "1", "--t-max", "5"],
          "model noise_mode record_steps seed subcommand t_max"),
         (["segments", "--model", "m", "--set", "above", "--a", "0.5", "--inject", "1,2"],
          "a b inject model noise_mode r seed set subcommand t t_max"),
         (["verify-strong-law", "--model", "m", "--seed", "1", "--cp", "1"],
-         "band cp horizon_cap initial_horizon model noise_mode r_grid replicates seed "
+         "band cp horizon_cap model noise_mode r_grid replicates seed "
          "subcommand t_grid trend workers"),
         (["verify-uldp", "--model", "m", "--seed", "1", "--t", "4", "--samples", "10",
           "--set", "above", "--a", "0.5"],
@@ -587,7 +649,7 @@ class TestParserReuse:
     def test_band_and_default_grid_do_not_leak(self, tmp_path, model_file):
         path = model_file(unit_document())
         common = ["verify-strong-law", "--model", path, "--seed", "3", "--cp", "1.0",
-                  "--replicates", "2", "--t-grid", "16", "--initial-horizon", "64",
+                  "--replicates", "2", "--t-grid", "16",
                   "--horizon-cap", "4096", "--noise-mode", "off"]
         runs = [
             ("b1", ["--r-grid", "2,3,4", "--band", "3,0.0,5.0"]),

@@ -28,6 +28,7 @@ from strange_segments.experiments import _window_bounds
 from strange_segments.innovations import InnovationModel
 from strange_segments.model_core import floor_power_prefix
 from strange_segments.modeldoc import canonical_document
+from strange_segments.segments import r_stat, t_stat
 
 from conftest import segment_average
 
@@ -43,7 +44,6 @@ def small_strong_law(spec, **overrides):
         replicates=8,
         master_seed=42,
         noise_mode="off",
-        initial_horizon=64,
     )
     kwargs.update(overrides)
     return StrongLawRun(**kwargs)
@@ -80,7 +80,7 @@ class TestStrongLaw:
         # cap the horizon so large r cannot complete
         cfg = small_strong_law(
             unit_spec, c_p=3.0, r_grid=(2, 12), t_grid=(16, 32),
-            initial_horizon=32, horizon_cap=32, replicates=4,
+            horizon_cap=32, replicates=4,
         )
         res = run_strong_law(cfg)
         censored = [r for r in res.rows if r["censored"]]
@@ -110,14 +110,16 @@ class TestGrowthSchedule:
     @pytest.mark.parametrize("rep", range(4))
     def test_same_outputs_as_one_go_and_bounded_overshoot(self, model, noise_mode, rep):
         spec, _ = load_model(str(MODELS / model))
-        cap, r_grid = 400_000, (2, 4, 8)
-
-        def replicate(initial):
-            args = (canonical_document(spec), 1.5, r_grid, (100, 1000), noise_mode, cap, initial, 7, rep)
-            return experiments._strong_law_replicate(args)
-
-        grown, whole = replicate(1000), replicate(cap)
-        assert grown["T"] == whole["T"] and grown["R"] == whole["R"]
+        cap, r_grid, t_grid, tset = 400_000, (2, 4, 8), (100, 1000), ThresholdSet.above(1.5)
+        grown = experiments._strong_law_replicate(
+            (canonical_document(spec), 1.5, r_grid, t_grid, noise_mode, cap, 7, rep)
+        )
+        # the replicate's path formed in one go at the cap, from the replicate's own streams
+        cfg = simulator.PathConfig(cap, seed=7, noise_mode=noise_mode)
+        builder = simulator._PathBuilder(spec, cfg, cap, np.random.SeedSequence(7, spawn_key=(rep,)))
+        whole = simulator.simulate(spec, cfg, builder=builder)
+        assert grown["T"] == {r: t_stat(whole, tset, r).value for r in r_grid}
+        assert grown["R"] == {t: r_stat(whole, tset, t).value for t in t_grid}
         t_last = grown["T"][max(r_grid)]
         assert t_last is not None and t_last > 8192  # found after at least one growth
         assert grown["horizon"] - t_last < max(t_last // 8, simulator._CUMSUM_CHUNK)

@@ -51,12 +51,12 @@ CASES = {
                      "--a", "0.7", "--r", "5"],
     "verify_strong_law": ["verify-strong-law", "unit.json", "--seed", "23", "--cp", "1.0",
                           "--replicates", "4", "--r-grid", "2,4", "--t-grid", "32",
-                          "--initial-horizon", "64", "--noise-mode", "off"],
-    # Grows 1000 -> 32000 (T_40 is censored) with aggregate noise; T_6 and T_8
+                          "--noise-mode", "off"],
+    # Grows 320 -> 32000 (T_40 is censored) with aggregate noise; T_6 and T_8
     # complete past the first 8,192-step block.
     "verify_strong_law_long": ["verify-strong-law", "unit_noisy.json", "--seed", "29", "--cp", "1.5",
                                "--replicates", "3", "--r-grid", "6,8,9,40", "--t-grid", "100",
-                               "--initial-horizon", "1000", "--horizon-cap", "32000"],
+                               "--horizon-cap", "32000"],
     "verify_uldp": ["verify-uldp", "two_group.json", "--seed", "17", "--t", "10",
                     "--k-grid", "0,1", "--samples", "4000", "--set", "above", "--a", "0.4"],
     # One full 8,192-sample chunk plus a partial one per offset, and a fractional kt.

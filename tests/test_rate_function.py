@@ -371,17 +371,6 @@ class TestSetRate:
 
 
 class TestCtxValidation:
-    def test_bad_tolerances(self, unit_spec):
-        with pytest.raises(ModelValidationError):
-            RateFunctionCtx(unit_spec, quad_tol=0.0)
-        with pytest.raises(ModelValidationError):
-            RateFunctionCtx(unit_spec, root_tol=-1.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ModelValidationError, match="finite"):
-                RateFunctionCtx(unit_spec, quad_tol=bad)
-            with pytest.raises(ModelValidationError, match="finite"):
-                RateFunctionCtx(unit_spec, root_tol=bad)
-
     def test_unknown_curve(self, unit_ctx):
         with pytest.raises(ValueError):
             legendre(unit_ctx, "nonsense", 1.0)
@@ -408,7 +397,7 @@ def _uncached_quadrature(ctx, k, lam, differentiated):
     while True:
         order *= 2
         cur = estimate(order)
-        if abs(cur - prev) < ctx.quad_tol * max(1.0, abs(cur)):
+        if abs(cur - prev) < rate_function._QUAD_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
 
