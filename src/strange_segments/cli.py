@@ -86,6 +86,19 @@ def _ints(text: str) -> list[int]:
     return [_int(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _seed(text: str) -> int:
+    """A 64-bit master seed, an integer in [0, 2**64), for every subcommand's --seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise ModelValidationError(
+            "seed", f"--seed expects a 64-bit master seed, an integer in [0, 2**64), got {text!r}"
+        )
+    return value
+
+
 def _offset(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -518,7 +531,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="simulate a workload-deviation path and write t,N,S[,D]")
     add_common(p)
-    p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
+    p.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
     p.add_argument("--t-max", type=int, required=True, help="path horizon (steps)")
     add_noise_mode(p)
     p.add_argument("--record-steps", action="store_true", help="also emit per-step deviations D")
@@ -530,14 +543,14 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, default=None, help="horizon for the R statistic (default t-max)")
     p.add_argument("--inject", default=None,
                    help="comma-separated innovation values; bypasses the sampler")
-    p.add_argument("--seed", type=int, default=None, help="64-bit master seed (when not injecting)")
+    p.add_argument("--seed", type=_seed, default=None, help="64-bit master seed (when not injecting)")
     p.add_argument("--t-max", type=int, default=None, help="path horizon (when not injecting)")
     add_noise_mode(p)
 
     p = sub.add_parser("verify-strong-law",
                        help="Monte Carlo check of the growth law for T_r and R_t")
     add_common(p)
-    p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
+    p.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
     p.add_argument("--cp", type=_finite_float, required=True, help="capacity threshold C_p (above the mean)")
     p.add_argument("--replicates", type=int, default=50, help="number of independent replicates")
     p.add_argument("--r-grid", type=_ints, default="6,8,10,12,14",
@@ -556,7 +569,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-uldp",
                        help="Monte Carlo check of window tail exponents against the rate curves")
     add_common(p)
-    p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
+    p.add_argument("--seed", type=_seed, required=True, help="64-bit master seed")
     p.add_argument("--t", type=int, required=True, help="window length in steps")
     p.add_argument("--k-grid", default="0", help="comma-separated window offsets k")
     p.add_argument("--samples", type=int, required=True, help="window samples per offset")

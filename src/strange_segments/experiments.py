@@ -49,7 +49,9 @@ class StrongLawRun:
     the largest ``t_grid`` entry and lowered to ``horizon_cap``. It grows by
     an eighth, and by at least one 8,192-step summation block, until T of the
     largest r appears or the cap is reached. The path, and so every result,
-    does not depend on where it started, so the start is not a setting.
+    does not depend on where it started, so the start is not a setting. A
+    cap whose normalizer N may not fit in int64 is refused before any
+    replicate, with invariant ``normalizer_width``.
     """
 
     spec: ModelSpec
@@ -76,6 +78,10 @@ class StrongLawRun:
             raise ModelValidationError(
                 "horizon_cap", "horizon_cap must cover the largest t_grid entry"
             )
+        _check_normalizer_width(  # before any replicate: a path may grow to the cap
+            self.spec, self.horizon_cap + 1, self.horizon_cap, f"N({self.horizon_cap})",
+            "lower horizon_cap",
+        )
         if self.replicates < 1:
             raise ModelValidationError("replicates", "need at least one replicate")
         object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))

@@ -9,7 +9,11 @@ independent draws; no rate function reads its law.
 A window sum is one linear functional ``sum_j kernel[j] . xi_j`` of the
 innovations. ``InnovationModel.sample_projections`` draws such sums: any law
 draws every innovation row and reduces the rows in blocks, and the Gaussian
-law draws each sum from its exact normal law, one normal per sum.
+law draws each sum from its exact normal law, one normal per sum. In the same
+way ``InnovationModel.along(direction)`` is the law of ``direction . xi``, a
+one-dimensional law that a path samples for its loadings: any law draws its
+rows and reduces each one, and the Gaussian law is ``N(0, direction' cov
+direction)``, one normal per draw.
 
 The window quadrature reads a law along one direction, ``beta_bar``, at many
 scalars at once: ``InnovationModel.ray(direction)`` returns a ``Ray``, the vectorized
@@ -105,6 +109,16 @@ class InnovationModel(abc.ABC):
             xi.sum(axis=1, out=out[start : start + n])
         return out
 
+    def along(self, direction: np.ndarray) -> InnovationModel:
+        """The law of ``direction . xi``, as a one-dimensional law.
+
+        The default draws this law's rows and reduces each with
+        ``_rows_matmul``, so a draw has the bytes of the row product for any
+        draw size. Laws with a closed form along a direction (e.g. Gaussian)
+        override this with that law.
+        """
+        return _Along(self, np.asarray(direction, dtype=np.float64))
+
     def ray(self, direction: np.ndarray) -> Ray:
         """This law along ``direction``, evaluated once per scalar.
 
@@ -122,6 +136,26 @@ class InnovationModel(abc.ABC):
             )
 
         return Ray(log_mgf, slope)
+
+
+class _Along(InnovationModel):
+    """``direction . xi`` for a law ``base`` of ``xi``: its rows, each reduced along ``direction``."""
+
+    dim = 1
+
+    def __init__(self, base: InnovationModel, direction: np.ndarray):
+        self.base, self.direction = base, direction
+
+    def log_mgf(self, eta: np.ndarray) -> float:
+        return self.base.log_mgf(float(np.asarray(eta)[0]) * self.direction)
+
+    def grad_log_mgf(self, eta: np.ndarray) -> np.ndarray:
+        grad = self.base.grad_log_mgf(float(np.asarray(eta)[0]) * self.direction)
+        return np.array([float(self.direction @ grad)])
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        out = np.empty(size, dtype=np.float64)
+        return _rows_matmul(self.base.sample(rng, size), self.direction, out)[:, None]
 
 
 @dataclass(frozen=True)
@@ -175,6 +209,11 @@ class GaussianInnovations(InnovationModel):
         kernel = np.asarray(kernel, dtype=np.float64)
         sigma = math.sqrt(max(float(np.sum((kernel @ self.cov) * kernel)), 0.0))
         return rng.standard_normal(size) * sigma
+
+    def along(self, direction: np.ndarray) -> GaussianInnovations:
+        """One normal per draw: ``direction . xi`` is exactly N(0, direction' cov direction)."""
+        direction = np.asarray(direction, dtype=np.float64)
+        return GaussianInnovations(cov=[[max(float(direction @ self.cov @ direction), 0.0)]])
 
     def ray(self, direction: np.ndarray) -> Ray:
         """``0.5 q s**2`` and ``q s`` with ``q = direction' cov direction``, formed once."""

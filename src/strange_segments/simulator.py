@@ -6,17 +6,22 @@ loadings, which collapses to ``floor(t**alpha) * (beta_sum . Z(t))`` because
 all group populations scale with the same power of t; idiosyncratic noise is
 added as one exact-law draw of each step's sum over its customers, or not at
 all. The path keeps the cumulative deviation S and the integer normalizer N.
-The innovations are drawn in blocks of rows, and the steps are formed, given
-their noise and summed block by block, so no path-length temporary is made
-beyond the loading product and floor(t**alpha). A large growth draws its
-innovation blocks on one worker thread while the calling thread forms and
-sums the steps of the block before. One path builder does this. It owns the
-path's two random streams and draws, forms, sums and normalizes only the
-steps past the horizon it last reached, continuing the summation block that
-horizon left open, so no step is formed twice: ``simulate`` forms a path in
-one go with a builder of its own, and a caller that grows a horizon keeps
-one builder across the growths, every element equal to a path formed in one
-go. Injected innovations replace the draws only of a path formed in one go.
+The path reads the innovations only through each loading ``beta_sum . xi``,
+so it draws the loadings from their own law, ``innovations.along(beta_sum)``:
+one normal per step for Gaussian innovations, whatever their dimension. The
+loadings are drawn in blocks; the steps' moving average of them, weighted by
+floor(t**alpha), is formed, given noise and summed block by block, so no
+path-length temporary is made beyond floor(t**alpha). A large growth draws
+and forms its blocks on one worker thread while the calling thread gives
+noise to and sums the steps of the block before. One path builder does
+this. It owns the path's two random streams and draws, forms,
+sums and normalizes only the steps past the horizon it last reached,
+continuing the summation block that horizon left open, so no step is formed
+twice: ``simulate`` forms a path in one go with a builder of its own, and a
+caller that grows a horizon keeps one builder across the growths, every
+element equal to a path formed in one go. Injected innovations replace the
+draws only of a path formed in one go; an injection gives rows, whose
+loadings are the product ``xi @ beta_sum``.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix,
 
 _NOISE_MODES = ("aggregate", "off")
 _CUMSUM_CHUNK = 8192
-_DRAW_BLOCK_ROWS = 1 << 16  # innovation rows drawn at once
-# A growth drawing at least this many innovation rows draws them on a worker
-# thread; below it, starting the thread costs more than the overlap saves.
+_DRAW_BLOCK_ROWS = 1 << 16  # loadings drawn at once, give or take the MA reach
+# A growth drawing at least this many loadings draws them on a worker thread;
+# below it, starting the thread costs more than the overlap saves.
 _THREAD_MIN_ROWS = 4 * _DRAW_BLOCK_ROWS
 
 
@@ -132,31 +137,36 @@ class _PathBuilder:
     """One path's S and N, grown in place to longer and longer horizons.
 
     The builder owns the path's two random streams, spawned from ``ss``
-    (default ``SeedSequence(cfg.seed)``), and its resolved noise mode. Each
-    growth draws only the innovations and step noise past the last horizon,
-    continuing both streams, so a path grown in pieces draws what a path
-    formed in one go draws. Injected innovations replace the innovation
+    (default ``SeedSequence(cfg.seed)``), its resolved noise mode and the
+    law of its loadings, ``spec.innovations.along(spec.beta_sum)``, formed
+    once. Each growth draws only the loadings and step noise past the last
+    horizon, continuing both streams, so a path grown in pieces draws what a
+    path formed in one go draws. Injected innovations replace the loading
     draws of a first growth; their shape is checked before anything is drawn
     or written.
 
-    Innovations come in ``_DRAW_BLOCK_ROWS``-row blocks. A growth of at
-    least ``_THREAD_MIN_ROWS`` new rows draws them on a worker thread of a
-    pool that lives only for that growth; a smaller one draws them inline,
-    where a thread would cost more than it saves. Only the worker reads the
-    innovation stream and only the caller reads the noise stream, which it
-    draws per summation block. Block draws continue a stream exactly and
-    ``_rows_matmul`` rounds each row alike for any row count, so the path
-    does not depend on the blocks or the thread.
+    Loadings are drawn in blocks of the steps up to each multiple of
+    ``_DRAW_BLOCK_ROWS``. A growth of at least ``_THREAD_MIN_ROWS`` new
+    loadings draws them on a worker thread of a pool that lives only for
+    that growth; a smaller one draws them inline, where a thread would cost
+    more than it saves. Whoever draws a block also forms its steps' shared
+    part. Only the worker reads the innovation stream and only the caller
+    reads the noise stream, which it draws per summation block. Block draws
+    continue a stream exactly, a law without a closed form along
+    ``beta_sum`` reduces each row alike for any row count, and each step is
+    formed from its own loadings alone, so the path does not depend on the
+    blocks or the thread.
 
-    S and N are buffers sized for the horizon cap. Steps are formed and
-    summed in ``_CUMSUM_CHUNK``-step blocks aligned at step 0: within a block
-    the plain cumulative sum is accurate enough, and the running total handed
-    to the next block is kept with a Neumaier compensation term so the error
-    does not grow with the horizon (exact whenever every partial sum is
-    representable). A growth forms each new step once and continues the
-    block the last horizon left open: the block's plain running sum is added
-    to its first new step before the cumulative sum, which adds left to right,
-    so every element equals a path formed in one go at the new horizon.
+    S and N are buffers sized for the horizon cap. Steps are summed in
+    ``_CUMSUM_CHUNK``-step blocks aligned at step 0, which the draw blocks
+    never straddle: within a block the plain cumulative sum is accurate
+    enough, and the running total handed to the next block is kept with a
+    Neumaier compensation term so the error does not grow with the horizon
+    (exact whenever every partial sum is representable). A growth forms each
+    new step once and continues the block the last horizon left open: the
+    block's plain running sum is added to its first new step before the
+    cumulative sum, which adds left to right, so every element equals a path
+    formed in one go at the new horizon.
     """
 
     def __init__(
@@ -166,10 +176,11 @@ class _PathBuilder:
         self.cfg = cfg
         self.cap = cap
         self.mode = _resolve_noise_mode(spec, cfg.noise_mode)
+        self._law = spec.innovations.along(spec.beta_sum)  # of the loadings beta_sum . xi
         self._rng_xi, self._rng_eps = _child_streams(np.random.SeedSequence(cfg.seed) if ss is None else ss)
         self.t = 0  # horizon formed so far
         self.s = self.n = self.d = None  # S, N and the steps D, allocated by the first growth
-        self._loaded = np.empty(0, dtype=np.float64)  # the max_lag - min_lag loading values past t
+        self._loaded = np.empty(0, dtype=np.float64)  # the max_lag - min_lag loadings past the last step formed
         self._open = 0.0  # plain sum of the open block's steps (0 at a block edge)
         self._carry = self._comp = 0.0  # compensated sum of the steps before the open block
 
@@ -182,7 +193,7 @@ class _PathBuilder:
         lo = self.t  # steps lo+1..t_max are formed
         j_min, j_max = innovation_span(spec, t_max)
         span = j_max - j_min + 1
-        kept = len(self._loaded)  # innovation rows lo+kept.. are new: the last horizon's span on
+        kept = len(self._loaded)  # loadings lo+kept.. are new: the last horizon's span on
         fresh = span - lo - kept
         if xi is not None:
             xi = np.asarray(xi, dtype=np.float64)
@@ -209,28 +220,14 @@ class _PathBuilder:
 
         n, s, steps = self.n, self.s, self.d
         noise = spec.noise if self.mode == "aggregate" else None
-        reach = spec.ma.reach
-        # Sum_i n_i(t) beta_i' Z(t) = floor(t**alpha) * beta_sum . Z(t); fold the
-        # loading first so each lag is one vectorized slice.
-        loaded = np.empty(span - lo, dtype=np.float64)
-        loaded[:kept] = self._loaded
-        filled = kept  # loading values formed so far
         carry, comp, total = self._carry, self._comp, self._open
-        i = lo
-        threaded = xi is None and 0 < fresh and fresh >= _THREAD_MIN_ROWS
+        threaded = xi is None and fresh >= _THREAD_MIN_ROWS
         with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-            for rows in [xi] if xi is not None else self._draw_blocks(fresh, pool):
-                if spec.dim == 1:  # same bytes as the 1x1 matrix product, without BLAS
-                    np.multiply(rows[:, 0], spec.beta_sum[0], out=loaded[filled : filled + len(rows)])
-                else:
-                    _rows_matmul(rows, spec.beta_sum, out=loaded[filled : filled + len(rows)])
-                filled += len(rows)
-                while i < t_max:  # steps i+1..j: the rest of the block holding step i+1
-                    j = min(i - i % _CUMSUM_CHUNK + _CUMSUM_CHUNK, t_max)
-                    if j - lo + reach > filled:  # its loading is not formed yet
-                        break
-                    d = _ma_filter(spec.ma, loaded[i - lo : j - lo + reach], j - i)
-                    d *= fp[i + 1 - lo : j + 1 - lo]
+            for a, shared in self._blocks(lo, t_max, fp, xi, pool):
+                i, b = a, a + len(shared)
+                while i < b:  # steps i+1..j: the rest of the summation block holding step i+1
+                    j = min(i - i % _CUMSUM_CHUNK + _CUMSUM_CHUNK, b)
+                    d = shared[i - a : j - a]
                     if noise is not None:  # one exact-law draw of each step's noise sum
                         d += noise.sample_aggregate(np.diff(n[i : j + 1]), self._rng_eps)
                     if steps is not None:
@@ -248,33 +245,63 @@ class _PathBuilder:
                         carry, total = new, 0.0
                     i = j
         self._carry, self._comp, self._open = carry, comp, total
-        self._loaded = loaded[t_max - lo :].copy()
         self.t = t_max
         return WorkloadPath(
             S=s[: t_max + 1], N=n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
         )
 
-    def _draw_blocks(self, count: int, pool: Optional[ThreadPoolExecutor]) -> Iterator[np.ndarray]:
-        """The innovation stream's next ``count`` rows, in blocks of ``_DRAW_BLOCK_ROWS`` rows.
+    def _shared(self, loaded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The shared part ``floor(t**alpha) * beta_sum . Z(t)`` of consecutive steps.
 
-        Without ``pool`` each block is drawn when it is asked for. With it,
-        each block is drawn on the pool's one worker while the caller forms
-        the steps of the block before: the next draw is submitted before a
-        block is handed over, so at most one draw is in flight. Block draws
-        continue the stream exactly, so the rows do not depend on either.
+        ``weights`` is floor(t**alpha) of the steps and ``loaded`` the
+        loadings they read: its entry 0 lies max_lag steps before the first.
         """
-        sample, rng = self.spec.innovations.sample, self._rng_xi
-        sizes = [min(_DRAW_BLOCK_ROWS, count - a) for a in range(0, count, _DRAW_BLOCK_ROWS)]
-        if pool is None:
-            for size in sizes:
-                yield sample(rng, size)
+        out = _ma_filter(self.spec.ma, loaded, len(weights))
+        out *= weights
+        return out
+
+    def _blocks(
+        self, lo: int, t_max: int, fp: np.ndarray, xi: Optional[np.ndarray],
+        pool: Optional[ThreadPoolExecutor],
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(a, shared part of steps a+1..b)``, in blocks covering lo+1..t_max.
+
+        A block reads the loadings of its steps' innovation span, so the last
+        max_lag - min_lag of them are the first of the next block's, and
+        ``_loaded`` keeps them for the next growth. Injected rows give one
+        block, their loadings ``xi @ beta_sum``. Drawn loadings give blocks
+        that end at multiples of ``_DRAW_BLOCK_ROWS`` and at ``t_max``. With
+        ``pool``, the pool's one worker draws and forms each block while the
+        caller sums the block before: the next block is submitted before a
+        block is handed over, so at most one is in flight.
+        """
+        if xi is not None:
+            loaded = _rows_matmul(xi, self.spec.beta_sum, np.empty(len(xi)))
+            self._loaded = loaded[t_max - lo :].copy()
+            yield lo, self._shared(loaded, fp[1:])
             return
-        ahead = pool.submit(sample, rng, sizes[0])
-        for size in sizes[1:]:
-            rows = ahead.result()
-            ahead = pool.submit(sample, rng, size)
-            yield rows
-        yield ahead.result()
+        if lo == t_max:
+            return
+        edges = [lo, *range(lo - lo % _DRAW_BLOCK_ROWS + _DRAW_BLOCK_ROWS, t_max, _DRAW_BLOCK_ROWS), t_max]
+        blocks = list(zip(edges, edges[1:]))
+        reach, sample, rng = self.spec.ma.reach, self._law.sample, self._rng_xi
+
+        def block(a: int, b: int) -> np.ndarray:
+            drawn = sample(rng, b - a + reach - len(self._loaded))[:, 0]
+            loaded = np.concatenate([self._loaded, drawn]) if len(self._loaded) else drawn
+            self._loaded = loaded[b - a :].copy()
+            return self._shared(loaded, fp[a + 1 - lo : b + 1 - lo])
+
+        if pool is None:
+            for a, b in blocks:
+                yield a, block(a, b)
+            return
+        ahead = pool.submit(block, *blocks[0])
+        for k, (a, _) in enumerate(blocks):
+            done = ahead.result()
+            if k + 1 < len(blocks):
+                ahead = pool.submit(block, *blocks[k + 1])
+            yield a, done
 
 
 def simulate(
@@ -293,22 +320,23 @@ def simulate(
     the input. Injection forms a path in one go only, so it is refused
     together with ``builder``.
 
-    The loading product ``xi @ beta_sum``, ``floor(t**alpha)`` and the
-    normalizer N are whole-path arrays. The innovations are drawn in blocks
-    of ``_DRAW_BLOCK_ROWS`` rows, on a worker thread when the path draws at
-    least ``_THREAD_MIN_ROWS`` of them; the calling thread folds each block
-    into the loading product. The MA filter, the ``floor(t**alpha)``
-    weighting, the step noise, drawn per block, the copy into D and the
-    cumulative sum run over ``_CUMSUM_CHUNK``-step blocks aligned at step 0,
-    each as soon as its innovations are loaded, and write straight into S,
-    so the path allocates no other path-length array. The worker is gone
-    when ``simulate`` returns or raises.
+    ``floor(t**alpha)`` and the normalizer N are whole-path arrays. The
+    loadings ``beta_sum . xi`` are drawn from their own law in blocks of
+    about ``_DRAW_BLOCK_ROWS``, on a worker thread when the path draws at
+    least ``_THREAD_MIN_ROWS`` of them; injected rows give the loadings as
+    the product ``xi @ beta_sum``. Each draw block's MA filter and
+    ``floor(t**alpha)`` weighting are formed where its loadings are drawn.
+    The step noise, drawn per block, the copy into D and the cumulative sum
+    run over ``_CUMSUM_CHUNK``-step blocks aligned at step 0, each as soon as
+    its draw block is formed, and write straight into S, so the path
+    allocates no other path-length array. The worker is gone when ``simulate`` returns or
+    raises.
 
     Without ``builder`` the path is formed in one go by a builder of its own.
     A ``builder`` made for the same spec and the same ``cfg`` up to its
     horizon, and holding an earlier, shorter horizon, grows that path in
-    place instead: it draws from its own streams, the loading product,
-    ``floor(t**alpha)`` and N then cover only the steps past the earlier
+    place instead: it draws from its own streams, ``floor(t**alpha)`` and N
+    then cover only the steps past the earlier
     horizon, and the summation continues that horizon's open
     block. The returned path shares the builder's buffers and equals the one
     formed in one go.

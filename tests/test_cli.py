@@ -179,6 +179,26 @@ class TestValidationErrors:
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "usage"
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "seven"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-max", "5"],
+        ["segments", "--t-max", "5", "--set", "above", "--a", "0.5"],
+        ["verify-strong-law", "--cp", "1.0", "--replicates", "1", "--r-grid", "2", "--t-grid", "16"],
+        ["verify-uldp", "--t", "4", "--samples", "10", "--set", "above", "--a", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_outside_64_bits_names_its_invariant(self, capsys, argv, seed):
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", str(MODELS / "unit.json"), f"--seed={seed}"]
+                                 + argv[1:])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "validation" and record["invariant"] == "seed"
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_at_the_64_bit_ends_runs(self, capsys, seed):
+        code, out, _ = run_cli(capsys, ["simulate", "--model", str(MODELS / "unit.json"), "--seed", seed,
+                                        "--t-max", "5"])
+        assert code == 0 and out.splitlines()[0] == "t,N,S"
+
     def test_missing_seed_exits_1(self, capsys, model_file):
         path = model_file(unit_document())
         code, _, err = run_cli(capsys, ["simulate", "--model", path, "--t-max", "10"])
@@ -540,6 +560,27 @@ class TestCheckSpecsBeforeRun:
         assert code == 1 and out == ""
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "validation" and record["invariant"] == "normalizer_width"
+
+    def test_strong_law_refuses_a_cap_past_int64_before_any_replicate(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a replicate ran before the horizon cap was checked")
+
+        monkeypatch.setattr(cli, "run_strong_law", never)
+        monkeypatch.setattr(experiments, "_strong_law_replicate", never)
+        code, out, err = run_cli(capsys, ["verify-strong-law", "--model", str(MODELS / "unit.json"),
+                                          "--seed", "1", "--cp", "1.0", "--replicates", "1", "--r-grid", "2",
+                                          "--t-grid", "16", "--horizon-cap", "10000000000000"])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "validation" and record["invariant"] == "normalizer_width"
+
+    @pytest.mark.parametrize("cap", [[], ["--horizon-cap", "4096000"]], ids=["default", "4096000"])
+    def test_strong_law_caps_that_fit_still_run(self, capsys, cap):
+        code, out, _ = run_cli(capsys, ["verify-strong-law", "--model", str(MODELS / "unit.json"),
+                                        "--seed", "1", "--cp", "1.0", "--replicates", "1", "--r-grid", "2",
+                                        "--t-grid", "16", *cap])
+        assert code == 0
+        assert out.splitlines()[1] == "0,T,2,6,0.89587973461402748,false"
 
     def test_worker_error_reaches_the_error_record(self, capsys, monkeypatch):
         # each pooled replicate raises in its worker; the error must cross the

@@ -75,10 +75,10 @@ GOLDEN = {
         "csv": "825148d72deeb7df02fc2c517ffd97f643888bf6270ce8a6e65e05054fa4e3e7",
     },
     "segments_above": {
-        "csv": "05ec1fcae0bd7d9fac839295c548d7f73dc521afad5930a88822ab43424f8304",
+        "csv": "b48b787066189ffeac454d5608539d91148c1daf182ecd72ae8c1eb3f4b434b5",
     },
     "segments_below_horizon": {
-        "csv": "b2c3a591c06db4c8ad440c53dc67a8423776ced02ce332e221e713121679d748",
+        "csv": "9c87a222390255a4f3d75e38af78177001b91bd58593c8d28a029985ea3e90a9",
     },
     "segments_interval": {
         "csv": "959e92bfdf081e9675c541e1a528b7843644a97cb59e9892dbad7d7d1fee581a",
@@ -93,13 +93,13 @@ GOLDEN = {
         "csv": "6a5085a1eeb8b6a8ef90759da471acaa311f09c2226da253331d41a425c0cfa5",
     },
     "simulate_two_group_long": {
-        "csv": "1fe7a743630460c5c2b24810afccf53a5372a97d8b0f0cce9fb39460b5b148ef",
+        "csv": "9492a57efc32eb8913fea2a578bdb30dd8b4b8ce32255ba45fca329daf910111",
     },
     "simulate_two_group_blocks": {
-        "csv": "5f536e18b434378c7cc39d8df7d790e56794bec6db11112ea404f137caeacfcc",
+        "csv": "b8bcbc0578bb47fe6e24156952e967107922fcc39447272866d63f1b09dd15ea",
     },
     "simulate_two_group_steps": {
-        "csv": "a07ac65eb5e97a5b83e68aca2dc42bf7fd37a809089a60115cf353058fd8796e",
+        "csv": "3893c8627c5858df5c86daa2b17e21152c8fa0cb13109a0a349c5cc501d7dbf9",
     },
     "simulate_unit_off": {
         "csv": "1c0e29cb110f9edef00e38216c1b2174fb5e23a2d1a57e0243aa454bf150c892",

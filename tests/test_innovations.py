@@ -119,6 +119,30 @@ class TestSampling:
         assert (np.concatenate([m.sample(rng, n) for n in sizes]) == whole).all()
 
 
+class TestAlong:
+    def test_gaussian_law_along_a_direction(self):
+        cov = np.array([[1.0, 0.2], [0.2, 0.5]])
+        u = np.array([1.6, 1.4])
+        law = GaussianInnovations(cov=cov).along(u)
+        assert isinstance(law, GaussianInnovations) and law.dim == 1
+        assert law.cov.tolist() == [[float(u @ cov @ u)]]
+
+    def test_gaussian_draws_are_one_scaled_normal_each(self):
+        law = GaussianInnovations(cov=np.array([[1.0, 0.2], [0.2, 0.5]])).along(np.array([1.6, 1.4]))
+        draws = law.sample(np.random.default_rng(3), 1000)
+        assert draws.shape == (1000, 1)
+        assert (draws[:, 0] == np.random.default_rng(3).standard_normal(1000) * law._factor[0, 0]).all()
+
+    def test_default_law_along_a_direction(self):
+        base = _BoundedSlopeModel()
+        u = np.array([-2.0])
+        law = base.along(u)
+        assert law.dim == 1
+        for eta in (-0.7, 0.0, 1.3):
+            assert law.log_mgf(np.array([eta])) == base.log_mgf(eta * u)
+            assert law.grad_log_mgf(np.array([eta])).tolist() == [float(u @ base.grad_log_mgf(eta * u))]
+
+
 class TestNoise:
     def test_degenerate_noise_is_zero(self):
         n = GaussianNoise(var=0.0)

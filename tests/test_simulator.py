@@ -1,6 +1,8 @@
 import json
+import math
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,8 @@ from strange_segments import (
     simulate,
 )
 from strange_segments import simulator
-from strange_segments.innovations import GaussianInnovations
-from strange_segments.model_core import floor_power_prefix
+from strange_segments.innovations import GaussianInnovations, InnovationModel, _Along
+from strange_segments.model_core import CustomerGroup, floor_power_prefix
 from strange_segments.simulator import (
     _CUMSUM_CHUNK,
     _DRAW_BLOCK_ROWS,
@@ -205,17 +207,19 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def full_array_path(spec, cfg, injected_innovations=None):
     """The whole-path synthesis `simulate` replaced: one array per stage, then a chunked cumsum.
 
-    Returns (S, N, D); `simulate` must reproduce every element exactly.
+    Returns (S, N, D); `simulate` must reproduce every element exactly. The
+    loadings are drawn from their own law, or are injected rows times beta_sum.
     """
     t_max = cfg.t_max
     mode = _resolve_noise_mode(spec, cfg.noise_mode)
     j_min, j_max = innovation_span(spec, t_max)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
     if injected_innovations is None:
-        xi = spec.innovations.sample(rng_xi, j_max - j_min + 1)
+        loaded = spec.innovations.along(spec.beta_sum).sample(rng_xi, j_max - j_min + 1)[:, 0]
     else:
         xi = np.asarray(injected_innovations, dtype=np.float64).reshape(j_max - j_min + 1, -1)
-    driver = _ma_filter(spec.ma, xi @ spec.beta_sum, t_max)
+        loaded = xi @ spec.beta_sum
+    driver = _ma_filter(spec.ma, loaded, t_max)
     fp = floor_power_prefix(t_max, spec.alpha)
     n_prefix = np.cumsum(spec.total_c * fp, dtype=np.int64)
     d = fp[1:].astype(np.float64) * driver
@@ -234,6 +238,18 @@ def full_array_path(spec, cfg, injected_innovations=None):
             comp += (tot - new) + carry
         carry = new
     return s, n_prefix, np.concatenate([[0.0], d])
+
+
+def loading_reduction(spec):
+    """The one-dimensional model whose innovations are ``spec``'s loadings ``beta_sum . xi``.
+
+    Its ``beta_sum`` is 1, and its alpha, C, MA coefficients and noise are
+    ``spec``'s, so an injected row of it is a loading of ``spec``.
+    """
+    groups = [CustomerGroup(c=1, mu=0.0, beta=(1.0,))]
+    if spec.total_c > 1:
+        groups.append(CustomerGroup(c=spec.total_c - 1, mu=0.0, beta=(0.0,)))
+    return replace(spec, groups=tuple(groups), innovations=spec.innovations.along(spec.beta_sum))
 
 
 class TestBlockEdges:
@@ -293,15 +309,17 @@ class TestGrowInPlace:
     }
 
     @staticmethod
-    def grow(spec, horizons, cfg_for, inputs_for=lambda h: None):
+    def grow(spec, horizons, cfg_for, inputs_for=lambda h: None, one_go_spec=None):
         """(grown path, one-shot path) per horizon, compared after the last growth.
 
-        ``inputs_for(h)`` gives the innovations the one-shot path at horizon h injects, or None.
+        ``inputs_for(h)`` gives the innovations the one-shot path at horizon h injects, or None;
+        the one-shot path is of ``one_go_spec``, by default ``spec``.
         """
         builder = _PathBuilder(spec, cfg_for(horizons[0]), horizons[-1] + 5)
         grown = [simulate(spec, cfg_for(h), builder=builder) for h in horizons]
         # earlier paths share the buffers, which each growth extends past the last horizon
-        return [(path, simulate(spec, cfg_for(h), inputs_for(h))) for h, path in zip(horizons, grown)]
+        one_go_spec = spec if one_go_spec is None else one_go_spec
+        return [(path, simulate(one_go_spec, cfg_for(h), inputs_for(h))) for h, path in zip(horizons, grown)]
 
     @staticmethod
     def assert_same(path, ref):
@@ -320,19 +338,21 @@ class TestGrowInPlace:
     @pytest.mark.parametrize("horizons", HORIZONS.values(), ids=HORIZONS.keys())
     @pytest.mark.parametrize("model", ["unit.json", "unit_noisy.json", "two_group.json"])
     def test_injected(self, model, horizons):
-        # a path grown in pieces equals one formed in one go from the rows its
-        # innovation stream draws, injected, with the noise it draws itself
+        # a path grown in pieces equals one formed in one go from the loadings
+        # its innovation stream draws, injected into the model's loading
+        # reduction, with the noise it draws itself
         spec = TestBlockEdges.spec(model)  # aggregate noise where the model has a noise law
         cap = horizons[-1]
         j_min, j_max = innovation_span(spec, cap)
         rng_xi, _ = _child_streams(np.random.SeedSequence(4))
-        xi = spec.innovations.sample(rng_xi, j_max - j_min + 1)
+        loadings = spec.innovations.along(spec.beta_sum).sample(rng_xi, j_max - j_min + 1)
 
         def inputs_for(h):
             j_min, j_max = innovation_span(spec, h)
-            return xi[: j_max - j_min + 1]
+            return loadings[: j_max - j_min + 1]
 
-        pairs = self.grow(spec, horizons, lambda h: PathConfig(t_max=h, seed=4, record_steps=True), inputs_for)
+        pairs = self.grow(spec, horizons, lambda h: PathConfig(t_max=h, seed=4, record_steps=True), inputs_for,
+                          one_go_spec=loading_reduction(spec))
         for path, ref in pairs:
             self.assert_same(path, ref)
 
@@ -380,11 +400,112 @@ class TestGrowInPlace:
         assert grown.S.tobytes() == simulate(unit_spec, PathConfig(t_max=60, seed=1)).S.tobytes()
 
 
-class TestDrawThread:
-    """Innovation blocks drawn on a worker thread or inline give the same path, and no thread outlives a growth."""
+def chi2_even_cdf(x, dof):
+    """CDF of chi-square with an even ``dof``: 1 - exp(-x/2) sum_{k < dof/2} (x/2)^k / k!."""
+    y, term, total = x / 2.0, 1.0, 1.0
+    for k in range(1, dof // 2):
+        term *= y / k
+        total += term
+    return 1.0 - math.exp(-y) * total
 
-    # innovation rows just below and above one draw block and the thread
-    # threshold: a path draws t_max rows plus at most 3 for the MA lags
+
+class TestPathLaw:
+    """two_group.json paths at t = 64 follow the exact Gaussian law of S(1..64).
+
+    A step is ``floor(t**alpha) * sum_k phi_k L(t - k)`` plus its noise sum,
+    with i.i.d. loadings L ~ N(0, q), ``q = beta_sum' cov beta_sum``, and
+    noise N(0, var * C * floor(t**alpha)); S sums the steps. Paths whitened
+    by the Cholesky factor of that covariance must look standard normal.
+    """
+
+    T, PATHS = 64, 4000
+
+    @staticmethod
+    def covariance(spec, t):
+        q = float(spec.beta_sum @ spec.innovations.cov @ spec.beta_sum)
+        fp = floor_power_prefix(t, spec.alpha)[1:].astype(np.float64)
+        z = np.zeros((t, t))  # Cov(Z(s), Z(u)) / q: phi_k phi_l wherever s - k == u - l
+        for k, a in spec.ma.coeffs.items():
+            for l, b in spec.ma.coeffs.items():
+                z += a * b * np.eye(t, k=l - k)
+        steps = q * np.outer(fp, fp) * z + np.diag(spec.noise.var * spec.total_c * fp)
+        sums = np.tril(np.ones((t, t)))
+        return sums @ steps @ sums.T
+
+    def test_whitened_paths_are_standard_normal(self):
+        spec = TestBlockEdges.spec("two_group.json")  # lags -1, 0 and 2, with noise
+        assert sorted(spec.ma.coeffs) == [-1, 0, 2] and spec.noise is not None
+        t, m = self.T, self.PATHS
+        paths = np.array([simulate(spec, PathConfig(t_max=t, seed=seed)).S[1:] for seed in range(m)])
+        w = np.linalg.solve(np.linalg.cholesky(self.covariance(spec, t)), paths.T).T
+        # second moments about the known zero mean: an entry's standard error is
+        # at most sqrt(2/m) (the diagonal's); every one is within 5 of them
+        assert np.abs(w.T @ w / m - np.eye(t)).max() <= 5 * math.sqrt(2 / m)
+        norms = np.sort(np.einsum("ij,ij->i", w, w))  # Mahalanobis norms, chi-square(64)
+        assert abs(norms.mean() - t) <= 4 * math.sqrt(2 * t / m)  # chi-square(64) has variance 128
+        cdf = np.array([chi2_even_cdf(x, t) for x in norms])
+        ks = max((np.arange(1, m + 1) / m - cdf).max(), (cdf - np.arange(m) / m).max())
+        assert ks <= 1.628 / math.sqrt(m)  # the one-sample KS critical value at level 0.01
+
+
+class _Rademacher2(InnovationModel):
+    """Two independent fair +-1 coordinates: a non-Gaussian law with a sampler."""
+
+    dim = 2
+
+    def log_mgf(self, eta):
+        return float(np.sum(np.log(np.cosh(np.asarray(eta, dtype=np.float64)))))
+
+    def grad_log_mgf(self, eta):
+        return np.tanh(np.asarray(eta, dtype=np.float64))
+
+    def sample(self, rng, size):
+        return 2.0 * rng.integers(0, 2, size=(size, 2)) - 1.0
+
+
+class TestLoadingLaw:
+    """A path draws its loadings from ``innovations.along(beta_sum)``."""
+
+    def test_non_gaussian_law_keeps_the_row_product(self, monkeypatch):
+        # the default law along beta_sum draws the rows and reduces each one, so
+        # the path is the one formed from the law's rows times beta_sum
+        spec = replace(TestBlockEdges.spec("two_group.json"), innovations=_Rademacher2())
+        assert isinstance(spec.innovations.along(spec.beta_sum), _Along)
+        t_max = _THREAD_MIN_ROWS + 7
+        cfg = PathConfig(t_max=t_max, seed=21, record_steps=True)
+        j_min, j_max = innovation_span(spec, t_max)
+        rng_xi, _ = _child_streams(np.random.SeedSequence(cfg.seed))
+        rows = spec.innovations.sample(rng_xi, j_max - j_min + 1)
+        ref = full_array_path(spec, cfg, injected_innovations=rows)
+        for threshold in (0, 2**62):  # drawn on a worker and inline
+            monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+            TestBlockEdges.assert_same(simulate(spec, cfg), ref)
+        horizons = [1, 1000, _DRAW_BLOCK_ROWS + 5, t_max]
+        cfg_for = lambda h: PathConfig(t_max=h, seed=21, record_steps=True)
+        for path, one_go in TestGrowInPlace.grow(spec, horizons, cfg_for):
+            TestGrowInPlace.assert_same(path, one_go)
+
+    def test_gaussian_path_draws_one_normal_per_step(self, monkeypatch):
+        spec = TestBlockEdges.spec("two_group.json")
+        sample, drawn = GaussianInnovations.sample, []
+
+        def spy(self, rng, size):
+            out = sample(self, rng, size)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(GaussianInnovations, "sample", spy)
+        t_max = 2 * _DRAW_BLOCK_ROWS
+        simulate(spec, PathConfig(t_max=t_max, seed=3))
+        j_min, j_max = innovation_span(spec, t_max)
+        assert sum(drawn) == j_max - j_min + 1
+
+
+class TestDrawThread:
+    """Loading blocks drawn on a worker thread or inline give the same path, and no thread outlives a growth."""
+
+    # loadings just below and above one draw block and the thread threshold:
+    # a path draws t_max loadings plus at most 3 for the MA lags
     T_MAX = (_DRAW_BLOCK_ROWS - 4, _DRAW_BLOCK_ROWS + 1, _THREAD_MIN_ROWS - 4, _THREAD_MIN_ROWS + 1)
     MODES = [("unit.json", "off"), ("unit_noisy.json", "aggregate"), ("two_group.json", "aggregate"),
              ("two_group.json", "off")]
@@ -468,4 +589,6 @@ class TestDrawThread:
         with pytest.raises(Boom, match="second block"):
             simulate(spec, PathConfig(t_max=3 * _DRAW_BLOCK_ROWS, seed=2))
         assert threading.active_count() == before
-        assert calls == [_DRAW_BLOCK_ROWS, _DRAW_BLOCK_ROWS]
+        # a block forms the steps up to the next multiple of _DRAW_BLOCK_ROWS,
+        # and the first also draws the loadings before step 1 that they read
+        assert calls == [_DRAW_BLOCK_ROWS + spec.ma.reach, _DRAW_BLOCK_ROWS]
