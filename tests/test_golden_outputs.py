@@ -38,6 +38,9 @@ CASES = {
                                 "--record-steps"],
     "simulate_unit_off": ["simulate", "unit.json", "--seed", "3", "--t-max", "100",
                           "--noise-mode", "off", "--record-steps"],
+    # A model with a noise law, run without it.
+    "simulate_noisy_off": ["simulate", "unit_noisy.json", "--seed", "11", "--t-max", "300",
+                           "--noise-mode", "off", "--record-steps"],
     # Longer than one 65,536-row CSV block, so the export's second block is covered.
     "simulate_two_group_blocks": ["simulate", "two_group.json", "--seed", "13", "--t-max", "70000",
                                   "--record-steps"],
@@ -49,6 +52,9 @@ CASES = {
                           "--set", "interval", "--a", "0.3", "--b", "0.9", "--r", "4"],
     "segments_tie": ["segments", "unit.json", "--inject=-2,-2,-1,1,1,2", "--set", "above",
                      "--a", "0.7", "--r", "5"],
+    # An injected path of a model with a noise law is noise-free.
+    "segments_noisy_inject": ["segments", "unit_noisy.json", "--inject=0.5,-1.25,2,0.75,-0.5,1.5,1",
+                              "--set", "above", "--a", "0.4", "--r", "3"],
     "verify_strong_law": ["verify-strong-law", "unit.json", "--seed", "23", "--cp", "1.0",
                           "--replicates", "4", "--r-grid", "2,4", "--t-grid", "32",
                           "--noise-mode", "off"],
@@ -57,8 +63,14 @@ CASES = {
     "verify_strong_law_long": ["verify-strong-law", "unit_noisy.json", "--seed", "29", "--cp", "1.5",
                                "--replicates", "3", "--r-grid", "6,8,9,40", "--t-grid", "100",
                                "--horizon-cap", "32000"],
+    "verify_strong_law_noisy_off": ["verify-strong-law", "unit_noisy.json", "--seed", "37", "--cp", "1.5",
+                                    "--replicates", "3", "--r-grid", "4,6", "--t-grid", "100",
+                                    "--noise-mode", "off", "--horizon-cap", "20000"],
     "verify_uldp": ["verify-uldp", "two_group.json", "--seed", "17", "--t", "10",
                     "--k-grid", "0,1", "--samples", "4000", "--set", "above", "--a", "0.4"],
+    "verify_uldp_off": ["verify-uldp", "two_group.json", "--seed", "17", "--t", "10",
+                        "--k-grid", "0,1", "--samples", "4000", "--set", "above", "--a", "0.4",
+                        "--noise-mode", "off"],
     # One full 8,192-sample chunk plus a partial one per offset, and a fractional kt.
     "verify_uldp_partial": ["verify-uldp", "two_group.json", "--seed", "31", "--t", "40",
                             "--k-grid", "0,0.33,4", "--samples", "9000", "--set", "above",
@@ -83,11 +95,17 @@ GOLDEN = {
     "segments_interval": {
         "csv": "959e92bfdf081e9675c541e1a528b7843644a97cb59e9892dbad7d7d1fee581a",
     },
+    "segments_noisy_inject": {
+        "csv": "9c38369dc7c30142f11e70b52700938b4846cdaa741a8c3c5edb0aab399020d3",
+    },
     "segments_tie": {
         "csv": "c4bae82532e880ac2cfb4746b2f0f292206362f43ff7377e8b76cfbc1aa5d4d7",
     },
     "simulate_noisy": {
         "csv": "d9c7e17580d65bdb01f586a7c5588c78faac0bbff4899202a86f24ede3b248c3",
+    },
+    "simulate_noisy_off": {
+        "csv": "23ff4943bf62bac127817f57c15d95dc4989cd90ce9e70086aa29ea9ab74049e",
     },
     "simulate_noisy_steps": {
         "csv": "6a5085a1eeb8b6a8ef90759da471acaa311f09c2226da253331d41a425c0cfa5",
@@ -112,9 +130,17 @@ GOLDEN = {
         "csv": "129fe7feefbf93d1d7690f89df4ce03e4a4036743244c4126e9f7cde873b696b",
         "summary.json": "02cad7323729740992b23005499c558bccbdee269b5eb320e0c8763112b9a708",
     },
+    "verify_strong_law_noisy_off": {
+        "csv": "d00161e9e2458998d19eace7c884e09fc4dfe47819dca77e800e76eba78d0013",
+        "summary.json": "9844692d14e447b1b08dbd24709d77098098fb30d035e8709e409e1b89039f49",
+    },
     "verify_uldp": {
         "csv": "bb72c0966d41c33f2d29a85d7aa45ce3faf3eba466776b71d2e8e2c1949d508a",
         "summary.json": "6d3212f8963a3b6d68bc50eb7fcc2f2641132ccb8e7298bf0fd2d6683745bdd3",
+    },
+    "verify_uldp_off": {
+        "csv": "45c8bdf4095ef60171020d4c35a05a856ebb4dcfcf000c35dccc6069b5d887bd",
+        "summary.json": "cf50e24a64df1f53245383752fb73c791ae287f8893ebea7c166c2c783af608b",
     },
     "verify_uldp_partial": {
         "csv": "bfb0c10b704c24ecc764a3d0aa87504f7b45e6f0ec02eaaa92298d381ed88968",

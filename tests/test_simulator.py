@@ -171,6 +171,15 @@ class TestNoiseModes:
         slope = np.polyfit(log_n, log_var, 1)[0]
         assert -1.2 <= slope <= -0.8
 
+    def test_model_without_its_noise_law_is_the_noise_free_model(self, unit_spec, noisy_unit_spec):
+        # dropping the noise law is how a caller runs a model with noise off
+        for t_max, seed in ((300, 11), (20_000, 3)):
+            cfg = PathConfig(t_max=t_max, seed=seed, record_steps=True)
+            dropped = simulate(replace(noisy_unit_spec, noise=None), cfg)
+            free = simulate(unit_spec, cfg)
+            for a, b in ((dropped.S, free.S), (dropped.N, free.N), (dropped.D, free.D)):
+                assert np.array_equal(a, b)
+
     def test_noise_mode_needs_noise_model(self, unit_spec):
         with pytest.raises(ModelValidationError, match="noise"):
             simulate(unit_spec, PathConfig(t_max=10, seed=0, noise_mode="aggregate"))
