@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -29,14 +30,16 @@ import numpy as np
 from . import __version__
 from .errors import ModelValidationError, NumericalError
 from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_plan
+from .model_core import ModelSpec
 from .modeldoc import load_model
 from .rate_function import _QUAD_TOL, _ROOT_TOL, RateFunctionCtx, legendre, set_rate
 from .segments import _SET_KINDS, ThresholdSet, r_stat, t_stat
-from .simulator import _NOISE_MODES, PathConfig, WorkloadPath, simulate
+from .simulator import PathConfig, WorkloadPath, simulate
 
 
 # Rows of the simulate CSV formatted per block; bounds the transient arrays and lists.
 _CSV_BLOCK_ROWS = 65_536
+_NOISE_MODES = ("aggregate", "off")
 
 
 def _fmt(x) -> str:
@@ -137,10 +140,26 @@ def _table(cols: tuple, rows: list[dict]) -> list[str]:
     return [",".join(cols)] + [",".join(_fmt(row[c]) for c in cols) for row in rows]
 
 
+def _noise_model(spec: ModelSpec, mode: Optional[str]) -> ModelSpec:
+    """The model ``--noise-mode`` runs: as loaded (no mode) or without its noise law ("off").
+
+    "aggregate" runs the model's noise law, so a model without one is refused.
+    """
+    if mode == "off":
+        return replace(spec, noise=None)
+    if mode == "aggregate" and spec.noise is None:
+        raise ModelValidationError(
+            "noise_model_missing", f"noise_mode {mode!r} requires a noise law in the model"
+        )
+    return spec
+
+
 def _threshold_set(args) -> ThresholdSet:
     if args.set == "interval":
         if args.b is None:
             raise ModelValidationError("interval_endpoints", "--set interval requires --b")
+        if not args.a < args.b:
+            raise ModelValidationError("interval_endpoints", "interval sets need a < b")
         return ThresholdSet.interval(args.a, args.b)
     if args.b is not None:
         raise ModelValidationError("interval_endpoints", "--b only applies to --set interval")
@@ -219,10 +238,8 @@ def _cmd_rate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec, digest = load_model(args.model)
-    cfg = PathConfig(
-        t_max=args.t_max, seed=args.seed, noise_mode=args.noise_mode, record_steps=args.record_steps
-    )
-    path = simulate(spec, cfg)
+    spec = _noise_model(spec, args.noise_mode)
+    path = simulate(spec, PathConfig(t_max=args.t_max, seed=args.seed, record_steps=args.record_steps))
     _emit(args, args.seed, digest, _path_csv_lines(path, args.record_steps), None)
     return 0
 
@@ -278,14 +295,13 @@ def _segments_path(args, spec):
                 "inject_length",
                 f"injected sequence too short for the MA support (needs > {spec.ma.reach})",
             )
-        cfg = PathConfig(t_max=t_max, seed=0, noise_mode="off")
-        return simulate(spec, cfg, injected_innovations=values)
+        return simulate(replace(spec, noise=None), PathConfig(t_max=t_max, seed=0),
+                        injected_innovations=values)
     if args.seed is None or args.t_max is None:
         raise ModelValidationError(
             "path_source", "segments needs either --inject or both --seed and --t-max"
         )
-    cfg = PathConfig(t_max=args.t_max, seed=args.seed, noise_mode=args.noise_mode)
-    return simulate(spec, cfg)
+    return simulate(_noise_model(spec, args.noise_mode), PathConfig(t_max=args.t_max, seed=args.seed))
 
 
 def _cmd_segments(args) -> int:
@@ -311,6 +327,7 @@ def _cmd_segments(args) -> int:
 
 def _cmd_verify_strong_law(args) -> int:
     spec, digest = load_model(args.model)
+    spec = _noise_model(spec, args.noise_mode)
     cfg = StrongLawRun(
         spec=spec,
         c_p=args.cp,
@@ -318,7 +335,6 @@ def _cmd_verify_strong_law(args) -> int:
         t_grid=tuple(args.t_grid),
         replicates=args.replicates,
         master_seed=args.seed,
-        noise_mode=args.noise_mode,
         horizon_cap=args.horizon_cap,
     )
     bands = _bands(args.band, "R,LO,HI", _int, cfg.r_grid, "r")
@@ -350,6 +366,7 @@ def _cmd_verify_strong_law(args) -> int:
 
 def _cmd_verify_uldp(args) -> int:
     spec, digest = load_model(args.model)
+    spec = _noise_model(spec, args.noise_mode)
     tset = _threshold_set(args)
     cfg = UldpRun(
         spec=spec,
@@ -358,7 +375,6 @@ def _cmd_verify_uldp(args) -> int:
         tset=tset,
         samples=args.samples,
         master_seed=args.seed,
-        noise_mode=args.noise_mode,
     )
     bands = _bands(args.band, "K,PCT", _offset, cfg.k_grid, "offset")
     if bands:

@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .modeldoc import canonical_document, parse_model_document
 from .rate_function import RateFunctionCtx, invert_capacity, lambda_limit_prime, legendre, set_rate
 from .segments import ThresholdSet, _TScan, r_stat, t_stat
 from .simulator import (
-    _CUMSUM_CHUNK, PathConfig, _PathBuilder, _child_streams, _ma_filter, _resolve_noise_mode, simulate,
+    _CUMSUM_CHUNK, PathConfig, _PathBuilder, _child_streams, _ma_filter, simulate,
 )
 
 _log = logging.getLogger(__name__)
@@ -51,7 +51,8 @@ class StrongLawRun:
     largest r appears or the cap is reached. The path, and so every result,
     does not depend on where it started, so the start is not a setting. A
     cap whose normalizer N may not fit in int64 is refused before any
-    replicate, with invariant ``normalizer_width``.
+    replicate, with invariant ``normalizer_width``. The paths carry
+    idiosyncratic noise exactly when ``spec.noise`` is set.
     """
 
     spec: ModelSpec
@@ -60,7 +61,6 @@ class StrongLawRun:
     t_grid: tuple[int, ...] = (100, 1000)
     replicates: int = 50
     master_seed: int = 0
-    noise_mode: Optional[str] = None  # resolved like PathConfig
     horizon_cap: int = 10_000_000
 
     def __post_init__(self):
@@ -84,12 +84,14 @@ class StrongLawRun:
         )
         if self.replicates < 1:
             raise ModelValidationError("replicates", "need at least one replicate")
-        object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))
 
 
 @dataclass(frozen=True)
 class UldpRun:
-    """Configuration of a window tail-probability run."""
+    """Configuration of a window tail-probability run.
+
+    The window sums carry idiosyncratic noise exactly when ``spec.noise`` is set.
+    """
 
     spec: ModelSpec
     k_grid: tuple[Fraction, ...]
@@ -97,7 +99,6 @@ class UldpRun:
     tset: ThresholdSet
     samples: int
     master_seed: int = 0
-    noise_mode: Optional[str] = None  # resolved like PathConfig
 
     def __post_init__(self):
         grid = tuple(Fraction(str(k)) if not isinstance(k, Fraction) else k for k in self.k_grid)
@@ -121,7 +122,6 @@ class UldpRun:
             )
         if self.samples < 1:
             raise ModelValidationError("samples", "need at least one sample")
-        object.__setattr__(self, "noise_mode", _resolve_noise_mode(self.spec, self.noise_mode))
 
 
 @dataclass
@@ -174,7 +174,7 @@ def _run_units(fn, units: list, workers: int) -> list:
 
 
 def _strong_law_replicate(args: tuple) -> dict:
-    (doc, c_p, r_grid, t_grid, noise_mode, horizon_cap, master_seed, rep) = args
+    (doc, c_p, r_grid, t_grid, horizon_cap, master_seed, rep) = args
     spec = parse_model_document(doc)
     tset = ThresholdSet.above(c_p)
     r_max = max(r_grid)
@@ -183,7 +183,7 @@ def _strong_law_replicate(args: tuple) -> dict:
     # and sums, and the scan reads, only the steps past the last horizon. A
     # growth by an eighth ends the path less than one growth past T_{r_max}.
     horizon = min(max(8 * r_max, 256, max(t_grid, default=2)), horizon_cap)
-    cfg = PathConfig(horizon, seed=master_seed, noise_mode=noise_mode)
+    cfg = PathConfig(horizon, seed=master_seed)
     builder = _PathBuilder(spec, cfg, horizon_cap, np.random.SeedSequence(master_seed, spawn_key=(rep,)))
     scan = _TScan(tset, r_max)
     growths = 0
@@ -223,7 +223,7 @@ def run_strong_law(cfg: StrongLawRun, workers: int = 1) -> RunResult:
 
     doc = canonical_document(cfg.spec)
     units = [
-        (doc, cfg.c_p, cfg.r_grid, cfg.t_grid, cfg.noise_mode, cfg.horizon_cap, cfg.master_seed, rep)
+        (doc, cfg.c_p, cfg.r_grid, cfg.t_grid, cfg.horizon_cap, cfg.master_seed, rep)
         for rep in range(cfg.replicates)
     ]
     reps = _run_units(_strong_law_replicate, units, workers)
@@ -327,10 +327,10 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     The innovation law draws the window sums against ``_window_kernel`` from
     the chunk's innovation stream: a Gaussian law one normal per sum from the
     sum's exact law, any other law every innovation row of the window,
-    reduced in blocks. The noise stream draws each window's aggregate noise.
-    ``noise_mode`` is already resolved by ``UldpRun``.
+    reduced in blocks. When the model has a noise law, the noise stream
+    draws each window's aggregate noise.
     """
-    (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx, noise_mode) = args
+    (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx) = args
     spec = parse_model_document(doc)
     lo, hi = _window_bounds(Fraction(k_str), t)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx)))
@@ -339,7 +339,7 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     kernel = _window_kernel(spec, window_fp.astype(np.float64))
     values = spec.innovations.sample_projections(rng_xi, kernel, size)
     n_window = spec.total_c * int(window_fp.sum())
-    if noise_mode == "aggregate":
+    if spec.noise is not None:
         values = values + spec.noise.sample_aggregate(np.full(size, n_window, dtype=np.int64), rng_eps)
 
     averages = values / float(n_window)
@@ -354,7 +354,7 @@ def run_uldp(cfg: UldpRun, workers: int = 1) -> RunResult:
     starts = range(0, cfg.samples, _ULDP_CHUNK)
     units = [
         (doc, str(k), cfg.t, cfg.tset, min(_ULDP_CHUNK, cfg.samples - start),
-         cfg.master_seed, k_idx, chunk_idx, cfg.noise_mode)
+         cfg.master_seed, k_idx, chunk_idx)
         for k_idx, k in enumerate(cfg.k_grid)
         for chunk_idx, start in enumerate(starts)
     ]

@@ -3,10 +3,12 @@
 Each step aggregates the deviation of every customer present at time t. The
 shared component is the moving-average driver Z(t) weighted by the group
 loadings, which collapses to ``floor(t**alpha) * (beta_sum . Z(t))`` because
-all group populations scale with the same power of t; idiosyncratic noise is
-added as one exact-law draw of each step's sum over its customers, or not at
-all. The path keeps the cumulative deviation S and the integer normalizer N.
-The path reads the innovations only through each loading ``beta_sum . xi``,
+all group populations scale with the same power of t; when the model has a
+noise law, idiosyncratic noise is added as one exact-law draw of each step's
+sum over its customers. A model without one gives a noise-free path, so a
+caller runs a model with noise off as ``replace(spec, noise=None)``. The
+path keeps the cumulative deviation S and the integer normalizer N. The
+path reads the innovations only through each loading ``beta_sum . xi``,
 so it draws the loadings from their own law, ``innovations.along(beta_sum)``:
 one normal per step for Gaussian innovations, whatever their dimension. The
 loadings are drawn in blocks; the steps' moving average of them, weighted by
@@ -37,7 +39,6 @@ from .errors import ModelValidationError
 from .innovations import _rows_matmul
 from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix, floor_power_prefix
 
-_NOISE_MODES = ("aggregate", "off")
 _CUMSUM_CHUNK = 8192
 _DRAW_BLOCK_ROWS = 1 << 16  # loadings drawn at once, give or take the MA reach
 # A growth drawing at least this many loadings draws them on a worker thread;
@@ -47,22 +48,19 @@ _THREAD_MIN_ROWS = 4 * _DRAW_BLOCK_ROWS
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Horizon, seed and noise handling for one simulated path.
+    """Horizon and seed of one simulated path, and whether it records the steps D.
 
-    ``noise_mode=None`` resolves to "aggregate" when the model has a noise
-    law and "off" otherwise.
+    Whether the path has idiosyncratic noise is the model's to say: it has
+    when ``spec.noise`` is set.
     """
 
     t_max: int
     seed: int
-    noise_mode: Optional[str] = None
     record_steps: bool = False
 
     def __post_init__(self):
         if self.t_max < 1:
             raise ModelValidationError("t_max_positive", "t_max must be >= 1")
-        if self.noise_mode is not None:
-            _check_noise_mode(self.noise_mode)
 
 
 @dataclass(frozen=True)
@@ -94,26 +92,6 @@ def innovation_span(spec: ModelSpec, t_max: int) -> tuple[int, int]:
     return j_min, j_min + t_max - 1 + spec.ma.reach
 
 
-def _check_noise_mode(mode: str) -> None:
-    """Refuse a noise mode outside ``_NOISE_MODES``."""
-    if mode not in _NOISE_MODES:
-        raise ModelValidationError(
-            "noise_mode", f"noise_mode must be one of {_NOISE_MODES}, got {mode!r}"
-        )
-
-
-def _resolve_noise_mode(spec: ModelSpec, mode: Optional[str]) -> str:
-    """Noise mode to run: None means "aggregate" when the model has a noise law, else "off"."""
-    if mode is None:
-        return "aggregate" if spec.noise is not None else "off"
-    _check_noise_mode(mode)
-    if mode != "off" and spec.noise is None:
-        raise ModelValidationError(
-            "noise_model_missing", f"noise_mode {mode!r} requires a noise law in the model"
-        )
-    return mode
-
-
 def _child_streams(ss: np.random.SeedSequence) -> tuple[np.random.Generator, np.random.Generator]:
     """(innovation stream, noise stream) of one path, spawned from ``ss`` in that order."""
     child_xi, child_eps = ss.spawn(2)
@@ -137,9 +115,10 @@ class _PathBuilder:
     """One path's S and N, grown in place to longer and longer horizons.
 
     The builder owns the path's two random streams, spawned from ``ss``
-    (default ``SeedSequence(cfg.seed)``), its resolved noise mode and the
-    law of its loadings, ``spec.innovations.along(spec.beta_sum)``, formed
-    once. Each growth draws only the loadings and step noise past the last
+    (default ``SeedSequence(cfg.seed)``) whether or not the model has a
+    noise law, and the law of its loadings,
+    ``spec.innovations.along(spec.beta_sum)``, formed once. It draws step
+    noise exactly when ``spec.noise`` is set. Each growth draws only the loadings and step noise past the last
     horizon, continuing both streams, so a path grown in pieces draws what a
     path formed in one go draws. Injected innovations replace the loading
     draws of a first growth; their shape is checked before anything is drawn
@@ -175,7 +154,6 @@ class _PathBuilder:
         self.spec = spec
         self.cfg = cfg
         self.cap = cap
-        self.mode = _resolve_noise_mode(spec, cfg.noise_mode)
         self._law = spec.innovations.along(spec.beta_sum)  # of the loadings beta_sum . xi
         self._rng_xi, self._rng_eps = _child_streams(np.random.SeedSequence(cfg.seed) if ss is None else ss)
         self.t = 0  # horizon formed so far
@@ -218,8 +196,7 @@ class _PathBuilder:
             self.s[0] = 0.0
             self.d = np.zeros(self.cap + 1, dtype=np.float64) if self.cfg.record_steps else None
 
-        n, s, steps = self.n, self.s, self.d
-        noise = spec.noise if self.mode == "aggregate" else None
+        n, s, steps, noise = self.n, self.s, self.d, spec.noise
         carry, comp, total = self._carry, self._comp, self._open
         threaded = xi is None and fresh >= _THREAD_MIN_ROWS
         with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
@@ -229,7 +206,8 @@ class _PathBuilder:
                     j = min(i - i % _CUMSUM_CHUNK + _CUMSUM_CHUNK, b)
                     d = shared[i - a : j - a]
                     if noise is not None:  # one exact-law draw of each step's noise sum
-                        d += noise.sample_aggregate(np.diff(n[i : j + 1]), self._rng_eps)
+                        counts = spec.total_c * fp[i + 1 - lo : j + 1 - lo]  # customers of steps i+1..j
+                        d += noise.sample_aggregate(counts, self._rng_eps)
                     if steps is not None:
                         steps[i + 1 : j + 1] = d
                     d[0] += total
@@ -316,8 +294,8 @@ def simulate(
     Randomness is drawn from two child streams of ``cfg.seed``, innovations
     first and noise second. ``injected_innovations`` (shape (span, K) or
     (span,) when K == 1, covering ``innovation_span``) bypass the innovation
-    sampler; with noise off they make the path a deterministic function of
-    the input. Injection forms a path in one go only, so it is refused
+    sampler; for a model without a noise law they make the path a
+    deterministic function of the input. Injection forms a path in one go only, so it is refused
     together with ``builder``.
 
     ``floor(t**alpha)`` and the normalizer N are whole-path arrays. The
@@ -329,8 +307,8 @@ def simulate(
     The step noise, drawn per block, the copy into D and the cumulative sum
     run over ``_CUMSUM_CHUNK``-step blocks aligned at step 0, each as soon as
     its draw block is formed, and write straight into S, so the path
-    allocates no other path-length array. The worker is gone when ``simulate`` returns or
-    raises.
+    allocates no other path-length array. The worker is gone when
+    ``simulate`` returns or raises.
 
     Without ``builder`` the path is formed in one go by a builder of its own.
     A ``builder`` made for the same spec and the same ``cfg`` up to its

@@ -7,6 +7,7 @@ faithful report, not a regression in this package.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -124,7 +125,7 @@ class TestCriterion6StrongLaw:
         start = time.monotonic()
         cfg = StrongLawRun(
             spec=unit_spec, c_p=1.0, r_grid=(6, 12, 14), t_grid=(100, 1000),
-            replicates=50, master_seed=0, noise_mode="off",
+            replicates=50, master_seed=0,
         )
         res = run_strong_law(cfg)
         elapsed = time.monotonic() - start
@@ -179,8 +180,8 @@ class TestCriterion8NoiseWashout:
     def test_noise_does_not_move_the_medians(self):
         noisy = parse_model_document(unit_document(noise={"type": "gaussian_noise", "var": 1.0}))
         common = dict(c_p=1.0, r_grid=(6, 12, 14), t_grid=(100,), replicates=50, master_seed=0)
-        res_off = run_strong_law(StrongLawRun(spec=noisy, noise_mode="off", **common))
-        res_on = run_strong_law(StrongLawRun(spec=noisy, noise_mode="aggregate", **common))
+        res_off = run_strong_law(StrongLawRun(spec=replace(noisy, noise=None), **common))
+        res_on = run_strong_law(StrongLawRun(spec=noisy, **common))
         ok = True
         details = []
         for r in ("6", "12", "14"):

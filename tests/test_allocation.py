@@ -56,21 +56,22 @@ def test_t_stat_without_hit_peaks_below_six_blocks(t_max, kind):
     assert peak < 6 * 8 * segments._SCAN_BLOCK
 
 
-@pytest.mark.parametrize("model, noise_mode, cap_arrays", [
-    # S and N span the cap; a growth's loading product, floor(t^alpha) and
-    # normalizer range, at most an eighth of a cap each, add little to them
-    ("unit.json", "off", 2.75),
-    # a growth's step noise and its counts, at most an eighth of a cap each,
-    # live with the aggregate sampler's temporaries
-    ("two_group.json", "aggregate", 2.75),
+@pytest.mark.parametrize("model, cap_arrays", [
+    # no noise law: S and N span the cap; a growth's loading product,
+    # floor(t^alpha) and normalizer range, at most an eighth of a cap each,
+    # add little to them
+    ("unit.json", 2.75),
+    # a noise law: a growth's step noise and its counts, at most an eighth of
+    # a cap each, live with the aggregate sampler's temporaries
+    ("two_group.json", 2.75),
 ])
-def test_strong_law_replicate_peak_in_cap_arrays(model, noise_mode, cap_arrays):
+def test_strong_law_replicate_peak_in_cap_arrays(model, cap_arrays):
     # a capacity no segment average of length 10 reaches, so the horizon
     # grows by an eighth from 256 up to the cap; each growth draws only its
     # new steps
     spec, _ = load_model(str(MODELS / model))
     cap = 1_024_000
-    args = (canonical_document(spec), 100.0, (10,), (100,), noise_mode, cap, 1, 0)
+    args = (canonical_document(spec), 100.0, (10,), (100,), cap, 1, 0)
     rep, peak = traced_peak(lambda: _strong_law_replicate(args))
     assert rep["horizon"] == cap and rep["T"] == {10: None}
     assert peak < cap_arrays * 8 * (cap + 1)
@@ -80,7 +81,7 @@ def test_strong_law_replicate_peak_in_cap_arrays(model, noise_mode, cap_arrays):
 def test_uldp_chunk_peak_independent_of_window_length(t):
     spec, _ = load_model(str(MODELS / "two_group.json"))
     size = 8192
-    args = (canonical_document(spec), "0", t, ThresholdSet.above(0.4), size, 1, 0, 0, "aggregate")
+    args = (canonical_document(spec), "0", t, ThresholdSet.above(0.4), size, 1, 0, 0)
     (hits, n), peak = traced_peak(lambda: _uldp_chunk(args))
     assert n == size and (0 < hits < size if t == 40 else hits == 0)
     # no array spans the window: the Gaussian law draws one normal per sum,

@@ -10,9 +10,9 @@ import pytest
 
 from strange_segments import ModelValidationError, WorkloadPath, load_model, simulate
 from strange_segments import cli, experiments, innovations
-from strange_segments.cli import _fmt, _path_csv_lines, build_parser, main
+from strange_segments.cli import _NOISE_MODES, _fmt, _path_csv_lines, build_parser, main
 from strange_segments.segments import _SET_KINDS
-from strange_segments.simulator import _NOISE_MODES, PathConfig
+from strange_segments.simulator import PathConfig
 
 from conftest import unit_document
 
@@ -529,6 +529,15 @@ class TestCheckSpecsBeforeRun:
         (SEGMENTS + ["--t", "0"], "horizon"),
         (SEGMENTS + ["--t", "99", "--r", "0"], "segment_length"),
         (SEGMENTS + ["--r", "0"], "segment_length"),
+        (SEGMENTS + ["--set", "interval", "--a", "0.9", "--b", "0.2"], "interval_endpoints"),
+        (SEGMENTS + ["--b", "0.9"], "interval_endpoints"),  # --b with --set above
+        (ULDP + ["--set", "interval", "--a", "0.5", "--b", "0.5"], "interval_endpoints"),
+        (ULDP + ["--set", "interval"], "interval_endpoints"),  # no --b
+        (["simulate", "--seed", "1", "--t-max", "10", "--noise-mode", "aggregate"],
+         "noise_model_missing"),
+        (["segments", "--seed", "1", "--t-max", "10", "--set", "above", "--a", "0.5",
+          "--noise-mode", "aggregate"], "noise_model_missing"),
+        (SEGMENTS + ["--noise-mode", "aggregate"], "path_source"),  # --inject takes no noise mode
     ])
     def test_bad_spec_exits_1_without_running(self, capsys, model_file, monkeypatch, argv,
                                               invariant):

@@ -1,5 +1,6 @@
 import logging
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +44,6 @@ def small_strong_law(spec, **overrides):
         t_grid=(16, 64),
         replicates=8,
         master_seed=42,
-        noise_mode="off",
     )
     kwargs.update(overrides)
     return StrongLawRun(**kwargs)
@@ -106,16 +106,16 @@ class TestStrongLaw:
 class TestGrowthSchedule:
     """A replicate's path grows by an eighth, by at least 8,192 steps, until T_{r_max} appears."""
 
-    @pytest.mark.parametrize("model, noise_mode", [("unit.json", "off"), ("two_group.json", "aggregate")])
+    @pytest.mark.parametrize("model", ["unit.json", "two_group.json"])  # without and with noise
     @pytest.mark.parametrize("rep", range(4))
-    def test_same_outputs_as_one_go_and_bounded_overshoot(self, model, noise_mode, rep):
+    def test_same_outputs_as_one_go_and_bounded_overshoot(self, model, rep):
         spec, _ = load_model(str(MODELS / model))
         cap, r_grid, t_grid, tset = 400_000, (2, 4, 8), (100, 1000), ThresholdSet.above(1.5)
         grown = experiments._strong_law_replicate(
-            (canonical_document(spec), 1.5, r_grid, t_grid, noise_mode, cap, 7, rep)
+            (canonical_document(spec), 1.5, r_grid, t_grid, cap, 7, rep)
         )
         # the replicate's path formed in one go at the cap, from the replicate's own streams
-        cfg = simulator.PathConfig(cap, seed=7, noise_mode=noise_mode)
+        cfg = simulator.PathConfig(cap, seed=7)
         builder = simulator._PathBuilder(spec, cfg, cap, np.random.SeedSequence(7, spawn_key=(rep,)))
         whole = simulator.simulate(spec, cfg, builder=builder)
         assert grown["T"] == {r: t_stat(whole, tset, r).value for r in r_grid}
@@ -194,32 +194,26 @@ class TestUldp:
 
         t = 12
         doc = canonical_document(unit_spec)
-        hits, size = _uldp_chunk((doc, "1", t, ThresholdSet.above(0.25), 4000, 9, 0, 0, "off"))
+        hits, size = _uldp_chunk((doc, "1", t, ThresholdSet.above(0.25), 4000, 9, 0, 0))
         p_window = hits / size
         count = 0
         for seed in range(4000):
-            path = simulate(unit_spec, PathConfig(t_max=2 * t, seed=seed, noise_mode="off"))
+            path = simulate(unit_spec, PathConfig(t_max=2 * t, seed=seed))
             if segment_average(path, t, 2 * t) > 0.25:
                 count += 1
         p_path = count / 4000
         se = np.sqrt(p_path * (1 - p_path) / 4000)
         assert abs(p_window - p_path) <= 5 * se
 
-    def test_noise_mode_resolved_once(self, unit_spec, noisy_unit_spec):
-        def run(spec, mode=None):
-            return UldpRun(spec=spec, k_grid=(0,), t=5, tset=ThresholdSet.above(0.5),
-                           samples=10, noise_mode=mode)
+    def test_noise_comes_from_the_model(self, unit_spec, noisy_unit_spec):
+        # the window sums carry noise exactly when the model has a noise law
+        def rows(spec):
+            return run_uldp(UldpRun(spec=spec, k_grid=(0, 1), t=5, tset=ThresholdSet.above(0.5),
+                                    samples=3000, master_seed=4)).rows
 
-        assert run(unit_spec).noise_mode == "off"
-        assert run(noisy_unit_spec).noise_mode == "aggregate"
-        assert run(noisy_unit_spec, "off").noise_mode == "off"
-        with pytest.raises(ModelValidationError) as info:
-            run(unit_spec, "aggregate")
-        assert info.value.invariant == "noise_model_missing"
-        for mode in ("sometimes", "literal"):  # refused, not run without noise
-            with pytest.raises(ModelValidationError) as info:
-                run(noisy_unit_spec, mode)
-            assert info.value.invariant == "noise_mode"
+        free = rows(unit_spec)
+        assert rows(replace(noisy_unit_spec, noise=None)) == free
+        assert [r["successes"] for r in rows(noisy_unit_spec)] != [r["successes"] for r in free]
 
 
 def _one_shot_window_sums(spec, k, t, size, seed):
@@ -385,17 +379,11 @@ class TestConfigValidation:
         # a longer window at the same offsets holds a step
         UldpRun(spec=unit_spec, k_grid=k_grid, t=2, tset=ThresholdSet.above(1.0), samples=10)
 
-    def test_strong_law_noise_mode_resolved_once(self, unit_spec, noisy_unit_spec):
-        assert small_strong_law(unit_spec, noise_mode=None).noise_mode == "off"
-        assert small_strong_law(noisy_unit_spec, noise_mode=None).noise_mode == "aggregate"
-        assert small_strong_law(noisy_unit_spec, noise_mode="off").noise_mode == "off"
-        with pytest.raises(ModelValidationError) as info:
-            small_strong_law(unit_spec, noise_mode="aggregate")
-        assert info.value.invariant == "noise_model_missing"
-        for mode in ("sometimes", "literal"):
-            with pytest.raises(ModelValidationError) as info:
-                small_strong_law(noisy_unit_spec, noise_mode=mode)
-            assert info.value.invariant == "noise_mode"
+    def test_strong_law_noise_comes_from_the_model(self, unit_spec, noisy_unit_spec):
+        # the replicates' paths carry noise exactly when the model has a noise law
+        free = run_strong_law(small_strong_law(unit_spec)).rows
+        assert run_strong_law(small_strong_law(replace(noisy_unit_spec, noise=None))).rows == free
+        assert run_strong_law(small_strong_law(noisy_unit_spec)).rows != free
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_horizon_cap_positive(self, unit_spec, cap):

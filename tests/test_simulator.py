@@ -26,7 +26,6 @@ from strange_segments.simulator import (
     _PathBuilder,
     _child_streams,
     _ma_filter,
-    _resolve_noise_mode,
     innovation_span,
 )
 
@@ -35,19 +34,19 @@ from conftest import segment_average, unit_document
 
 class TestInjectedExamples:
     def test_spec_example_path(self, unit_spec):
-        cfg = PathConfig(t_max=3, seed=0, noise_mode="off", record_steps=True)
+        cfg = PathConfig(t_max=3, seed=0, record_steps=True)
         path = simulate(unit_spec, cfg, injected_innovations=np.array([1.0, -1.0, 1.0]))
         assert path.D[1:].tolist() == [1.0, -2.0, 3.0]
         assert path.S.tolist() == [0.0, 1.0, -1.0, 2.0]
         assert path.N.tolist() == [0, 1, 3, 6]
 
     def test_all_zero_innovations(self, unit_spec):
-        cfg = PathConfig(t_max=32, seed=0, noise_mode="off")
+        cfg = PathConfig(t_max=32, seed=0)
         path = simulate(unit_spec, cfg, injected_innovations=np.zeros(32))
         assert (path.S == 0.0).all()
 
     def test_segment_average_examples(self, unit_spec):
-        cfg = PathConfig(t_max=3, seed=0, noise_mode="off")
+        cfg = PathConfig(t_max=3, seed=0)
         path = simulate(unit_spec, cfg, injected_innovations=np.array([1.0, -1.0, 1.0]))
         assert segment_average(path, 0, 3) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert segment_average(path, 1, 2) == -1.0
@@ -56,13 +55,13 @@ class TestInjectedExamples:
         # integer innovations and integer weights keep every partial sum exact
         rng = np.random.default_rng(4)
         xi = rng.integers(-3, 4, size=200).astype(np.float64)
-        cfg = PathConfig(t_max=200, seed=0, noise_mode="off")
+        cfg = PathConfig(t_max=200, seed=0)
         path = simulate(unit_spec, cfg, injected_innovations=xi)
         direct = np.cumsum(np.arange(1, 201, dtype=np.float64) * xi)
         assert path.S[1:].tolist() == direct.tolist()
 
     def test_injected_shape_validated(self, unit_spec):
-        cfg = PathConfig(t_max=5, seed=0, noise_mode="off")
+        cfg = PathConfig(t_max=5, seed=0)
         with pytest.raises(ModelValidationError, match="injected"):
             simulate(unit_spec, cfg, injected_innovations=np.zeros(4))
 
@@ -93,7 +92,7 @@ class TestTwoSidedMA:
         assert (j_min, j_max) == (1 - 2, t_max + 1)
         rng = np.random.default_rng(7)
         xi = rng.standard_normal(j_max - j_min + 1)
-        cfg = PathConfig(t_max=t_max, seed=0, noise_mode="off", record_steps=True)
+        cfg = PathConfig(t_max=t_max, seed=0, record_steps=True)
         path = simulate(spec, cfg, injected_innovations=xi)
 
         def xi_at(j):
@@ -121,7 +120,7 @@ class TestReproducibility:
         # sample mean of the average deviation over (0, 50] across paths
         vals = []
         for seed in range(2000):
-            path = simulate(unit_spec, PathConfig(t_max=50, seed=seed, noise_mode="off"))
+            path = simulate(unit_spec, PathConfig(t_max=50, seed=seed))
             vals.append(segment_average(path, 0, 50))
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -135,11 +134,12 @@ class TestNoiseModes:
         n = 10_000
         rng = np.random.default_rng(20)
         sd = np.sqrt(noisy_unit_spec.noise.var)
+        free = replace(noisy_unit_spec, noise=None)
         agg = np.empty(n)
         lit = np.empty(n)
         for i in range(n):
-            agg[i] = simulate(noisy_unit_spec, PathConfig(t_max=20, seed=i, noise_mode="aggregate")).S[-1]
-            off = simulate(noisy_unit_spec, PathConfig(t_max=20, seed=i + n, noise_mode="off"))
+            agg[i] = simulate(noisy_unit_spec, PathConfig(t_max=20, seed=i)).S[-1]
+            off = simulate(free, PathConfig(t_max=20, seed=i + n))
             lit[i] = off.S[-1] + (rng.standard_normal(int(off.N[-1])) * sd).sum()
         from test_innovations import ks_critical, two_sample_ks
 
@@ -154,16 +154,11 @@ class TestNoiseModes:
         reps = 600
         t_max = max(ts)
         diffs = {t: [] for t in ts}
+        free = replace(noisy_unit_spec, noise=None)
         for i in range(reps):
             xi = noisy_unit_spec.innovations.sample(rng, t_max)
-            on = simulate(
-                noisy_unit_spec, PathConfig(t_max=t_max, seed=i, noise_mode="aggregate"),
-                injected_innovations=xi,
-            )
-            off = simulate(
-                noisy_unit_spec, PathConfig(t_max=t_max, seed=i, noise_mode="off"),
-                injected_innovations=xi,
-            )
+            on = simulate(noisy_unit_spec, PathConfig(t_max=t_max, seed=i), injected_innovations=xi)
+            off = simulate(free, PathConfig(t_max=t_max, seed=i), injected_innovations=xi)
             for t in ts:
                 diffs[t].append(segment_average(on, 0, t) - segment_average(off, 0, t))
         log_n = np.log([float(on.N[t]) for t in ts])
@@ -179,24 +174,13 @@ class TestNoiseModes:
             free = simulate(unit_spec, cfg)
             for a, b in ((dropped.S, free.S), (dropped.N, free.N), (dropped.D, free.D)):
                 assert np.array_equal(a, b)
-
-    def test_noise_mode_needs_noise_model(self, unit_spec):
-        with pytest.raises(ModelValidationError, match="noise"):
-            simulate(unit_spec, PathConfig(t_max=10, seed=0, noise_mode="aggregate"))
-
-    def test_default_mode_resolution(self, unit_spec, noisy_unit_spec):
-        # no noise law: default resolves to off; with one: aggregate
-        a = simulate(unit_spec, PathConfig(t_max=10, seed=0))
-        b = simulate(unit_spec, PathConfig(t_max=10, seed=0, noise_mode="off"))
-        assert a.S.tolist() == b.S.tolist()
-        c = simulate(noisy_unit_spec, PathConfig(t_max=10, seed=0))
-        d = simulate(noisy_unit_spec, PathConfig(t_max=10, seed=0, noise_mode="off"))
-        assert not np.array_equal(c.S, d.S)
+            # with its noise law the model draws step noise
+            assert not np.array_equal(simulate(noisy_unit_spec, cfg).S, free.S)
 
 
 class TestPathInvariants:
     def test_normalizer_properties(self, unit_spec):
-        path = simulate(unit_spec, PathConfig(t_max=100, seed=0, noise_mode="off"))
+        path = simulate(unit_spec, PathConfig(t_max=100, seed=0))
         assert path.N[0] == 0 and path.S[0] == 0.0
         assert (np.diff(path.N) > 0).all()
         assert path.N.dtype == np.int64
@@ -204,10 +188,6 @@ class TestPathInvariants:
     def test_config_validation(self):
         with pytest.raises(ModelValidationError):
             PathConfig(t_max=0, seed=0)
-        for mode in ("sometimes", "literal"):
-            with pytest.raises(ModelValidationError) as info:
-                PathConfig(t_max=10, seed=0, noise_mode=mode)
-            assert info.value.invariant == "noise_mode"
 
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -220,7 +200,6 @@ def full_array_path(spec, cfg, injected_innovations=None):
     loadings are drawn from their own law, or are injected rows times beta_sum.
     """
     t_max = cfg.t_max
-    mode = _resolve_noise_mode(spec, cfg.noise_mode)
     j_min, j_max = innovation_span(spec, t_max)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
     if injected_innovations is None:
@@ -232,7 +211,7 @@ def full_array_path(spec, cfg, injected_innovations=None):
     fp = floor_power_prefix(t_max, spec.alpha)
     n_prefix = np.cumsum(spec.total_c * fp, dtype=np.int64)
     d = fp[1:].astype(np.float64) * driver
-    if mode != "off":
+    if spec.noise is not None:
         d = d + spec.noise.sample_aggregate(n_prefix[1:] - n_prefix[:-1], rng_eps)
     s = np.zeros(t_max + 1)
     carry = comp = 0.0
@@ -290,7 +269,7 @@ class TestBlockEdges:
         spec = self.spec(model)
         j_min, j_max = innovation_span(spec, t_max)
         xi = np.random.default_rng(t_max).standard_normal((j_max - j_min + 1, spec.dim))
-        cfg = PathConfig(t_max=t_max, seed=0, noise_mode="off", record_steps=True)
+        cfg = PathConfig(t_max=t_max, seed=0, record_steps=True)
         self.assert_same(simulate(spec, cfg, injected_innovations=xi),
                          full_array_path(spec, cfg, injected_innovations=xi))
         # injected innovations with sampled aggregate noise
@@ -396,7 +375,6 @@ class TestGrowInPlace:
             (unit_spec, PathConfig(t_max=101, seed=1)),  # past the cap
             (unit_spec, PathConfig(t_max=60, seed=1, record_steps=True)),
             (unit_spec, PathConfig(t_max=60, seed=2)),  # the builder draws from seed 1's streams
-            (unit_spec, PathConfig(t_max=60, seed=1, noise_mode="off")),  # equal to None only once resolved
             (noisy_unit_spec, PathConfig(t_max=60, seed=1)),
         ]:
             with pytest.raises(ValueError, match="builder"):
@@ -516,14 +494,20 @@ class TestDrawThread:
     # loadings just below and above one draw block and the thread threshold:
     # a path draws t_max loadings plus at most 3 for the MA lags
     T_MAX = (_DRAW_BLOCK_ROWS - 4, _DRAW_BLOCK_ROWS + 1, _THREAD_MIN_ROWS - 4, _THREAD_MIN_ROWS + 1)
-    MODES = [("unit.json", "off"), ("unit_noisy.json", "aggregate"), ("two_group.json", "aggregate"),
-             ("two_group.json", "off")]
+    # (model, whether its noise law is kept): two_group.json also runs without its noise law
+    MODELS = [("unit.json", True), ("unit_noisy.json", True), ("two_group.json", True),
+              ("two_group.json", False)]
+
+    @staticmethod
+    def spec(model, noise):
+        spec = TestBlockEdges.spec(model)
+        return spec if noise else replace(spec, noise=None)
 
     @pytest.mark.parametrize("t_max", T_MAX)
-    @pytest.mark.parametrize("model, noise_mode", MODES)
-    def test_one_go(self, monkeypatch, model, noise_mode, t_max):
-        spec = TestBlockEdges.spec(model)
-        cfg = PathConfig(t_max=t_max, seed=t_max, noise_mode=noise_mode, record_steps=True)
+    @pytest.mark.parametrize("model, noise", MODELS)
+    def test_one_go(self, monkeypatch, model, noise, t_max):
+        spec = self.spec(model, noise)
+        cfg = PathConfig(t_max=t_max, seed=t_max, record_steps=True)
         ref = full_array_path(spec, cfg)
         for threshold in (0, _THREAD_MIN_ROWS, 2**62):  # always, at its size, never threaded
             monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
@@ -532,10 +516,10 @@ class TestDrawThread:
     HORIZONS = [1000, _DRAW_BLOCK_ROWS + 5, _THREAD_MIN_ROWS + 7, 2 * _THREAD_MIN_ROWS + 11]
 
     @pytest.mark.parametrize("record_steps", [False, True])
-    @pytest.mark.parametrize("model, noise_mode", MODES)
-    def test_grown_in_pieces(self, monkeypatch, model, noise_mode, record_steps):
-        spec = TestBlockEdges.spec(model)
-        cfg_for = lambda h: PathConfig(t_max=h, seed=31, noise_mode=noise_mode, record_steps=record_steps)
+    @pytest.mark.parametrize("model, noise", MODELS)
+    def test_grown_in_pieces(self, monkeypatch, model, noise, record_steps):
+        spec = self.spec(model, noise)
+        cfg_for = lambda h: PathConfig(t_max=h, seed=31, record_steps=record_steps)
         one_go = simulate(spec, cfg_for(self.HORIZONS[-1]))  # with the default threshold
         for threshold in (0, _THREAD_MIN_ROWS, 2**62):
             monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
