@@ -43,7 +43,6 @@ from .segments import (
     brute_force_r,
     brute_force_t,
     r_stat,
-    r_stat_trajectory,
     t_stat,
 )
 from .simulator import PathConfig, WorkloadPath, simulate
@@ -86,7 +85,6 @@ __all__ = [
     "lorenz",
     "parse_model_document",
     "r_stat",
-    "r_stat_trajectory",
     "run_strong_law",
     "run_uldp",
     "set_rate",

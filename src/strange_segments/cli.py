@@ -472,19 +472,22 @@ def _replay_args(sub: str, config: dict, out) -> argparse.Namespace:
 
 
 def _cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except ValueError as exc:
+        raise ModelValidationError(
+            "replay_config", f"manifest {args.manifest} is not JSON: {exc}"
+        ) from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("subcommand"), str)
+            and isinstance(manifest.get("config"), dict)):
+        raise ModelValidationError(
+            "replay_config", f"manifest {args.manifest} is not a JSON object with a string "
+            "subcommand and an object config"
+        )
     sub = manifest["subcommand"]
     if sub == "replay":
         raise ModelValidationError("replay_of_replay", "manifests of replay runs are not replayable")
     config = dict(manifest["config"])
-    model_path = config.get("model")
-    if model_path is not None and manifest.get("input_digest") is not None:
-        digest = hashlib.sha256(Path(model_path).read_bytes()).hexdigest()
-        if digest != manifest["input_digest"]:
-            raise ModelValidationError(
-                "input_digest_mismatch",
-                f"model document {model_path} no longer matches the manifest digest",
-            )
     for key, kept in _RETIRED.get(sub, {}).items():
         value = config.pop(key, kept)
         if kept is not None and value != kept:
@@ -493,6 +496,14 @@ def _cmd_replay(args) -> int:
                 f"that flag and always uses {kept!r}, so the run does not replay"
             )
     replay_args = _replay_args(sub, config, args.out)
+    model_path = config.get("model")
+    if model_path is not None and manifest.get("input_digest") is not None:
+        digest = hashlib.sha256(Path(model_path).read_bytes()).hexdigest()
+        if digest != manifest["input_digest"]:
+            raise ModelValidationError(
+                "input_digest_mismatch",
+                f"model document {model_path} no longer matches the manifest digest",
+            )
     return _DISPATCH[sub](replay_args)
 
 
@@ -633,6 +644,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         _emit_error("validation", exc)
+        return 1
+    except OSError as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)
+        _emit_error("validation", ModelValidationError("file_access", f"cannot access {reason}"))
         return 1
 
 

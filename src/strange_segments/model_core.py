@@ -190,10 +190,6 @@ class ModelSpec:
             )
 
     @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
     def dim(self) -> int:
         return self.innovations.dim
 

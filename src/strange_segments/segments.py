@@ -96,28 +96,6 @@ def _check_horizon(path: WorkloadPath, t: int) -> None:
         raise ValueError(f"horizon {t} outside 1..{path.t_max}")
 
 
-def _ramp_widths(g: np.ndarray) -> np.ndarray:
-    """For each index l, the width l - k of the widest ramp ending at l.
-
-    A ramp is a pair k < l with g[k] < g[l] (strict). The earliest such k is
-    always a strict prefix-minimum record, and the record values decrease, so
-    one searchsorted per index finds it. Entries with no ramp are 0.
-    """
-    n = len(g)
-    pm = np.minimum.accumulate(g)
-    is_rec = np.empty(n, dtype=bool)
-    is_rec[0] = True
-    is_rec[1:] = g[1:] < pm[:-1]
-    rec_pos = np.flatnonzero(is_rec)
-    rec_val = g[rec_pos]  # strictly decreasing
-    first = np.searchsorted(-rec_val, -g, side="right")
-    widths = np.zeros(n, dtype=np.int64)
-    ok = first < len(rec_pos)
-    idx = np.flatnonzero(ok)
-    widths[idx] = idx - rec_pos[first[idx]]
-    return np.maximum(widths, 0)
-
-
 def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, start: int, stop: int) -> np.ndarray:
     """Indices start..stop-1 of the walk for which membership of (k, l) means walk[l] > walk[k].
 
@@ -165,14 +143,6 @@ def _direct_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray
     return widths
 
 
-def _endpoint_widths(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
-    """For each l = 0..t, the width of the widest deviant segment ending at l."""
-    _check_horizon(path, t)
-    if tset.kind == "interval":
-        return _direct_widths(path, tset, t)
-    return _ramp_widths(_one_sided_walk(path, tset, 0, t + 1))
-
-
 def _widest(widths: np.ndarray) -> SegmentReport:
     """R statistic from per-endpoint widths; the witness ends at the first widest endpoint."""
     value = int(widths.max())
@@ -217,15 +187,6 @@ def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
         else:
             lo, end = mid, probe
     return SegmentReport(lo, (end - lo, end))
-
-
-def r_stat_trajectory(path: WorkloadPath, tset: ThresholdSet, t: int) -> np.ndarray:
-    """R_1..R_t in one pass (index 0 of the result is R_0 = 0).
-
-    Must agree with recomputing ``r_stat`` at every horizon; the running
-    maximum of per-endpoint widths is exactly that.
-    """
-    return np.maximum.accumulate(_endpoint_widths(path, tset, t))
 
 
 class _TScan:

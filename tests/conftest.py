@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from strange_segments import parse_model_document
+from strange_segments.segments import _direct_widths, _one_sided_walk
 
 # Example budgets for the properties that set none of their own: "dev" is the
 # default, and CI selects the larger "ci" budget with --hypothesis-profile=ci.
@@ -16,6 +18,42 @@ def segment_average(path, k, l):
     """Oracle: the average deviation over (k, l], (S(l) - S(k)) / (N(l) - N(k))."""
     assert 0 <= k < l <= path.t_max
     return float((path.S[l] - path.S[k]) / float(path.N[l] - path.N[k]))
+
+
+
+def ramp_widths(path, tset, t):
+    """Reference: for each l = 0..t, the width of the widest deviant segment ending at l.
+
+    Works on the tilted walk g of a one-sided set, where a deviant segment
+    (k, l) is a ramp g[k] < g[l]. The earliest such k is always a strict
+    prefix-minimum record, and the record values decrease, so one
+    searchsorted per index finds it. Entries with no ramp are 0. This scan
+    shares no code with the package's search for R and T beyond the walk.
+    """
+    assert 1 <= t <= path.t_max
+    g = _one_sided_walk(path, tset, 0, t + 1)
+    pm = np.minimum.accumulate(g)
+    is_rec = np.empty(len(g), dtype=bool)
+    is_rec[0] = True
+    is_rec[1:] = g[1:] < pm[:-1]
+    rec_pos = np.flatnonzero(is_rec)
+    rec_val = g[rec_pos]  # strictly decreasing
+    first = np.searchsorted(-rec_val, -g, side="right")
+    widths = np.zeros(len(g), dtype=np.int64)
+    idx = np.flatnonzero(first < len(rec_pos))
+    widths[idx] = idx - rec_pos[first[idx]]
+    return np.maximum(widths, 0)
+
+
+def trajectory(path, tset, t):
+    """Reference: R_0..R_t, the running maximum of the per-endpoint widths.
+
+    One-sided sets take the widths from ``ramp_widths``, interval sets from
+    the enumeration ``_direct_widths``.
+    """
+    if tset.kind == "interval":
+        return np.maximum.accumulate(_direct_widths(path, tset, t))
+    return np.maximum.accumulate(ramp_widths(path, tset, t))
 
 
 def unit_document(**overrides):

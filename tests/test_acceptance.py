@@ -27,9 +27,9 @@ from strange_segments import (
     run_uldp,
 )
 from strange_segments.cli import main
-from strange_segments.segments import brute_force_r, brute_force_t, r_stat, r_stat_trajectory, t_stat
+from strange_segments.segments import brute_force_r, brute_force_t, r_stat, t_stat
 
-from conftest import unit_document
+from conftest import trajectory, unit_document
 from test_segments import random_paths, random_sets
 
 K_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
@@ -108,7 +108,7 @@ class TestCriterion5DetectorExactness:
         for path in random_paths(seed=2, count=10, max_len=100):
             t = path.t_max
             for tset in (ThresholdSet.above(0.3), ThresholdSet.below(-0.25)):
-                traj = r_stat_trajectory(path, tset, t)
+                traj = trajectory(path, tset, t)
                 for r in range(1, t + 1):
                     t_r = t_stat(path, tset, r).value
                     for m in range(1, t + 1):

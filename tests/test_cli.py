@@ -238,6 +238,61 @@ class TestValidationErrors:
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "json_syntax"
 
 
+def _manifest(tmp_path, text):
+    """Replay argv for a manifest file holding ``text``."""
+    path = tmp_path / "run.manifest.json"
+    path.write_text(text)
+    return ["replay", "--manifest", str(path), "--out", str(tmp_path / "again")]
+
+
+def _out_under_a_file(tmp_path):
+    (tmp_path / "afile").write_text("")
+    return ["plan", "--model", str(MODELS / "unit.json"), "--r-target", "10", "--horizon", "148",
+            "--out", str(tmp_path / "afile" / "x")]
+
+
+def _gone_model_manifest(tmp_path):
+    """Replay argv for the manifest of a run whose model document was deleted afterwards."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(unit_document()))
+    assert main(["rate", "--model", str(model), "--x", "1.0", "--out", str(tmp_path / "run")]) == 0
+    model.unlink()
+    return ["replay", "--manifest", str(tmp_path / "run.manifest.json"), "--out", str(tmp_path / "again")]
+
+
+# case -> (argv builder, invariant, text the message must contain)
+UNUSABLE_INPUTS = {
+    "model-missing": (lambda tmp: ["plan", "--model", str(tmp / "nothere.json"), "--r-target", "10",
+                                   "--horizon", "148"], "file_access", "nothere.json"),
+    "model-is-a-directory": (lambda tmp: ["rate", "--model", str(MODELS), "--x", "1"],
+                             "file_access", "Is a directory"),
+    "manifest-missing": (lambda tmp: ["replay", "--manifest", str(tmp / "nothere.json")],
+                         "file_access", "nothere.json"),
+    "out-under-a-file": (_out_under_a_file, "file_access", "afile"),
+    "manifest-empty-object": (lambda tmp: _manifest(tmp, "{}"), "replay_config", "run.manifest.json"),
+    "manifest-list": (lambda tmp: _manifest(tmp, "[1]"), "replay_config", "run.manifest.json"),
+    "manifest-not-json": (lambda tmp: _manifest(tmp, "not json"), "replay_config", "run.manifest.json"),
+    "manifest-model-gone": (_gone_model_manifest, "file_access", "model.json"),
+    "manifest-model-not-a-path": (lambda tmp: _manifest(tmp, json.dumps(
+        {"subcommand": "rate", "config": {"model": 5, "x": "1"}, "input_digest": "0" * 64})),
+        "replay_config", "rate"),
+}
+
+
+class TestUnusableFiles:
+    @pytest.mark.parametrize("case", list(UNUSABLE_INPUTS))
+    def test_one_json_record_and_exit_1(self, capsys, tmp_path, case):
+        build, invariant, named = UNUSABLE_INPUTS[case]
+        argv = build(tmp_path)
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "validation" and record["invariant"] == invariant
+        assert named in record["message"]
+
+
 class TestNumericalErrors:
     def test_bracket_failure_exits_2(self, capsys, model_file, recwarn):
         # degenerate covariance: the limit curve is flat, so no slope reaches 1

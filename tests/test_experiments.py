@@ -17,7 +17,6 @@ from strange_segments import (
     UldpRun,
     invert_capacity,
     load_model,
-    parse_model_document,
     run_strong_law,
     run_uldp,
     sla_plan,

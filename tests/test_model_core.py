@@ -22,7 +22,7 @@ def population(spec, i, t):
 
 def cumulative_population(spec, t):
     """Oracle: N(t), every group's population summed over steps 1..t in Python integers."""
-    return sum(population(spec, i, k) for k in range(1, t + 1) for i in range(1, spec.n_groups + 1))
+    return sum(population(spec, i, k) for k in range(1, t + 1) for i in range(1, len(spec.groups) + 1))
 
 
 def make_spec(alpha=1.0, groups=None, phi=None, dim=1):

@@ -14,7 +14,6 @@ import strange_segments.rate_function as rate_function
 from strange_segments import (
     BracketError,
     CustomerGroup,
-    GaussianInnovations,
     InnovationModel,
     LegendreResult,
     MACoefficients,

@@ -13,14 +13,13 @@ from strange_segments import (
     brute_force_t,
     load_model,
     r_stat,
-    r_stat_trajectory,
     simulate,
     t_stat,
 )
 from strange_segments import segments
-from strange_segments.segments import SegmentReport, _endpoint_widths, _first_deviant_end, _widest
+from strange_segments.segments import SegmentReport, _first_deviant_end, _widest
 
-from conftest import segment_average
+from conftest import ramp_widths, segment_average, trajectory
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -151,7 +150,7 @@ class TestDuality:
         for path in random_paths(21, 10, max_len=100):
             t = path.t_max
             for tset in (ThresholdSet.above(0.3), ThresholdSet.below(-0.2)):
-                traj = r_stat_trajectory(path, tset, t)
+                traj = trajectory(path, tset, t)
                 t_values = {r: t_stat(path, tset, r).value for r in range(1, t + 1)}
                 for r in range(1, t + 1):
                     for m in range(1, t + 1):
@@ -164,7 +163,7 @@ class TestMonotonicity:
     def test_r_nondecreasing_in_t_and_t_nondecreasing_in_r(self):
         for path in random_paths(33, 20, max_len=120):
             tset = ThresholdSet.above(0.25)
-            traj = r_stat_trajectory(path, tset, path.t_max)
+            traj = trajectory(path, tset, path.t_max)
             assert (np.diff(traj) >= 0).all()
             t_vals = [t_stat(path, tset, r).value for r in range(1, 20)]
             filtered = [v for v in t_vals if v is not None]
@@ -185,7 +184,7 @@ class TestTrajectory:
                 ThresholdSet.below(-0.3),
                 ThresholdSet.interval(-0.2, 0.6),
             ):
-                traj = r_stat_trajectory(path, tset, path.t_max)
+                traj = trajectory(path, tset, path.t_max)
                 for m in range(1, path.t_max + 1):
                     assert traj[m] == r_stat(path, tset, m).value
 
@@ -242,7 +241,7 @@ def test_fast_equals_brute_force_on_integer_paths(d, a_num, kind):
 
 def widest_scan(path, tset, t):
     """R_t from the per-endpoint ramp widths: the reference for the duality search."""
-    return _widest(_endpoint_widths(path, tset, t))
+    return _widest(ramp_widths(path, tset, t))
 
 
 @given(
