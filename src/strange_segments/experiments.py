@@ -7,7 +7,10 @@ of log T_r / r (and R_t / log t) against the predicted constant, the
 transform of the limit curve at the capacity threshold. The window harness
 estimates tail probabilities of single segment averages at positions k (in
 units of the segment length) and compares the empirical exponents with the
-position-indexed transforms.
+position-indexed transforms. A window sum is ``sum_j h_j L_j`` over the
+loadings ``L_j = beta_sum . xi_j`` that feed it, with the one-dimensional
+kernel ``h`` of ``_window_kernel``, and is drawn from the loading law
+``spec.loading``.
 
 All replicates and sample chunks derive their streams from
 (master_seed, work-unit index), so results are identical for any worker
@@ -309,26 +312,24 @@ def _window_bounds(k: Fraction, t: int) -> tuple[int, int]:
 
 
 def _window_kernel(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
-    """Kernel of the window sum ``sum_t weights[t] * beta_sum . Z(t)``, shape (span, dim).
+    """Kernel ``h`` of the window sum ``sum_t weights[t] * beta_sum . Z(t)``.
 
-    The sum is ``sum_j h[j] * beta_sum . xi(j)`` over the ``span`` innovation
-    rows that feed the window, with ``h = phi (*) weights``: the MA filter of
-    the reversed, zero-padded weights, reversed. Row j of the kernel is
-    ``h[j] * beta_sum``.
+    The sum is ``sum_j h[j] L_j`` over the loadings ``L_j = beta_sum . xi(j)``
+    of the innovations that feed the window, with ``h = phi (*) weights``:
+    the MA filter of the reversed, zero-padded weights, reversed.
     """
     reach = spec.ma.reach
-    h = _ma_filter(spec.ma, np.pad(weights[::-1], reach), len(weights) + reach)[::-1]
-    return np.multiply.outer(h, spec.beta_sum)
+    return _ma_filter(spec.ma, np.pad(weights[::-1], reach), len(weights) + reach)[::-1]
 
 
 def _uldp_chunk(args: tuple) -> tuple[int, int]:
     """(hits, size): how many of ``size`` sampled window averages at offset k lie in the set.
 
-    The innovation law draws the window sums against ``_window_kernel`` from
-    the chunk's innovation stream: a Gaussian law one normal per sum from the
-    sum's exact law, any other law every innovation row of the window,
-    reduced in blocks. When the model has a noise law, the noise stream
-    draws each window's aggregate noise.
+    The loading law draws the window sums ``sum_j h_j L_j`` against the
+    kernel ``h`` of ``_window_kernel`` from the chunk's innovation stream: a
+    Gaussian law one normal per sum from the sum's exact law, any other law
+    every loading of the window, in blocks. When the model has a noise law,
+    the noise stream draws each window's aggregate noise.
     """
     (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx) = args
     spec = parse_model_document(doc)
@@ -336,8 +337,8 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx)))
 
     window_fp = floor_power_prefix(hi, spec.alpha, lo)
-    kernel = _window_kernel(spec, window_fp.astype(np.float64))
-    values = spec.innovations.sample_projections(rng_xi, kernel, size)
+    h = _window_kernel(spec, window_fp.astype(np.float64))
+    values = spec.loading.sample_sums(rng_xi, h, size)
     n_window = spec.total_c * int(window_fp.sum())
     if spec.noise is not None:
         values = values + spec.noise.sample_aggregate(np.full(size, n_window, dtype=np.int64), rng_eps)

@@ -2,24 +2,20 @@
 
 The shared driver of all customers is a K-dimensional i.i.d. mean-zero
 innovation sequence whose log moment generating function (log-MGF) is finite
-everywhere and available in closed form together with its gradient. The
-idiosyncratic per-customer noise needs only one exact sampler, for sums of
-independent draws; no rate function reads its law.
+everywhere and available in closed form together with its gradient. Both
+take a batch of eta vectors, shape ``(..., K)``, so a caller evaluates many
+points in one call. The idiosyncratic per-customer noise needs only one
+exact sampler, for sums of independent draws; no rate function reads its law.
 
-A window sum is one linear functional ``sum_j kernel[j] . xi_j`` of the
-innovations. ``InnovationModel.sample_projections`` draws such sums: any law
-draws every innovation row and reduces the rows in blocks, and the Gaussian
-law draws each sum from its exact normal law, one normal per sum. In the same
-way ``InnovationModel.along(direction)`` is the law of ``direction . xi``, a
-one-dimensional law that a path samples for its loadings: any law draws its
-rows and reduces each one, and the Gaussian law is ``N(0, direction' cov
-direction)``, one normal per draw.
-
-The window quadrature reads a law along one direction, ``beta_bar``, at many
-scalars at once: ``InnovationModel.ray(direction)`` returns a ``Ray``, the vectorized
-``log_mgf(scales)`` and ``slope(scales)`` of ``log_mgf(s * direction)``. The
-default ray evaluates the law once per scalar; the Gaussian ray forms the
-quadratic form ``direction' cov direction`` once and is then a product.
+Every reader of the innovations reads them along one direction, through the
+scalar loading ``L = beta_sum . xi``. ``InnovationModel.along(direction)`` is
+the law of ``direction . xi``, a one-dimensional law, and ``ModelSpec.loading``
+forms it once per model: a path draws its loadings from it, a window sum
+``sum_j h_j L_j`` is one of its ``sample_sums``, and the rate curves and the
+steepness check evaluate its log-MGF. Any law along a direction draws its
+rows and reduces each one, and draws a window sum's loadings in blocks; the
+Gaussian law along ``direction`` is ``N(0, direction' cov direction)``, one
+normal per loading and one per window sum.
 
 Closed-form log-MGFs are a hard requirement: the rate-function machinery
 does convex analysis on them, so purely empirical laws are rejected at model
@@ -32,7 +28,6 @@ import abc
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +35,7 @@ from .errors import ModelValidationError, SteepnessWarning
 
 # |lambda| magnitudes probed by the steepness spot check.
 _STEEPNESS_PROBES = (1e2, 1e3, 1e4)
-_PROJECTION_BLOCK_ROWS = 1 << 14  # innovation rows drawn at once by sample_projections
+_SUM_BLOCK_DRAWS = 1 << 14  # draws made at once by the default sample_sums
 
 
 def _rows_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -55,58 +50,48 @@ def _rows_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-class Ray(NamedTuple):
-    """An innovation law along one direction ``u``, for arrays of scalars ``s``.
-
-    ``log_mgf(s)`` is ``log_mgf(s * u)`` at each scalar and ``slope(s)`` its
-    derivative in ``s``, ``u . grad_log_mgf(s * u)``; both return an array of
-    the shape of ``s``.
-    """
-
-    log_mgf: Callable[[np.ndarray], np.ndarray]
-    slope: Callable[[np.ndarray], np.ndarray]
-
-
 class InnovationModel(abc.ABC):
     """Law of the K-dimensional innovation vector.
 
     Contract: ``log_mgf(0) == 0``, ``grad_log_mgf(0) == 0`` (mean zero),
-    ``log_mgf`` convex and finite on all of R^K.
+    ``log_mgf`` convex and finite on all of R^K. Both take ``eta`` of shape
+    ``(..., dim)``, a batch of vectors, and evaluate each vector alike
+    whatever the batch: ``log_mgf`` returns shape ``(...)`` and
+    ``grad_log_mgf`` shape ``(..., dim)``.
     """
 
     dim: int
 
     @abc.abstractmethod
-    def log_mgf(self, eta: np.ndarray) -> float:
-        """Lambda_xi(eta) = log E exp(eta . xi)."""
+    def log_mgf(self, eta: np.ndarray) -> np.ndarray:
+        """Lambda_xi(eta) = log E exp(eta . xi) at each vector of ``eta``."""
 
     @abc.abstractmethod
     def grad_log_mgf(self, eta: np.ndarray) -> np.ndarray:
-        """Gradient of ``log_mgf`` at eta."""
+        """Gradient of ``log_mgf`` at each vector of ``eta``."""
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. innovation vectors, shape (size, dim)."""
 
-    def sample_projections(self, rng: np.random.Generator, kernel: np.ndarray, size: int) -> np.ndarray:
-        """``size`` i.i.d. draws of ``sum_j kernel[j] . xi_j``, for ``kernel`` of shape (span, dim).
+    def sample_sums(self, rng: np.random.Generator, h: np.ndarray, size: int) -> np.ndarray:
+        """``size`` i.i.d. draws of ``sum_j h[j] x_j``, the ``x_j`` i.i.d. draws of this one-dimensional law.
 
-        The default draws all ``span`` innovation rows of each sum, in blocks
-        of about ``_PROJECTION_BLOCK_ROWS`` rows, and reduces them row by row.
-        Block draws continue one stream exactly, and a row sum, unlike a
-        matrix-vector product, rounds alike for any row count, so the bytes do
-        not depend on the block size. Laws whose projections have a closed
-        form override this with one draw per sum.
+        The default draws all ``len(h)`` values of each sum, in blocks of
+        about ``_SUM_BLOCK_DRAWS`` draws, and reduces them row by row. Block
+        draws continue one stream exactly, and a row sum, unlike a
+        matrix-vector product, rounds alike for any row count, so the bytes
+        do not depend on the block size. Laws whose sums have a closed form
+        override this with one draw per sum.
         """
-        span = len(kernel)
-        flat = np.asarray(kernel, dtype=np.float64).ravel()
-        block = max(1, _PROJECTION_BLOCK_ROWS // span)
+        h = np.asarray(h, dtype=np.float64)
+        block = max(1, _SUM_BLOCK_DRAWS // len(h))
         out = np.empty(size, dtype=np.float64)
         for start in range(0, size, block):
             n = min(block, size - start)
-            xi = self.sample(rng, n * span).reshape(n, flat.size)
-            xi *= flat
-            xi.sum(axis=1, out=out[start : start + n])
+            x = self.sample(rng, n * len(h)).reshape(n, len(h))
+            x *= h
+            x.sum(axis=1, out=out[start : start + n])
         return out
 
     def along(self, direction: np.ndarray) -> InnovationModel:
@@ -119,24 +104,6 @@ class InnovationModel(abc.ABC):
         """
         return _Along(self, np.asarray(direction, dtype=np.float64))
 
-    def ray(self, direction: np.ndarray) -> Ray:
-        """This law along ``direction``, evaluated once per scalar.
-
-        Laws with a closed form along rays (e.g. Gaussian) override this with a
-        vectorized ray.
-        """
-        direction = np.asarray(direction, dtype=np.float64)
-
-        def log_mgf(scales: np.ndarray) -> np.ndarray:
-            return np.array([self.log_mgf(s * direction) for s in np.asarray(scales)])
-
-        def slope(scales: np.ndarray) -> np.ndarray:
-            return np.array(
-                [float(direction @ self.grad_log_mgf(s * direction)) for s in np.asarray(scales)]
-            )
-
-        return Ray(log_mgf, slope)
-
 
 class _Along(InnovationModel):
     """``direction . xi`` for a law ``base`` of ``xi``: its rows, each reduced along ``direction``."""
@@ -146,12 +113,12 @@ class _Along(InnovationModel):
     def __init__(self, base: InnovationModel, direction: np.ndarray):
         self.base, self.direction = base, direction
 
-    def log_mgf(self, eta: np.ndarray) -> float:
-        return self.base.log_mgf(float(np.asarray(eta)[0]) * self.direction)
+    def log_mgf(self, eta: np.ndarray) -> np.ndarray:
+        return self.base.log_mgf(np.asarray(eta, dtype=np.float64)[..., :1] * self.direction)
 
     def grad_log_mgf(self, eta: np.ndarray) -> np.ndarray:
-        grad = self.base.grad_log_mgf(float(np.asarray(eta)[0]) * self.direction)
-        return np.array([float(self.direction @ grad)])
+        grad = self.base.grad_log_mgf(np.asarray(eta, dtype=np.float64)[..., :1] * self.direction)
+        return (grad * self.direction).sum(axis=-1, keepdims=True)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty(size, dtype=np.float64)
@@ -173,7 +140,7 @@ class GaussianInnovations(InnovationModel):
         cov = np.atleast_2d(np.asarray(self.cov, dtype=np.float64))
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ModelValidationError("cov_square", "covariance must be a square matrix")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
+        if not (np.abs(cov - cov.T) <= 1e-12).all():
             raise ModelValidationError("cov_symmetric", "covariance must be symmetric")
         evals, evecs = np.linalg.eigh(cov)
         if evals.min(initial=0.0) < -1e-10 * max(1.0, float(evals.max(initial=0.0))):
@@ -190,12 +157,26 @@ class GaussianInnovations(InnovationModel):
     def dim(self) -> int:
         return self.cov.shape[0]
 
-    def log_mgf(self, eta: np.ndarray) -> float:
+    def log_mgf(self, eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=np.float64)
-        return 0.5 * float(eta @ self.cov @ eta)
+        grad = self.grad_log_mgf(eta)
+        out = grad[..., 0] * eta[..., 0]
+        for j in range(1, len(self.cov)):
+            out += grad[..., j] * eta[..., j]
+        return 0.5 * out
 
     def grad_log_mgf(self, eta: np.ndarray) -> np.ndarray:
-        return self.cov @ np.asarray(eta, dtype=np.float64)
+        """``cov eta``, added up column by column, so a vector rounds alike in any batch.
+
+        A sum over the short last axis would reduce each vector on its own, at
+        several times the cost for a large batch.
+        """
+        eta = np.asarray(eta, dtype=np.float64)
+        cols = self.cov.T
+        grad = eta[..., :1] * cols[0]
+        for j in range(1, len(cols)):
+            grad += eta[..., j : j + 1] * cols[j]
+        return grad
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self.dim))
@@ -204,29 +185,28 @@ class GaussianInnovations(InnovationModel):
             return z
         return _rows_matmul(z, self._factor.T, np.empty_like(z))
 
-    def sample_projections(self, rng: np.random.Generator, kernel: np.ndarray, size: int) -> np.ndarray:
-        """One normal per sum: the sum is exactly N(0, sum_j kernel_j' cov kernel_j)."""
-        kernel = np.asarray(kernel, dtype=np.float64)
-        sigma = math.sqrt(max(float(np.sum((kernel @ self.cov) * kernel)), 0.0))
+    def sample_sums(self, rng: np.random.Generator, h: np.ndarray, size: int) -> np.ndarray:
+        """One normal per sum: for a one-dimensional law the sum is exactly N(0, (h . h) cov)."""
+        if self.dim != 1:
+            raise ValueError(f"sample_sums needs a one-dimensional law, got dimension {self.dim}")
+        h = np.asarray(h, dtype=np.float64)
+        sigma = math.sqrt(max(float(self.cov[0, 0]) * float(np.sum(h * h)), 0.0))
         return rng.standard_normal(size) * sigma
 
     def along(self, direction: np.ndarray) -> GaussianInnovations:
-        """One normal per draw: ``direction . xi`` is exactly N(0, direction' cov direction)."""
+        """One normal per draw: ``direction . xi`` is exactly N(0, direction' cov direction).
+
+        A variance that overflows a double is refused.
+        """
         direction = np.asarray(direction, dtype=np.float64)
-        return GaussianInnovations(cov=[[max(float(direction @ self.cov @ direction), 0.0)]])
-
-    def ray(self, direction: np.ndarray) -> Ray:
-        """``0.5 q s**2`` and ``q s`` with ``q = direction' cov direction``, formed once."""
-        quad = float(np.asarray(direction) @ self.cov @ np.asarray(direction))
-
-        def log_mgf(scales: np.ndarray) -> np.ndarray:
-            s = np.asarray(scales, dtype=np.float64)
-            return 0.5 * quad * s * s
-
-        def slope(scales: np.ndarray) -> np.ndarray:
-            return quad * np.asarray(scales, dtype=np.float64)
-
-        return Ray(log_mgf, slope)
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = float(direction @ self.cov @ direction)
+        if not math.isfinite(var):
+            raise ModelValidationError(
+                "loading_variance", f"the loading variance direction' cov direction is {var}, "
+                "past the range of doubles",
+            )
+        return GaussianInnovations(cov=[[max(var, 0.0)]])
 
 
 class NoiseModel(abc.ABC):
@@ -259,20 +239,21 @@ class GaussianNoise(NoiseModel):
 def check_steepness(model: InnovationModel, direction: np.ndarray) -> bool:
     """Spot check that |d/d lambda log_mgf(lambda * direction)| grows without bound.
 
-    Evaluates the directional derivative magnitude at +-1e2, 1e3, 1e4 and
-    requires strict growth on both sides. A slope that overflows (raising
-    ``OverflowError`` or reading as non-finite) has grown past every float
-    and counts as growth. This cannot prove steepness; a failure is reported
-    as a warning here and becomes a hard error only if Legendre bracketing
-    actually fails.
+    Evaluates the directional derivative magnitude at +-1e2, 1e3, 1e4, one
+    batch per side, and requires strict growth on both sides. A slope that
+    overflows (raising ``OverflowError`` or reading as non-finite) has grown
+    past every float and counts as growth. This cannot prove steepness; a
+    failure is reported as a warning here and becomes a hard error only if
+    Legendre bracketing actually fails. The package checks the loading law
+    ``ModelSpec.loading`` along the limit curve's scale ``phi / C``.
     """
     ok = True
-    probes = np.asarray(_STEEPNESS_PROBES)
+    direction = np.asarray(direction, dtype=np.float64)
+    points = np.asarray(_STEEPNESS_PROBES)[:, None] * direction
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = model.ray(direction).slope
         for sign in (1.0, -1.0):
             try:
-                mags = np.abs(slope(sign * probes)).tolist()
+                mags = np.abs((model.grad_log_mgf(sign * points) * direction).sum(axis=-1)).tolist()
             except OverflowError:
                 continue
             if not all(a < b or not math.isfinite(b) for a, b in zip(mags, mags[1:])):

@@ -208,11 +208,13 @@ class ModelSpec:
         return out
 
     @cached_property
-    def beta_bar(self) -> np.ndarray:
-        """Group-averaged loading vector beta_sum / C."""
-        out = self.beta_sum / self.total_c
-        out.setflags(write=False)
-        return out
+    def loading(self) -> "InnovationModel":
+        """Law of the scalar loading ``L = beta_sum . xi``, the one random input every reader takes.
+
+        ``innovations.along(beta_sum)``: ``N(0, beta_sum' cov beta_sum)`` for
+        Gaussian innovations, whose variance must not overflow a double.
+        """
+        return self.innovations.along(self.beta_sum)
 
     @cached_property
     def phi_total(self) -> float:

@@ -12,7 +12,10 @@ A model document is a single JSON object:
     }
 
 Unknown keys anywhere are a hard error so that typos cannot silently change
-a run. Every validation failure names the violated invariant.
+a run. Every validation failure names the violated invariant. Python's
+``json`` reads ``NaN`` and ``Infinity``; every number of the model must be
+finite, and a non-finite one is refused under ``finite_number``, naming its
+field.
 
 ``groups[].mu`` and ``trunc_tol`` are accepted and kept in the canonical
 document, but no computation reads them: paths are deviations from the mean
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -47,13 +51,24 @@ def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
+def _finite(value: Any, where: str) -> float:
+    """``value`` as a float, refused unless it is finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ModelValidationError("finite_number", f"{where} must be a finite number, got {x}")
+    return x
+
+
 def _parse_innovations(obj: Any) -> InnovationModel:
     if not isinstance(obj, dict):
         raise ModelValidationError("innovations_object", "innovations must be an object")
     kind = _require(obj, "type", "innovations")
     if kind == "gaussian":
         _reject_unknown(obj, {"type", "cov"}, "innovations")
-        return GaussianInnovations(cov=np.asarray(_require(obj, "cov", "innovations"), dtype=np.float64))
+        cov = np.asarray(_require(obj, "cov", "innovations"), dtype=np.float64)
+        if not np.isfinite(cov).all():
+            raise ModelValidationError("finite_number", "innovations cov must hold finite numbers")
+        return GaussianInnovations(cov=cov)
     raise ModelValidationError(
         "innovation_type",
         f"unsupported innovation type {kind!r}; a closed-form log-MGF is required",
@@ -71,7 +86,7 @@ def _parse_noise(obj: Any) -> NoiseModel | None:
         return None
     if kind == "gaussian_noise":
         _reject_unknown(obj, {"type", "var"}, "noise")
-        return GaussianNoise(var=float(_require(obj, "var", "noise")))
+        return GaussianNoise(var=_finite(_require(obj, "var", "noise"), "noise var"))
     raise ModelValidationError("noise_type", f"unsupported noise type {kind!r}")
 
 
@@ -110,7 +125,8 @@ def _parse_model_document(doc: Any) -> ModelSpec:
         beta = _require(g, "beta", f"group {idx}")
         if not isinstance(beta, list):
             raise ModelValidationError("beta_array", f"group {idx}: beta must be an array")
-        groups.append(CustomerGroup(c=c, mu=float(_require(g, "mu", f"group {idx}")), beta=tuple(beta)))
+        mu = _finite(_require(g, "mu", f"group {idx}"), f"group {idx} mu")
+        groups.append(CustomerGroup(c=c, mu=mu, beta=tuple(_finite(b, f"group {idx} beta") for b in beta)))
 
     raw_phi = _require(doc, "phi", "model document")
     if not isinstance(raw_phi, list) or not raw_phi:
@@ -125,17 +141,18 @@ def _parse_model_document(doc: Any) -> ModelSpec:
             raise ModelValidationError("phi_lag_integer", f"phi[{idx}]: lag must be an integer")
         if lag in coeffs:
             raise ModelValidationError("phi_lag_unique", f"duplicate phi lag {lag}")
-        coeffs[lag] = float(_require(entry, "value", f"phi[{idx}]"))
+        coeffs[lag] = _finite(_require(entry, "value", f"phi[{idx}]"), f"phi[{idx}] value")
 
     spec = ModelSpec(
-        alpha=float(_require(doc, "alpha", "model document")),
+        alpha=_finite(_require(doc, "alpha", "model document"), "alpha"),
         groups=tuple(groups),
-        ma=MACoefficients(coeffs, trunc_tol=float(doc.get("trunc_tol", 0.0))),
+        ma=MACoefficients(coeffs, trunc_tol=_finite(doc.get("trunc_tol", 0.0), "trunc_tol")),
         innovations=innovations,
         noise=_parse_noise(doc.get("noise")),
     )
+    # Forms the loading law, which refuses a variance past the range of doubles.
     # Advisory only at load time; becomes an error if bracketing ever fails.
-    check_steepness(spec.innovations, spec.phi_total * spec.beta_bar)
+    check_steepness(spec.loading, np.array([spec.phi_total / spec.total_c]))
     return spec
 
 

@@ -1,13 +1,17 @@
 """Numerical evaluation of the workload rate functions.
 
-Two convex log-MGF limits drive all asymptotics of long deviant segments:
+Two convex log-MGF limits drive all asymptotics of long deviant segments.
+Both read the innovations only through the law of the scalar loading
+``L = beta_sum . xi``, ``ModelSpec.loading``, whose log-MGF is written
+``log_mgf_L`` here: the innovations' ``log_mgf(s * beta_sum / C)`` is
+``log_mgf_L(s / C)``, with ``C`` the sum of the group sizes ``c_i``.
 
-* the limit curve ``Lambda(lam) = log_mgf(lam * phi * beta_bar)``, which
-  governs segments far from the start of the horizon, and
+* the limit curve ``Lambda(lam) = log_mgf_L(lam * phi / C)``, which governs
+  segments far from the start of the horizon, and
 * the position-indexed curve for a window spanning offsets ``(k, k+1)`` in
   units of the window length,
 
-  ``Lambda_k(lam) = integral_k^{k+1} log_mgf(w_k(y) * lam * phi * beta_bar) dy``,
+  ``Lambda_k(lam) = integral_k^{k+1} log_mgf_L(w_k(y) * lam * phi / C) dy``,
   ``w_k(y) = (alpha+1) y**alpha / ((k+1)**(alpha+1) - k**(alpha+1))``,
 
   which reduces to the limit curve as ``k -> infinity``.
@@ -21,9 +25,9 @@ through the duality ``Lambda*(Lambda'(lam)) = lam Lambda'(lam) - Lambda(lam)``,
 so it needs one root search in lam rather than a transform per probe.
 
 A ``RateFunctionCtx`` keeps one ``_Curve`` per curve it is asked about: the
-limit curve, or a window offset ``k``. A window curve keeps the innovation
-law's ray along ``beta_bar`` (``InnovationModel.ray``) and the window
-constant ``phi (alpha+1) / mass(k)`` for its quadrature. Every curve keeps
+limit curve, or a window offset ``k``. A window curve keeps the window
+constant ``phi (alpha+1) / (C mass(k))`` for its quadrature, which evaluates
+the loading law at all the nodes of an order in one call. Every curve keeps
 its slope, and its value where asked, at the points all queries on it share:
 lam = 0, where the slope is the mean, and the bracket probes
 ``+-_LAMBDA_BRACKET * 2**j``. One context therefore serves any number of x on
@@ -131,7 +135,7 @@ class _Curve:
     ``side``: keys, not float lambdas, so that +0.0 and -0.0 never collide.
     """
 
-    __slots__ = ("spec", "k", "ray", "coeff", "slopes", "values")
+    __slots__ = ("spec", "k", "coeff", "slopes", "values")
 
     def __init__(self, spec: ModelSpec, k: Optional[float] = None):
         self.spec = spec
@@ -152,8 +156,7 @@ class _Curve:
                     "window_offset", f"the window mass (k+1)**(alpha+1) - k**(alpha+1) at offset "
                     f"k={k:g} overflows a double for alpha={spec.alpha}; use a smaller k",
                 )
-            self.coeff = spec.phi_total * (spec.alpha + 1.0) / mass
-            self.ray = spec.innovations.ray(spec.beta_bar)
+            self.coeff = spec.phi_total / spec.total_c * (spec.alpha + 1.0) / mass
 
     def slope_at(self, key: tuple, lam: float, fprime: Callable[[float], float]) -> float:
         """Slope at the shared point ``key``, which lies at ``lam``; ``fprime`` computes it once."""
@@ -172,15 +175,15 @@ class _Curve:
     def quadrature(self, lam: float, differentiated: bool) -> float:
         """Adaptive Gauss-Legendre over (k, k+1) of the (optionally differentiated)
         window integrand."""
-        alpha, coeff, k = self.spec.alpha, self.coeff, self.k
-        ray = self.ray
+        alpha, coeff, k, loading = self.spec.alpha, self.coeff, self.k, self.spec.loading
 
         def estimate(order: int) -> float:
             g, weights = _window_grid(alpha, coeff, k, order)
+            eta = (g * lam)[:, None]
             if differentiated:
-                vals = g * ray.slope(g * lam)
+                vals = g * loading.grad_log_mgf(eta)[:, 0]
             else:
-                vals = ray.log_mgf(g * lam)
+                vals = loading.log_mgf(eta)
             return 0.5 * float(weights @ vals)
 
         order = _QUAD_ORDER
@@ -207,16 +210,16 @@ def _window(ctx: RateFunctionCtx, k: float) -> _Curve:
 
 
 def lambda_limit(ctx: RateFunctionCtx, lam: float) -> float:
-    """Limit log-MGF: log_mgf(lam * phi * beta_bar)."""
+    """Limit log-MGF: the loading law's log_mgf(lam * phi / C)."""
     spec = ctx.spec
-    return spec.innovations.log_mgf(lam * spec.phi_total * spec.beta_bar)
+    return float(spec.loading.log_mgf(np.array([lam * (spec.phi_total / spec.total_c)])))
 
 
 def lambda_limit_prime(ctx: RateFunctionCtx, lam: float) -> float:
     """Derivative of the limit log-MGF in lam."""
     spec = ctx.spec
-    v = spec.phi_total * spec.beta_bar
-    return float(v @ spec.innovations.grad_log_mgf(lam * v))
+    scale = spec.phi_total / spec.total_c
+    return scale * float(spec.loading.grad_log_mgf(np.array([lam * scale]))[0])
 
 
 def lambda_k(ctx: RateFunctionCtx, k: float, lam: float) -> float:
@@ -356,22 +359,23 @@ def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResul
 def gaussian_closed_form(spec: ModelSpec, x: float) -> float:
     """Closed-form transform of the limit curve for Gaussian innovations.
 
-    ``x**2 / (2 phi**2 beta_bar' cov beta_bar)``; the quadratic form must be
-    positive for the model to be steep along the loading direction.
+    ``x**2 / (2 (phi / C)**2 q)`` with the loading variance
+    ``q = beta_sum' cov beta_sum``, which must be positive for the model to be
+    steep along the loading direction.
     """
-    model = spec.innovations
-    if not isinstance(model, GaussianInnovations):
+    loading = spec.loading
+    if not isinstance(loading, GaussianInnovations):
         raise ModelValidationError(
             "gaussian_innovations_required",
             "the closed form applies only to Gaussian innovation models",
         )
-    quad = float(spec.beta_bar @ model.cov @ spec.beta_bar)
-    if quad <= 0.0:
+    q = float(loading.cov[0, 0])
+    if q <= 0.0:
         raise ModelValidationError(
             "gaussian_direction_variance",
-            "beta_bar' cov beta_bar must be positive for a usable Gaussian model",
+            "beta_sum' cov beta_sum must be positive for a usable Gaussian model",
         )
-    return x * x / (2.0 * spec.phi_total**2 * quad)
+    return x * x / (2.0 * (spec.phi_total / spec.total_c) ** 2 * q)
 
 
 def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:

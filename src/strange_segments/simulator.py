@@ -9,8 +9,8 @@ sum over its customers. A model without one gives a noise-free path, so a
 caller runs a model with noise off as ``replace(spec, noise=None)``. The
 path keeps the cumulative deviation S and the integer normalizer N. The
 path reads the innovations only through each loading ``beta_sum . xi``,
-so it draws the loadings from their own law, ``innovations.along(beta_sum)``:
-one normal per step for Gaussian innovations, whatever their dimension. The
+so it draws the loadings from their own law, the model's ``loading``: one
+normal per step for Gaussian innovations, whatever their dimension. The
 loadings are drawn in blocks; the steps' moving average of them, weighted by
 floor(t**alpha), is formed, given noise and summed block by block, so no
 path-length temporary is made beyond floor(t**alpha). A large growth draws
@@ -23,7 +23,8 @@ twice: ``simulate`` forms a path in one go with a builder of its own, and a
 caller that grows a horizon keeps one builder across the growths, every
 element equal to a path formed in one go. Injected innovations replace the
 draws only of a path formed in one go; an injection gives rows, whose
-loadings are the product ``xi @ beta_sum``.
+loadings are the product ``xi @ beta_sum``. A path whose sum overflows a
+double is refused.
 """
 
 from __future__ import annotations
@@ -116,8 +117,7 @@ class _PathBuilder:
 
     The builder owns the path's two random streams, spawned from ``ss``
     (default ``SeedSequence(cfg.seed)``) whether or not the model has a
-    noise law, and the law of its loadings,
-    ``spec.innovations.along(spec.beta_sum)``, formed once. It draws step
+    noise law, and draws its loadings from ``spec.loading``. It draws step
     noise exactly when ``spec.noise`` is set. Each growth draws only the loadings and step noise past the last
     horizon, continuing both streams, so a path grown in pieces draws what a
     path formed in one go draws. Injected innovations replace the loading
@@ -154,7 +154,6 @@ class _PathBuilder:
         self.spec = spec
         self.cfg = cfg
         self.cap = cap
-        self._law = spec.innovations.along(spec.beta_sum)  # of the loadings beta_sum . xi
         self._rng_xi, self._rng_eps = _child_streams(np.random.SeedSequence(cfg.seed) if ss is None else ss)
         self.t = 0  # horizon formed so far
         self.s = self.n = self.d = None  # S, N and the steps D, allocated by the first growth
@@ -224,6 +223,12 @@ class _PathBuilder:
                     i = j
         self._carry, self._comp, self._open = carry, comp, total
         self.t = t_max
+        finite = np.isfinite(s[lo + 1 : t_max + 1])  # every new S: adding a block's carry can overflow once
+        if not finite.all():
+            t = lo + 1 + int(np.argmin(finite))
+            raise ModelValidationError(
+                "path_overflow", f"the path's cumulative deviation S({t}) is {s[t]}, past the range of doubles",
+            )
         return WorkloadPath(
             S=s[: t_max + 1], N=n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
         )
@@ -262,7 +267,7 @@ class _PathBuilder:
             return
         edges = [lo, *range(lo - lo % _DRAW_BLOCK_ROWS + _DRAW_BLOCK_ROWS, t_max, _DRAW_BLOCK_ROWS), t_max]
         blocks = list(zip(edges, edges[1:]))
-        reach, sample, rng = self.spec.ma.reach, self._law.sample, self._rng_xi
+        reach, sample, rng = self.spec.ma.reach, self.spec.loading.sample, self._rng_xi
 
         def block(a: int, b: int) -> np.ndarray:
             drawn = sample(rng, b - a + reach - len(self._loaded))[:, 0]

@@ -84,8 +84,8 @@ def test_uldp_chunk_peak_independent_of_window_length(t):
     args = (canonical_document(spec), "0", t, ThresholdSet.above(0.4), size, 1, 0, 0)
     (hits, n), peak = traced_peak(lambda: _uldp_chunk(args))
     assert n == size and (0 < hits < size if t == 40 else hits == 0)
-    # no array spans the window: the Gaussian law draws one normal per sum,
-    # and even a law that draws every row holds only a block of about
-    # _PROJECTION_BLOCK_ROWS of them (the draw and its covariance product);
-    # the chunk's sums, noise and averages are a few arrays of one value per sample
-    assert peak < 8 * (6 * spec.dim * innovations._PROJECTION_BLOCK_ROWS + 8 * size)
+    # no array spans the window: the Gaussian loading law draws one normal per
+    # sum, and even a law that draws every loading holds only a block of about
+    # _SUM_BLOCK_DRAWS of them (their innovation rows and products); the
+    # chunk's sums, noise and averages are a few arrays of one value per sample
+    assert peak < 8 * (6 * spec.dim * innovations._SUM_BLOCK_DRAWS + 8 * size)

@@ -230,6 +230,47 @@ class TestValidationErrors:
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "number_list"
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"alpha": float("inf")}, "alpha"),
+        ({"groups": [{"c": 1, "mu": float("nan"), "beta": [1.0]}]}, "group 1 mu"),
+        ({"groups": [{"c": 1, "mu": 0.0, "beta": [float("nan")]}]}, "group 1 beta"),
+        ({"groups": [{"c": 1, "mu": 0.0, "beta": [float("inf")]}]}, "group 1 beta"),
+        ({"phi": [{"lag": 0, "value": float("-inf")}]}, "phi[0] value"),
+        ({"innovations": {"type": "gaussian", "cov": [[float("inf")]]}}, "innovations cov"),
+        ({"noise": {"type": "gaussian_noise", "var": float("inf")}}, "noise var"),
+        ({"noise": {"type": "gaussian_noise", "var": float("nan")}}, "noise var"),
+        ({"trunc_tol": float("nan")}, "trunc_tol"),
+    ], ids=["alpha-inf", "mu-nan", "beta-nan", "beta-inf", "phi-neg-inf", "cov-inf", "var-inf",
+            "var-nan", "trunc_tol-nan"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "1", "--t-max", "3"],
+        ["rate", "--x", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_model_numbers_exit_1(self, capsys, model_file, overrides, field, argv):
+        # json writes and reads NaN, Infinity and -Infinity; none is a usable model number
+        path = model_file(unit_document(**overrides))
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["invariant"] == "finite_number" and field in record["message"]
+
+    def test_loading_variance_past_doubles_exits_1(self, capsys, model_file):
+        # every number is finite, but beta_sum' cov beta_sum = 2e308 is not
+        doc = unit_document(groups=[{"c": 1, "mu": 0.0, "beta": [1.0, 1.0]}],
+                            innovations={"type": "gaussian", "cov": [[1e308, 0.0], [0.0, 1e308]]})
+        code, out, err = run_cli(capsys, ["rate", "--model", model_file(doc), "--x", "0.5"])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "loading_variance"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_path_past_doubles_exits_1(self, capsys):
+        # S = (0, 1e308, inf): the second step overflows, and numpy warns before the refusal
+        argv = ["segments", "--model", str(MODELS / "unit.json"), "--inject=1e308,1e308", "--set", "above",
+                "--a", "0.5", "--r", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "path_overflow"
+
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -25,7 +25,7 @@ import strange_segments.experiments as experiments
 import strange_segments.innovations as innovations
 import strange_segments.simulator as simulator
 from strange_segments.experiments import _window_bounds
-from strange_segments.innovations import InnovationModel
+from strange_segments.innovations import InnovationModel, _Along
 from strange_segments.model_core import floor_power_prefix
 from strange_segments.modeldoc import canonical_document
 from strange_segments.segments import r_stat, t_stat
@@ -215,19 +215,29 @@ class TestUldp:
         assert [r["successes"] for r in rows(noisy_unit_spec)] != [r["successes"] for r in free]
 
 
-def _one_shot_window_sums(spec, k, t, size, seed):
-    """Oracle in the filter-then-weights order: every innovation of the chunk
-    drawn at once, loaded, moving-averaged, then weighted in one product.
+def _row_law(spec):
+    """The loading law of ``spec`` by the route that draws every innovation row and reduces it."""
+    return InnovationModel.along(spec.innovations, spec.beta_sum)
 
-    Also returns ``sum_j |loaded_j * h_j|`` per sample, the scale of the
-    rounding error, with the kernel ``h = phi (*) weights`` from ``np.convolve``.
+
+def _one_shot_window_sums(spec, law, k, t, size, seed):
+    """Oracle in the filter-then-weights order: every loading of the chunk
+    drawn at once, moving-averaged, then weighted in one product.
+
+    A law that draws innovation rows (``_Along``) has its rows drawn here and
+    loaded in one product. Also returns ``sum_j |loaded_j * h_j|`` per sample,
+    the scale of the rounding error, with the kernel ``h = phi (*) weights``
+    from ``np.convolve``.
     """
     lo, hi = _window_bounds(k, t)
     weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
     width = len(weights)
     span = width + spec.ma.max_lag - spec.ma.min_lag
-    xi = spec.innovations.sample(np.random.default_rng(seed), size * span)
-    loaded = xi.reshape(size, span, spec.dim) @ spec.beta_sum
+    rng = np.random.default_rng(seed)
+    if isinstance(law, _Along):
+        loaded = law.base.sample(rng, size * span).reshape(size, span, spec.dim) @ law.direction
+    else:
+        loaded = law.sample(rng, size * span).reshape(size, span)
     sums = simulator._ma_filter(spec.ma, loaded, width) @ weights
     phi = [spec.ma.coeffs.get(lag, 0.0) for lag in range(spec.ma.max_lag, spec.ma.min_lag - 1, -1)]
     kernel = np.convolve(weights, phi)
@@ -237,46 +247,50 @@ def _one_shot_window_sums(spec, k, t, size, seed):
 def _block_cases():
     for model in ("unit.json", "two_group.json"):
         spec, _ = load_model(str(MODELS / model))
+        laws = {"": spec.loading}
+        if spec.dim > 1:
+            laws["-rows"] = _row_law(spec)
         for k in (Fraction(0), Fraction(7, 3), Fraction(4)):
             for t in (3, 40, 20_000):
                 lo, hi = _window_bounds(k, t)
                 span = hi - lo + 1 + spec.ma.max_lag - spec.ma.min_lag
-                block = max(1, innovations._PROJECTION_BLOCK_ROWS // span)
+                block = max(1, innovations._SUM_BLOCK_DRAWS // span)
                 for size in sorted({1, 2, block - 1, block, block + 1, 8192}):
                     if size >= 1 and size * span <= 1 << 22:  # the oracle holds them all
-                        yield pytest.param(spec, k, t, size, id=f"{model}-k{k}-t{t}-n{size}")
+                        for suffix, law in laws.items():
+                            yield pytest.param(spec, law, k, t, size, id=f"{model}-k{k}-t{t}-n{size}{suffix}")
 
 
-def _row_sums(spec, k, t, size):
-    """Window sums from the default sampler, which draws every innovation row.
+def _row_sums(spec, law, k, t, size):
+    """Window sums from the default sampler, which draws every loading of each sum.
 
     The Gaussian law overrides it with one draw per sum; it is called here
-    directly so the row-drawing path that other laws take stays checked.
+    directly so the drawing path that other laws take stays checked.
     """
     lo, hi = _window_bounds(k, t)
-    kernel = experiments._window_kernel(spec, floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64))
-    return InnovationModel.sample_projections(spec.innovations, np.random.default_rng(size), kernel, size)
+    h = experiments._window_kernel(spec, floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64))
+    return InnovationModel.sample_sums(law, np.random.default_rng(size), h, size)
 
 
 class TestBlockedWindowSums:
-    @pytest.mark.parametrize("spec, k, t, size", _block_cases())
-    def test_bitwise_equal_to_one_shot(self, spec, k, t, size, monkeypatch):
-        blocked = _row_sums(spec, k, t, size)
+    @pytest.mark.parametrize("spec, law, k, t, size", _block_cases())
+    def test_bitwise_equal_to_one_shot(self, spec, law, k, t, size, monkeypatch):
+        blocked = _row_sums(spec, law, k, t, size)
         assert blocked.shape == (size,)
         for rows in (1, 1 << 62):  # one sample per block, and every sample in one block
-            monkeypatch.setattr(innovations, "_PROJECTION_BLOCK_ROWS", rows)
-            other = _row_sums(spec, k, t, size)
+            monkeypatch.setattr(innovations, "_SUM_BLOCK_DRAWS", rows)
+            other = _row_sums(spec, law, k, t, size)
             assert other.tobytes() == blocked.tobytes()
 
-    @pytest.mark.parametrize("spec, k, t, size", _block_cases())
-    def test_near_filter_then_weights(self, spec, k, t, size):
-        sums = _row_sums(spec, k, t, size)
-        reference, scale = _one_shot_window_sums(spec, k, t, size, size)
+    @pytest.mark.parametrize("spec, law, k, t, size", _block_cases())
+    def test_near_filter_then_weights(self, spec, law, k, t, size):
+        sums = _row_sums(spec, law, k, t, size)
+        reference, scale = _one_shot_window_sums(spec, law, k, t, size, size)
         assert np.all(np.abs(sums - reference) <= 16 * np.finfo(np.float64).eps * scale)
 
 
 def _exact_law_case(model):
-    """(spec, kernel, closed-form variance (h . h) beta_sum' cov beta_sum) of the window (0, 40]."""
+    """(spec, kernel h, closed-form variance (h . h) beta_sum' cov beta_sum) of the window (0, 40]."""
     spec, _ = load_model(str(MODELS / model))
     lo, hi = _window_bounds(Fraction(0), 40)
     weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
@@ -284,37 +298,42 @@ def _exact_law_case(model):
     h = np.convolve(weights, phi)
     beta = spec.beta_sum
     variance = float(h @ h) * float(beta @ spec.innovations.cov @ beta)
-    return spec, experiments._window_kernel(spec, weights), variance
+    kernel = experiments._window_kernel(spec, weights)
+    assert kernel.shape == h.shape and np.allclose(kernel, h, rtol=1e-15, atol=0.0)
+    return spec, kernel, variance
 
 
 class TestExactWindowSums:
     @pytest.mark.parametrize("model", ["unit.json", "two_group.json"])
     def test_one_normal_per_sum(self, model):
-        spec, kernel, variance = _exact_law_case(model)
+        spec, h, variance = _exact_law_case(model)
         size = 1000
         rng = np.random.default_rng(5)
-        draws = spec.innovations.sample_projections(rng, kernel, size)
+        draws = spec.loading.sample_sums(rng, h, size)
         reference = np.random.default_rng(5)
-        sigma = np.sqrt(np.sum((kernel @ spec.innovations.cov) * kernel))
+        sigma = np.sqrt(spec.loading.cov[0, 0] * np.sum(h * h))
         assert sigma == pytest.approx(np.sqrt(variance), rel=1e-12)
         assert draws.tobytes() == (reference.standard_normal(size) * sigma).tobytes()
         # the stream moved on by exactly `size` normals
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_loading_in_the_null_space_of_a_singular_cov(self):
-        # the quadratic form rounds to -5.5e-17 here; the sums are exactly 0
+        # the loading variance rounds to -5.5e-17 here; the law is N(0, 0), so the sums are exactly 0
         v = np.array([0.50084929, 0.07496536]) / np.sqrt(0.50084929)
         law = GaussianInnovations(cov=np.outer(v, v))
-        kernel = np.multiply.outer(np.array([1.17, 1.47, 2.23, 2.56, 2.85]), np.array([v[1], -v[0]]))
-        assert np.sum((kernel @ law.cov) * kernel) < 0
-        assert np.all(law.sample_projections(np.random.default_rng(0), kernel, 100) == 0.0)
+        u = np.array([v[1], -v[0]])
+        assert float(u @ law.cov @ u) < 0
+        loading = law.along(u)
+        assert loading.cov.tolist() == [[0.0]]
+        h = np.array([1.17, 1.47, 2.23, 2.56, 2.85])
+        assert np.all(loading.sample_sums(np.random.default_rng(0), h, 100) == 0.0)
 
     @pytest.mark.parametrize("model", ["unit.json", "two_group.json"])
     def test_variance_matches_closed_form_and_row_draws(self, model):
-        spec, kernel, variance = _exact_law_case(model)
+        spec, h, variance = _exact_law_case(model)
         size = 1 << 16
-        exact = spec.innovations.sample_projections(np.random.default_rng(3), kernel, size)
-        rows = InnovationModel.sample_projections(spec.innovations, np.random.default_rng(4), kernel, size)
+        exact = spec.loading.sample_sums(np.random.default_rng(3), h, size)
+        rows = _row_law(spec).sample_sums(np.random.default_rng(4), h, size)
         # standard error of a normal sample's variance: var * sqrt(2 / (n - 1))
         se = variance * np.sqrt(2.0 / (size - 1))
         assert abs(exact.var(ddof=1) - variance) <= 5 * se

@@ -84,7 +84,7 @@ GOLDEN = {
         "summary.json": "c125227f4c1adc040fc4a747164b208199dfb82fce1b6dacf892d4d29c2f3a65",
     },
     "rate": {
-        "csv": "825148d72deeb7df02fc2c517ffd97f643888bf6270ce8a6e65e05054fa4e3e7",
+        "csv": "79503533bc312f5bb453a58b44086a6eb885a2ed169feb777543b45ab12c5eac",
     },
     "segments_above": {
         "csv": "b48b787066189ffeac454d5608539d91148c1daf182ecd72ae8c1eb3f4b434b5",
@@ -135,16 +135,16 @@ GOLDEN = {
         "summary.json": "9844692d14e447b1b08dbd24709d77098098fb30d035e8709e409e1b89039f49",
     },
     "verify_uldp": {
-        "csv": "bb72c0966d41c33f2d29a85d7aa45ce3faf3eba466776b71d2e8e2c1949d508a",
-        "summary.json": "6d3212f8963a3b6d68bc50eb7fcc2f2641132ccb8e7298bf0fd2d6683745bdd3",
+        "csv": "c62c9714a6c1ed87c2e0dc1e488e21e9cda236116fd06dfcd66364aaa4b827d4",
+        "summary.json": "5b64c19cc553d5976a31dbb3072159128001dcfb9fa0e7d2c5da4ef3e59d3838",
     },
     "verify_uldp_off": {
-        "csv": "45c8bdf4095ef60171020d4c35a05a856ebb4dcfcf000c35dccc6069b5d887bd",
-        "summary.json": "cf50e24a64df1f53245383752fb73c791ae287f8893ebea7c166c2c783af608b",
+        "csv": "d65eba7a95c0039939d915ac2271e832a562d8948953b5326c69050239c6a2c9",
+        "summary.json": "805ea341db5e91db2373afdf4fe1aeeae31bb68207a8eb3b843c7bb5f153f364",
     },
     "verify_uldp_partial": {
-        "csv": "bfb0c10b704c24ecc764a3d0aa87504f7b45e6f0ec02eaaa92298d381ed88968",
-        "summary.json": "51188aefcba56eea87cc3a910a27a9b63023c7057196f614e5b9f6ba917aedba",
+        "csv": "33868661eaaec23bc8583cef7c4ebd9012adc8f304f8cafabf6d0665fa87180a",
+        "summary.json": "1d091eacbb0ee0a814267d0858178e5201805aa1fca5cc1964545f4fea1cf12f",
     },
 }
 

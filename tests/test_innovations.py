@@ -48,17 +48,10 @@ class TestGaussianLogMgf:
                 fd = (m.log_mgf(eta + e) - m.log_mgf(eta - e)) / (2 * h)
                 assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
 
-    def test_ray_shortcuts_match_generic(self):
-        cov = np.array([[2.0, 0.3], [0.3, 0.5]])
-        m = GaussianInnovations(cov=cov)
-        u = np.array([0.8, -0.4])
-        s = np.linspace(-3, 3, 11)
-        ray = m.ray(u)
-        vals = ray.log_mgf(s)
-        grads = ray.slope(s)
-        for i, si in enumerate(s):
-            assert vals[i] == pytest.approx(m.log_mgf(si * u), abs=1e-14)
-            assert grads[i] == pytest.approx(float(u @ m.grad_log_mgf(si * u)), abs=1e-14)
+    def test_one_dimensional_examples(self):
+        m = GaussianInnovations(cov=np.array([[4.0]]))
+        assert m.log_mgf(np.array([[0.5], [-1.0], [0.0]])).tolist() == [0.5, 2.0, 0.0]
+        assert m.grad_log_mgf(np.array([[0.5], [-1.0]])).tolist() == [[2.0], [-4.0]]
 
     def test_convex_along_sampled_lines(self):
         m = GaussianInnovations(cov=np.array([[1.0, 0.4], [0.4, 2.0]]))
@@ -119,6 +112,23 @@ class TestSampling:
         assert (np.concatenate([m.sample(rng, n) for n in sizes]) == whole).all()
 
 
+@pytest.mark.parametrize("law", [
+    GaussianInnovations(cov=np.array([[2.0, 0.3], [0.3, 0.5]])),
+    GaussianInnovations(cov=np.array([[2.0, 0.3], [0.3, 0.5]])).along(np.array([0.8, -0.4])),
+    InnovationModel.along(GaussianInnovations(cov=np.array([[2.0, 0.3], [0.3, 0.5]])), np.array([0.8, -0.4])),
+], ids=["gaussian", "gaussian-along", "rows-along"])
+def test_batch_equals_one_eta_calls(law):
+    # a batch of eta vectors, shape (n, dim) or (m, n, dim), evaluates each vector as a call on it alone does
+    eta = np.random.default_rng(2).normal(size=(12, law.dim)) * 3.0
+    vals, grads = law.log_mgf(eta), law.grad_log_mgf(eta)
+    assert vals.shape == (12,) and grads.shape == (12, law.dim)
+    for i, e in enumerate(eta):
+        assert vals[i] == law.log_mgf(e)
+        assert grads[i].tolist() == law.grad_log_mgf(e).tolist()
+    assert law.log_mgf(eta.reshape(3, 4, law.dim)).tolist() == vals.reshape(3, 4).tolist()
+    assert law.grad_log_mgf(eta.reshape(3, 4, law.dim)).tolist() == grads.reshape(3, 4, law.dim).tolist()
+
+
 class TestAlong:
     def test_gaussian_law_along_a_direction(self):
         cov = np.array([[1.0, 0.2], [0.2, 0.5]])
@@ -141,6 +151,21 @@ class TestAlong:
         for eta in (-0.7, 0.0, 1.3):
             assert law.log_mgf(np.array([eta])) == base.log_mgf(eta * u)
             assert law.grad_log_mgf(np.array([eta])).tolist() == [float(u @ base.grad_log_mgf(eta * u))]
+
+    @pytest.mark.parametrize("cov, u", [
+        ([[1e308, 0.0], [0.0, 1e308]], [1.0, 1.0]),
+        ([[1.0]], [1e155]),
+    ])
+    def test_gaussian_variance_past_doubles_is_refused(self, cov, u):
+        with pytest.raises(ModelValidationError) as info:
+            GaussianInnovations(cov=np.array(cov)).along(np.array(u))
+        assert info.value.invariant == "loading_variance"
+
+    def test_gaussian_sums_need_a_one_dimensional_law(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            GaussianInnovations(cov=np.eye(2)).sample_sums(rng, np.ones(3), 10)
+        assert GaussianInnovations(cov=np.eye(2)).along(np.ones(2)).sample_sums(rng, np.ones(3), 10).shape == (10,)
 
 
 class TestNoise:
@@ -174,11 +199,11 @@ class _BoundedSlopeModel(InnovationModel):
     dim = 1
 
     def log_mgf(self, eta):
-        return float(np.sqrt(1.0 + float(eta[0]) ** 2) - 1.0)
+        return np.sqrt(1.0 + np.asarray(eta, dtype=np.float64)[..., 0] ** 2) - 1.0
 
     def grad_log_mgf(self, eta):
-        e = float(eta[0])
-        return np.array([e / np.sqrt(1.0 + e * e)])
+        eta = np.asarray(eta, dtype=np.float64)
+        return eta / np.sqrt(1.0 + eta * eta)
 
     def sample(self, rng, size):  # pragma: no cover - not exercised
         return rng.standard_normal((size, 1))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from strange_segments import (
     ModelSpec,
     ModelValidationError,
     floor_power,
+    load_model,
     parse_model_document,
 )
 from strange_segments.innovations import GaussianInnovations
 from strange_segments.model_core import cumulative_population_prefix, floor_power_prefix
 
 from conftest import unit_document
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def population(spec, i, t):
@@ -127,19 +132,15 @@ class TestCumulativePopulation:
 
 
 class TestAggregates:
-    def test_beta_bar_single(self):
-        spec = make_spec(groups=[CustomerGroup(c=1, mu=0.0, beta=(1.0, 0.0))], dim=2)
-        assert spec.beta_bar.tolist() == [1.0, 0.0]
+    def test_loading_variance_single(self):
+        spec, _ = load_model(MODELS / "unit.json")
+        assert spec.loading.cov.tolist() == [[1.0]]
 
-    def test_beta_bar_two_groups(self):
-        spec = make_spec(
-            groups=[
-                CustomerGroup(c=1, mu=0.0, beta=(1.0, 0.0)),
-                CustomerGroup(c=1, mu=0.0, beta=(0.0, 1.0)),
-            ],
-            dim=2,
-        )
-        assert spec.beta_bar.tolist() == [0.5, 0.5]
+    def test_loading_variance_two_groups(self):
+        # beta_sum = 1 (1, 0) + 2 (0.3, 0.7) = (1.6, 1.4), and beta_sum' cov beta_sum = 4.436
+        spec, _ = load_model(MODELS / "two_group.json")
+        assert spec.beta_sum.tolist() == [1.6, 1.4]
+        assert spec.loading.cov[0, 0] == pytest.approx(4.436, rel=1e-15)
 
     def test_total_phi(self):
         spec = make_spec(phi={0: 0.5, 1: 0.5})

@@ -48,29 +48,35 @@ def unit_ctx(unit_spec):
 
 
 class _SkellamModel(InnovationModel):
-    """Centred Skellam(1/2, 1/2): log-MGF cosh(eta) - 1, so the slope sinh is not linear."""
+    """Centred Skellam(1/2, 1/2), a difference of two Poisson(1/2) draws.
+
+    Its log-MGF cosh(eta) - 1 makes the slope sinh not linear; ``np.sinh``
+    reads inf where it overflows.
+    """
 
     dim = 1
 
     def log_mgf(self, eta):
-        return 2.0 * math.sinh(0.5 * float(eta[0])) ** 2  # cosh - 1 without cancellation
-
-    def grad_log_mgf(self, eta):
-        return np.array([math.sinh(float(eta[0]))])
-
-    def sample(self, rng, size):  # pragma: no cover - not exercised
-        raise NotImplementedError
-
-
-class _NumpySkellamModel(_SkellamModel):
-    """The same law with ``np.sinh``, whose slope reads inf where ``math.sinh`` raises."""
+        # cosh - 1 without cancellation
+        return 2.0 * np.sinh(0.5 * np.asarray(eta, dtype=np.float64)[..., 0]) ** 2
 
     def grad_log_mgf(self, eta):
         return np.sinh(np.asarray(eta, dtype=np.float64))
 
+    def sample(self, rng, size):
+        return (rng.poisson(0.5, (size, 1)) - rng.poisson(0.5, (size, 1))).astype(np.float64)
+
+
+class _MathSkellamModel(_SkellamModel):
+    """The same law with ``math.sinh`` at each point, which raises ``OverflowError`` where ``np.sinh`` reads inf."""
+
+    def grad_log_mgf(self, eta):
+        eta = np.asarray(eta, dtype=np.float64)
+        return np.array([math.sinh(e) for e in eta.ravel().tolist()]).reshape(eta.shape)
+
 
 class TestSteepnessOverflow:
-    @pytest.mark.parametrize("model", [_SkellamModel(), _NumpySkellamModel()],
+    @pytest.mark.parametrize("model", [_MathSkellamModel(), _SkellamModel()],
                              ids=["math-sinh-raises", "np-sinh-inf"])
     def test_overflowing_slope_counts_as_growth(self, model):
         with warnings.catch_warnings():
@@ -378,17 +384,17 @@ class TestCtxValidation:
 def _uncached_quadrature(ctx, k, lam, differentiated):
     """The window quadrature with the Gauss-Legendre grid rebuilt on every estimate."""
     spec = ctx.spec
-    coeff = spec.phi_total * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, k)
-    ray = spec.innovations.ray(spec.beta_bar)
+    coeff = spec.phi_total / spec.total_c * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, k)
 
     def estimate(order):
         nodes, weights = np.polynomial.legendre.leggauss(order)
         y = k + 0.5 * (nodes + 1.0)
         g = coeff * y**spec.alpha
+        eta = (g * lam)[:, None]
         if differentiated:
-            vals = g * ray.slope(g * lam)
+            vals = g * spec.loading.grad_log_mgf(eta)[:, 0]
         else:
-            vals = ray.log_mgf(g * lam)
+            vals = spec.loading.log_mgf(eta)
         return 0.5 * float(weights @ vals)
 
     order = rate_function._QUAD_ORDER
@@ -418,7 +424,7 @@ class TestQuadratureGrid:
         lambda_k_prime(unit_ctx, 0.5, 1.0)
         nodes, weights = rate_function._leggauss(64)
         spec = unit_ctx.spec
-        coeff = spec.phi_total * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, 0.5)
+        coeff = spec.phi_total / spec.total_c * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, 0.5)
         g, grid_weights = rate_function._window_grid(spec.alpha, coeff, 0.5, 64)
         assert grid_weights is weights
         for arr in (nodes, weights, g):
@@ -442,7 +448,7 @@ class TestQuadratureGrid:
 _SHARED_SPECS = {
     "unit": parse_model_document(json.loads((MODELS / "unit.json").read_text())),
     "two_group": parse_model_document(json.loads((MODELS / "two_group.json").read_text())),
-    "skellam": _skellam_spec(),  # the default, per-node ray
+    "skellam": _skellam_spec(),  # a law without a closed form along beta_sum: its loading is an _Along
 }
 _CURVES = ("limit", 0.0, 0.5, 2.0, 20.0, 100.0)
 _BOUND = 2 * rate_function._MAX_BRACKET_DOUBLINGS + 1
@@ -463,6 +469,42 @@ _queries = st.tuples(
     st.one_of(st.sampled_from((0.0, -0.0)),  # exactly the mean slope of every model here
               st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)),
 )
+
+
+class TestLawConformance:
+    """Each loading law's sampler draws the law its log-MGF states."""
+
+    @pytest.mark.parametrize("model", ["unit", "two_group", "skellam"])
+    def test_sample_mean_of_exp_matches_log_mgf(self, model):
+        loading = _SHARED_SPECS[model].loading
+        n = 200_000
+        draws = loading.sample(np.random.default_rng(17), n)[:, 0]
+        for eta in (-0.5, 0.25, 0.5):
+            x = np.exp(eta * draws)
+            want = math.exp(float(loading.log_mgf(np.array([eta]))))
+            assert abs(x.mean() - want) <= 3.0 * x.std(ddof=1) / math.sqrt(n), eta
+
+
+class TestTwoGroupWindowClosedForm:
+    """Gaussian window curves in closed form on a model with K = 2 and C = 3, where a misplaced 1/C shows.
+
+    ``Lambda_k(lam) = 0.5 q (lam phi / C)**2 int_k^{k+1} w_k(y)**2 dy``, with
+    ``q = beta_sum' cov beta_sum``; at alpha = 1, ``w_k(y) = 2 y / (2 k + 1)``.
+    """
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_lambda_k_and_slope(self, k):
+        spec = _SHARED_SPECS["two_group"]
+        assert (spec.alpha, spec.dim, spec.total_c) == (1.0, 2, 3)
+        cov = np.array(json.loads((MODELS / "two_group.json").read_text())["innovations"]["cov"])
+        q = float(spec.beta_sum @ cov @ spec.beta_sum)
+        integral = 4.0 * ((k + 1) ** 3 - k**3) / (3.0 * (2 * k + 1) ** 2)
+        ctx = RateFunctionCtx(spec)
+        for lam in (-1.3, 0.7, 2.0):
+            scale = lam * spec.phi_total / spec.total_c
+            assert lambda_k(ctx, k, lam) == pytest.approx(0.5 * q * scale**2 * integral, rel=1e-12, abs=0.0)
+            slope = q * scale * spec.phi_total / spec.total_c * integral
+            assert lambda_k_prime(ctx, k, lam) == pytest.approx(slope, rel=1e-12, abs=0.0)
 
 
 class TestSharedCurvePoints:

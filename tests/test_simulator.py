@@ -60,6 +60,17 @@ class TestInjectedExamples:
         direct = np.cumsum(np.arange(1, 201, dtype=np.float64) * xi)
         assert path.S[1:].tolist() == direct.tolist()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_at_a_block_edge_is_refused(self, unit_spec):
+        # D_t = t xi_t: S(c+1) = 1e308 + 1e308 overflows when the first block's total is
+        # carried in, yet S(c+2), the carry plus the second block's sum 0, reads finite
+        c = _CUMSUM_CHUNK
+        xi = np.zeros(c + 2)
+        xi[0], xi[c], xi[c + 1] = 1e308, 1e308 / (c + 1), -1e308 / (c + 2)
+        with pytest.raises(ModelValidationError) as info:
+            simulate(unit_spec, PathConfig(t_max=c + 2, seed=0), injected_innovations=xi)
+        assert info.value.invariant == "path_overflow" and f"S({c + 1})" in str(info.value)
+
     def test_injected_shape_validated(self, unit_spec):
         cfg = PathConfig(t_max=5, seed=0)
         with pytest.raises(ModelValidationError, match="injected"):
@@ -203,7 +214,7 @@ def full_array_path(spec, cfg, injected_innovations=None):
     j_min, j_max = innovation_span(spec, t_max)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
     if injected_innovations is None:
-        loaded = spec.innovations.along(spec.beta_sum).sample(rng_xi, j_max - j_min + 1)[:, 0]
+        loaded = spec.loading.sample(rng_xi, j_max - j_min + 1)[:, 0]
     else:
         xi = np.asarray(injected_innovations, dtype=np.float64).reshape(j_max - j_min + 1, -1)
         loaded = xi @ spec.beta_sum
@@ -237,7 +248,7 @@ def loading_reduction(spec):
     groups = [CustomerGroup(c=1, mu=0.0, beta=(1.0,))]
     if spec.total_c > 1:
         groups.append(CustomerGroup(c=spec.total_c - 1, mu=0.0, beta=(0.0,)))
-    return replace(spec, groups=tuple(groups), innovations=spec.innovations.along(spec.beta_sum))
+    return replace(spec, groups=tuple(groups), innovations=spec.loading)
 
 
 class TestBlockEdges:
@@ -333,7 +344,7 @@ class TestGrowInPlace:
         cap = horizons[-1]
         j_min, j_max = innovation_span(spec, cap)
         rng_xi, _ = _child_streams(np.random.SeedSequence(4))
-        loadings = spec.innovations.along(spec.beta_sum).sample(rng_xi, j_max - j_min + 1)
+        loadings = spec.loading.sample(rng_xi, j_max - j_min + 1)
 
         def inputs_for(h):
             j_min, j_max = innovation_span(spec, h)
@@ -441,7 +452,7 @@ class _Rademacher2(InnovationModel):
     dim = 2
 
     def log_mgf(self, eta):
-        return float(np.sum(np.log(np.cosh(np.asarray(eta, dtype=np.float64)))))
+        return np.log(np.cosh(np.asarray(eta, dtype=np.float64))).sum(axis=-1)
 
     def grad_log_mgf(self, eta):
         return np.tanh(np.asarray(eta, dtype=np.float64))
@@ -451,13 +462,13 @@ class _Rademacher2(InnovationModel):
 
 
 class TestLoadingLaw:
-    """A path draws its loadings from ``innovations.along(beta_sum)``."""
+    """A path draws its loadings from ``spec.loading``, the law of ``beta_sum . xi``."""
 
     def test_non_gaussian_law_keeps_the_row_product(self, monkeypatch):
         # the default law along beta_sum draws the rows and reduces each one, so
         # the path is the one formed from the law's rows times beta_sum
         spec = replace(TestBlockEdges.spec("two_group.json"), innovations=_Rademacher2())
-        assert isinstance(spec.innovations.along(spec.beta_sum), _Along)
+        assert isinstance(spec.loading, _Along)
         t_max = _THREAD_MIN_ROWS + 7
         cfg = PathConfig(t_max=t_max, seed=21, record_steps=True)
         j_min, j_max = innovation_span(spec, t_max)
