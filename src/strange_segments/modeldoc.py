@@ -12,10 +12,11 @@ A model document is a single JSON object:
     }
 
 Unknown keys anywhere are a hard error so that typos cannot silently change
-a run. Every validation failure names the violated invariant. Python's
-``json`` reads ``NaN`` and ``Infinity``; every number of the model must be
-finite, and a non-finite one is refused under ``finite_number``, naming its
-field.
+a run. Every validation failure names the violated invariant. Every number
+of the model must be a JSON number: a string, boolean or null in its place
+is refused under ``value_type``, naming its field. Python's ``json`` reads
+``NaN`` and ``Infinity``; every number of the model must be finite, and a
+non-finite one is refused under ``finite_number``, naming its field.
 
 ``groups[].mu`` and ``trunc_tol`` are accepted and kept in the canonical
 document, but no computation reads them: paths are deviations from the mean
@@ -27,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -52,11 +54,19 @@ def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
 
 
 def _finite(value: Any, where: str) -> float:
-    """``value`` as a float, refused unless it is finite."""
+    """``value`` as a float, refused unless it is a finite number (not a string, boolean or null)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        got = f"{type(value).__name__} {value!r}"
+        raise ModelValidationError("value_type", f"{where} must be a number, got {got}")
     x = float(value)
     if not math.isfinite(x):
         raise ModelValidationError("finite_number", f"{where} must be a finite number, got {x}")
     return x
+
+
+def _entries(value: Any) -> Any:
+    """The nested arrays ``value`` with each entry checked by ``_finite``, as numpy would convert none."""
+    return [_entries(v) for v in value] if isinstance(value, list) else _finite(value, "innovations cov")
 
 
 def _parse_innovations(obj: Any) -> InnovationModel:
@@ -65,10 +75,8 @@ def _parse_innovations(obj: Any) -> InnovationModel:
     kind = _require(obj, "type", "innovations")
     if kind == "gaussian":
         _reject_unknown(obj, {"type", "cov"}, "innovations")
-        cov = np.asarray(_require(obj, "cov", "innovations"), dtype=np.float64)
-        if not np.isfinite(cov).all():
-            raise ModelValidationError("finite_number", "innovations cov must hold finite numbers")
-        return GaussianInnovations(cov=cov)
+        cov = _entries(_require(obj, "cov", "innovations"))
+        return GaussianInnovations(cov=np.asarray(cov, dtype=np.float64))
     raise ModelValidationError(
         "innovation_type",
         f"unsupported innovation type {kind!r}; a closed-form log-MGF is required",

@@ -22,9 +22,9 @@ continuing the summation block that horizon left open, so no step is formed
 twice: ``simulate`` forms a path in one go with a builder of its own, and a
 caller that grows a horizon keeps one builder across the growths, every
 element equal to a path formed in one go. Injected innovations replace the
-draws only of a path formed in one go; an injection gives rows, whose
-loadings are the product ``xi @ beta_sum``. A path whose sum overflows a
-double is refused.
+draws only of a path formed in one go: their rows become loadings once, the
+product ``xi @ beta_sum``, and those take the same blocks and worker thread
+as drawn ones. A path whose sum overflows a double is refused.
 """
 
 from __future__ import annotations
@@ -83,16 +83,6 @@ class WorkloadPath:
         return len(self.S) - 1
 
 
-def innovation_span(spec: ModelSpec, t_max: int) -> tuple[int, int]:
-    """Index range [j_min, j_max] of innovations feeding Z(1..t_max).
-
-    Every Z(t) needs xi(t - lag) over the stored lags, so the span covers
-    1 - L+ through t_max + L- and no window at the path edges is truncated.
-    """
-    j_min = 1 - spec.ma.max_lag
-    return j_min, j_min + t_max - 1 + spec.ma.reach
-
-
 def _child_streams(ss: np.random.SeedSequence) -> tuple[np.random.Generator, np.random.Generator]:
     """(innovation stream, noise stream) of one path, spawned from ``ss`` in that order."""
     child_xi, child_eps = ss.spawn(2)
@@ -117,24 +107,25 @@ class _PathBuilder:
 
     The builder owns the path's two random streams, spawned from ``ss``
     (default ``SeedSequence(cfg.seed)``) whether or not the model has a
-    noise law, and draws its loadings from ``spec.loading``. It draws step
-    noise exactly when ``spec.noise`` is set. Each growth draws only the loadings and step noise past the last
+    noise law. Its loadings are given once, at construction: ``loadings``,
+    the injected loadings of the innovation span of steps 1..cap (entry 0
+    lies max_lag steps before step 1), or None to draw them from
+    ``spec.loading``. It draws step noise exactly when ``spec.noise`` is
+    set. Each growth draws only the loadings and step noise past the last
     horizon, continuing both streams, so a path grown in pieces draws what a
-    path formed in one go draws. Injected innovations replace the loading
-    draws of a first growth; their shape is checked before anything is drawn
-    or written.
+    path formed in one go draws.
 
-    Loadings are drawn in blocks of the steps up to each multiple of
-    ``_DRAW_BLOCK_ROWS``. A growth of at least ``_THREAD_MIN_ROWS`` new
-    loadings draws them on a worker thread of a pool that lives only for
-    that growth; a smaller one draws them inline, where a thread would cost
-    more than it saves. Whoever draws a block also forms its steps' shared
-    part. Only the worker reads the innovation stream and only the caller
-    reads the noise stream, which it draws per summation block. Block draws
-    continue a stream exactly, a law without a closed form along
-    ``beta_sum`` reduces each row alike for any row count, and each step is
-    formed from its own loadings alone, so the path does not depend on the
-    blocks or the thread.
+    Loadings are drawn or sliced in blocks of the steps up to each multiple
+    of ``_DRAW_BLOCK_ROWS``. A growth of at least ``_THREAD_MIN_ROWS`` new
+    loadings forms its blocks on a worker thread of a pool that lives only
+    for that growth; a smaller one forms them inline, where a thread would
+    cost more than it saves. Whoever takes a block's loadings also forms
+    its steps' shared part. Only the worker reads the innovation stream and
+    only the caller reads the noise stream, which it draws per summation
+    block. Block draws continue a stream exactly, a law without a closed
+    form along ``beta_sum`` reduces each row alike for any row count, and
+    each step is formed from its own loadings alone, so the path does not
+    depend on the blocks or the thread.
 
     S and N are buffers sized for the horizon cap. Steps are summed in
     ``_CUMSUM_CHUNK``-step blocks aligned at step 0, which the draw blocks
@@ -145,44 +136,29 @@ class _PathBuilder:
     new step once and continues the block the last horizon left open: the
     block's plain running sum is added to its first new step before the
     cumulative sum, which adds left to right, so every element equals a path
-    formed in one go at the new horizon.
+    formed in one go at the new horizon. A sum past the range of doubles is
+    refused after the growth, so neither thread warns of it.
     """
 
     def __init__(
-        self, spec: ModelSpec, cfg: PathConfig, cap: int, ss: Optional[np.random.SeedSequence] = None
+        self, spec: ModelSpec, cfg: PathConfig, cap: int, ss: Optional[np.random.SeedSequence] = None,
+        loadings: Optional[np.ndarray] = None,
     ):
         self.spec = spec
         self.cfg = cfg
         self.cap = cap
         self._rng_xi, self._rng_eps = _child_streams(np.random.SeedSequence(cfg.seed) if ss is None else ss)
+        self._loadings = loadings
         self.t = 0  # horizon formed so far
         self.s = self.n = self.d = None  # S, N and the steps D, allocated by the first growth
-        self._loaded = np.empty(0, dtype=np.float64)  # the max_lag - min_lag loadings past the last step formed
+        self._loaded = np.empty(0, dtype=np.float64)  # the reach drawn loadings past the last step formed
         self._open = 0.0  # plain sum of the open block's steps (0 at a block edge)
         self._carry = self._comp = 0.0  # compensated sum of the steps before the open block
 
-    def grow(self, t_max: int, xi: Optional[np.ndarray] = None) -> WorkloadPath:
-        """The path up to ``t_max``; ``xi`` is the whole path's innovations to inject, or None to draw.
-
-        Only a first growth takes ``xi``: it covers the innovation span from its start.
-        """
+    def grow(self, t_max: int) -> WorkloadPath:
+        """The path up to ``t_max``."""
         spec = self.spec
         lo = self.t  # steps lo+1..t_max are formed
-        j_min, j_max = innovation_span(spec, t_max)
-        span = j_max - j_min + 1
-        kept = len(self._loaded)  # loadings lo+kept.. are new: the last horizon's span on
-        fresh = span - lo - kept
-        if xi is not None:
-            xi = np.asarray(xi, dtype=np.float64)
-            if xi.ndim == 1:
-                xi = xi[:, None]
-            if xi.shape != (span, spec.dim):
-                raise ModelValidationError(
-                    "injected_innovations_shape",
-                    f"injected innovations must have shape ({span}, {spec.dim}) for "
-                    f"t_max={t_max}, got {xi.shape}",
-                )
-
         n_new = cumulative_population_prefix(spec, t_max, lo, int(self.n[lo - 1]) if lo else 0)
         if lo == 0:  # formed in one go, the path keeps the normalizer's own array as N
             self.n = n_new if t_max == self.cap else np.empty(self.cap + 1, dtype=np.int64)
@@ -197,9 +173,10 @@ class _PathBuilder:
 
         n, s, steps, noise = self.n, self.s, self.d, spec.noise
         carry, comp, total = self._carry, self._comp, self._open
-        threaded = xi is None and fresh >= _THREAD_MIN_ROWS
-        with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-            for a, shared in self._blocks(lo, t_max, fp, xi, pool):
+        threaded = t_max + spec.ma.reach - lo - len(self._loaded) >= _THREAD_MIN_ROWS  # loadings it takes
+        quiet = np.errstate(over="ignore", invalid="ignore")  # an overflowing S is refused below
+        with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool, quiet:
+            for a, shared in self._blocks(lo, t_max, fp, pool):
                 i, b = a, a + len(shared)
                 while i < b:  # steps i+1..j: the rest of the summation block holding step i+1
                     j = min(i - i % _CUMSUM_CHUNK + _CUMSUM_CHUNK, b)
@@ -233,47 +210,36 @@ class _PathBuilder:
             S=s[: t_max + 1], N=n[: t_max + 1], D=None if steps is None else steps[: t_max + 1]
         )
 
-    def _shared(self, loaded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The shared part ``floor(t**alpha) * beta_sum . Z(t)`` of consecutive steps.
-
-        ``weights`` is floor(t**alpha) of the steps and ``loaded`` the
-        loadings they read: its entry 0 lies max_lag steps before the first.
-        """
-        out = _ma_filter(self.spec.ma, loaded, len(weights))
-        out *= weights
-        return out
-
     def _blocks(
-        self, lo: int, t_max: int, fp: np.ndarray, xi: Optional[np.ndarray],
-        pool: Optional[ThreadPoolExecutor],
+        self, lo: int, t_max: int, fp: np.ndarray, pool: Optional[ThreadPoolExecutor]
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """``(a, shared part of steps a+1..b)``, in blocks covering lo+1..t_max.
+        """``(a, floor(t**alpha) * beta_sum . Z(t) of steps a+1..b)``, in blocks covering lo+1..t_max.
 
-        A block reads the loadings of its steps' innovation span, so the last
-        max_lag - min_lag of them are the first of the next block's, and
-        ``_loaded`` keeps them for the next growth. Injected rows give one
-        block, their loadings ``xi @ beta_sum``. Drawn loadings give blocks
-        that end at multiples of ``_DRAW_BLOCK_ROWS`` and at ``t_max``. With
-        ``pool``, the pool's one worker draws and forms each block while the
-        caller sums the block before: the next block is submitted before a
-        block is handed over, so at most one is in flight.
+        Blocks end at multiples of ``_DRAW_BLOCK_ROWS`` and at ``t_max``. A
+        block reads the loadings of its steps' innovation span, so the last
+        max_lag - min_lag of them are the first of the next block's; drawn
+        ones are kept in ``_loaded`` for the next block and growth. With
+        ``pool``, the pool's one worker forms each block while the caller
+        sums the block before: the next block is submitted before a block is
+        handed over, so at most one is in flight.
         """
-        if xi is not None:
-            loaded = _rows_matmul(xi, self.spec.beta_sum, np.empty(len(xi)))
-            self._loaded = loaded[t_max - lo :].copy()
-            yield lo, self._shared(loaded, fp[1:])
-            return
         if lo == t_max:
             return
         edges = [lo, *range(lo - lo % _DRAW_BLOCK_ROWS + _DRAW_BLOCK_ROWS, t_max, _DRAW_BLOCK_ROWS), t_max]
         blocks = list(zip(edges, edges[1:]))
-        reach, sample, rng = self.spec.ma.reach, self.spec.loading.sample, self._rng_xi
+        ma, loadings, sample, rng = self.spec.ma, self._loadings, self.spec.loading.sample, self._rng_xi
 
         def block(a: int, b: int) -> np.ndarray:
-            drawn = sample(rng, b - a + reach - len(self._loaded))[:, 0]
-            loaded = np.concatenate([self._loaded, drawn]) if len(self._loaded) else drawn
-            self._loaded = loaded[b - a :].copy()
-            return self._shared(loaded, fp[a + 1 - lo : b + 1 - lo])
+            with np.errstate(over="ignore", invalid="ignore"):  # numpy's error state is per thread
+                if loadings is not None:
+                    loaded = loadings[a : b + ma.reach]
+                else:
+                    drawn = sample(rng, b - a + ma.reach - len(self._loaded))[:, 0]
+                    loaded = np.concatenate([self._loaded, drawn]) if len(self._loaded) else drawn
+                    self._loaded = loaded[b - a :].copy()
+                out = _ma_filter(ma, loaded, b - a)
+                out *= fp[a + 1 - lo : b + 1 - lo]
+            return out
 
         if pool is None:
             for a, b in blocks:
@@ -298,43 +264,57 @@ def simulate(
 
     Randomness is drawn from two child streams of ``cfg.seed``, innovations
     first and noise second. ``injected_innovations`` (shape (span, K) or
-    (span,) when K == 1, covering ``innovation_span``) bypass the innovation
-    sampler; for a model without a noise law they make the path a
-    deterministic function of the input. Injection forms a path in one go only, so it is refused
-    together with ``builder``.
+    (span,) when K == 1, covering the innovation span ``1 - max_lag`` through
+    ``t_max - min_lag``, ``t_max + reach`` rows) bypass the innovation sampler;
+    for a model without a noise law they make the path a deterministic
+    function of the input. Their shape is checked before anything is drawn,
+    and they become loadings once, as the product ``xi @ beta_sum``.
+    Injection forms a path in one go only, so it is refused together with
+    ``builder``.
 
     ``floor(t**alpha)`` and the normalizer N are whole-path arrays. The
-    loadings ``beta_sum . xi`` are drawn from their own law in blocks of
-    about ``_DRAW_BLOCK_ROWS``, on a worker thread when the path draws at
-    least ``_THREAD_MIN_ROWS`` of them; injected rows give the loadings as
-    the product ``xi @ beta_sum``. Each draw block's MA filter and
-    ``floor(t**alpha)`` weighting are formed where its loadings are drawn.
-    The step noise, drawn per block, the copy into D and the cumulative sum
-    run over ``_CUMSUM_CHUNK``-step blocks aligned at step 0, each as soon as
-    its draw block is formed, and write straight into S, so the path
-    allocates no other path-length array. The worker is gone when
+    loadings ``beta_sum . xi``, drawn from their own law or injected, are
+    taken in blocks of about ``_DRAW_BLOCK_ROWS``, on a worker thread when
+    the path takes at least ``_THREAD_MIN_ROWS`` of them. Each block's MA
+    filter and ``floor(t**alpha)`` weighting are formed where its loadings
+    are taken. The step noise, drawn per block, the copy into D and the
+    cumulative sum run over ``_CUMSUM_CHUNK``-step blocks aligned at step 0,
+    each as soon as its draw block is formed, and write straight into S, so
+    the path allocates no other path-length array. The worker is gone when
     ``simulate`` returns or raises.
 
     Without ``builder`` the path is formed in one go by a builder of its own.
     A ``builder`` made for the same spec and the same ``cfg`` up to its
     horizon, and holding an earlier, shorter horizon, grows that path in
     place instead: it draws from its own streams, ``floor(t**alpha)`` and N
-    then cover only the steps past the earlier
-    horizon, and the summation continues that horizon's open
-    block. The returned path shares the builder's buffers and equals the one
-    formed in one go.
+    then cover only the steps past the earlier horizon, and the summation
+    continues that horizon's open block. The returned path shares the
+    builder's buffers and equals the one formed in one go.
     """
-    if builder is None:
-        builder = _PathBuilder(spec, cfg, cfg.t_max)
-    elif injected_innovations is not None:
-        raise ValueError("injected innovations form a path in one go; they take no builder")
-    elif (
-        builder.spec is not spec
-        or replace(builder.cfg, t_max=cfg.t_max) != cfg
-        or not builder.t <= cfg.t_max <= builder.cap
-    ):
-        raise ValueError(
-            f"a builder at horizon {builder.t} (cap {builder.cap}) cannot grow this path "
-            f"to t_max={cfg.t_max}"
-        )
-    return builder.grow(cfg.t_max, injected_innovations)
+    if builder is not None:
+        if injected_innovations is not None:
+            raise ValueError("injected innovations form a path in one go; they take no builder")
+        if (
+            builder.spec is not spec
+            or replace(builder.cfg, t_max=cfg.t_max) != cfg
+            or not builder.t <= cfg.t_max <= builder.cap
+        ):
+            raise ValueError(
+                f"a builder at horizon {builder.t} (cap {builder.cap}) cannot grow this path "
+                f"to t_max={cfg.t_max}"
+            )
+        return builder.grow(cfg.t_max)
+    loadings = None
+    if injected_innovations is not None:
+        xi = np.asarray(injected_innovations, dtype=np.float64)
+        xi = xi[:, None] if xi.ndim == 1 else xi
+        span = cfg.t_max + spec.ma.reach
+        if xi.shape != (span, spec.dim):
+            raise ModelValidationError(
+                "injected_innovations_shape",
+                f"injected innovations must have shape ({span}, {spec.dim}) for "
+                f"t_max={cfg.t_max}, got {xi.shape}",
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing path is refused once summed
+            loadings = _rows_matmul(xi, spec.beta_sum, np.empty(span))
+    return _PathBuilder(spec, cfg, cfg.t_max, loadings=loadings).grow(cfg.t_max)

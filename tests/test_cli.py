@@ -254,6 +254,24 @@ class TestValidationErrors:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["invariant"] == "finite_number" and field in record["message"]
 
+    @pytest.mark.parametrize("value", ["1", True, False, None], ids=["string", "true", "false", "null"])
+    @pytest.mark.parametrize("field, overrides", [
+        ("alpha", lambda v: {"alpha": v}),
+        ("group 1 mu", lambda v: {"groups": [{"c": 1, "mu": v, "beta": [1.0]}]}),
+        ("group 1 beta", lambda v: {"groups": [{"c": 1, "mu": 0.0, "beta": [v]}]}),
+        ("phi[0] value", lambda v: {"phi": [{"lag": 0, "value": v}]}),
+        ("innovations cov", lambda v: {"innovations": {"type": "gaussian", "cov": [[v]]}}),
+        ("noise var", lambda v: {"noise": {"type": "gaussian_noise", "var": v}}),
+        ("trunc_tol", lambda v: {"trunc_tol": v}),
+    ], ids=["alpha", "mu", "beta", "phi-value", "cov", "var", "trunc_tol"])
+    def test_model_numbers_must_be_json_numbers(self, capsys, model_file, field, overrides, value):
+        # float() reads "1" and True, and numpy converts them too; the schema has numbers there
+        path = model_file(unit_document(**overrides(value)))
+        code, out, err = run_cli(capsys, ["rate", "--model", path, "--x", "0.5"])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["invariant"] == "value_type" and record["message"].startswith(f"{field} must be a number")
+
     def test_loading_variance_past_doubles_exits_1(self, capsys, model_file):
         # every number is finite, but beta_sum' cov beta_sum = 2e308 is not
         doc = unit_document(groups=[{"c": 1, "mu": 0.0, "beta": [1.0, 1.0]}],
@@ -262,9 +280,9 @@ class TestValidationErrors:
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == "loading_variance"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_path_past_doubles_exits_1(self, capsys):
-        # S = (0, 1e308, inf): the second step overflows, and numpy warns before the refusal
+        # S = (0, 1e308, inf): the second step overflows, and the refusal is the only report
         argv = ["segments", "--model", str(MODELS / "unit.json"), "--inject=1e308,1e308", "--set", "above",
                 "--a", "0.5", "--r", "1"]
         code, out, err = run_cli(capsys, argv)
@@ -332,6 +350,78 @@ class TestUnusableFiles:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "validation" and record["invariant"] == invariant
         assert named in record["message"]
+
+
+def _one_group(c=1, beta=(1.0,)):
+    return [{"c": c, "mu": 0.0, "beta": beta}]  # a tuple is written as a JSON array
+
+
+# (invariant, model document refused under it)
+MODEL_REFUSALS = [
+    ("document_object", [unit_document()]),
+    ("missing_key", {key: value for key, value in unit_document().items() if key != "phi"}),
+    ("alpha_positive", unit_document(alpha=0.0)),
+    ("groups_nonempty", unit_document(groups=[])),
+    ("group_object", unit_document(groups=[1])),
+    ("group_c_positive_integer", unit_document(groups=_one_group(c=0))),
+    ("group_c_positive_integer", unit_document(groups=_one_group(c=1.5))),
+    ("beta_array", unit_document(groups=_one_group(beta=1.0))),
+    ("beta_dimension", unit_document(groups=_one_group(beta=(1.0, 1.0)))),
+    ("phi_nonempty", unit_document(phi=[])),
+    ("phi_entry_object", unit_document(phi=[1.0])),
+    ("phi_lag_integer", unit_document(phi=[{"lag": 0.5, "value": 1.0}])),
+    ("phi_lag_unique", unit_document(phi=[{"lag": 0, "value": 1.0}, {"lag": 0, "value": 2.0}])),
+    ("trunc_tol_nonnegative", unit_document(trunc_tol=-1.0)),
+    ("innovations_object", unit_document(innovations=[[1.0]])),
+    ("innovation_type", unit_document(innovations={"type": "student", "cov": [[1.0]]})),
+    ("cov_square", unit_document(innovations={"type": "gaussian", "cov": [[1.0, 0.0]]})),
+    ("cov_symmetric", unit_document(groups=_one_group(beta=(1.0, 1.0)),
+                                    innovations={"type": "gaussian", "cov": [[1.0, 0.5], [0.0, 1.0]]})),
+    ("cov_psd", unit_document(innovations={"type": "gaussian", "cov": [[-1.0]]})),
+    ("noise_object", unit_document(noise=1.0)),
+    ("noise_type", unit_document(noise={"type": "laplace", "var": 1.0})),
+    ("noise_var_nonnegative", unit_document(noise={"type": "gaussian_noise", "var": -1.0})),
+]
+
+LAGS_0_AND_1 = unit_document(phi=[{"lag": 0, "value": 1.0}, {"lag": 1, "value": 0.5}])
+UNIT = str(MODELS / "unit.json")
+STRONG_LAW = ["verify-strong-law", "--model", UNIT, "--seed", "1", "--replicates", "2", "--r-grid", "2",
+              "--t-grid", "16"]
+
+# (invariant, argv of a run refused under it, given a model_file writer and a scratch directory)
+RUN_REFUSALS = [
+    ("inject_dimension", lambda write, tmp: ["segments", "--model", str(MODELS / "two_group.json"),
+                                             "--inject=1,2,3", "--set", "above", "--a", "0.5"]),
+    ("inject_length", lambda write, tmp: ["segments", "--model", write(LAGS_0_AND_1), "--inject=1",
+                                          "--set", "above", "--a", "0.5"]),
+    ("replay_of_replay", lambda write, tmp: _manifest(tmp, json.dumps({"subcommand": "replay", "config": {}}))),
+    ("horizon_gt_one", lambda write, tmp: ["plan", "--model", UNIT, "--r-target", "10", "--horizon", "1"]),
+    ("r_target_positive", lambda write, tmp: ["plan", "--model", UNIT, "--r-target", "0", "--horizon", "148"]),
+    ("capacity_above_mean", lambda write, tmp: STRONG_LAW + ["--cp", "0"]),
+    ("replicates", lambda write, tmp: STRONG_LAW + ["--cp", "1.0", "--replicates", "0"]),
+    ("t_max_positive", lambda write, tmp: ["simulate", "--model", UNIT, "--seed", "1", "--t-max", "0"]),
+    ("t_positive", lambda write, tmp: ["verify-uldp", "--model", UNIT, "--seed", "1", "--t", "0",
+                                       "--samples", "10", "--set", "above", "--a", "0.5"]),
+]
+
+
+class TestRefusalRecords:
+    """Each refusal a run can reach exits 1 with empty stdout and one JSON record naming its invariant."""
+
+    @staticmethod
+    def assert_refused(capsys, argv, invariant):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "validation" and record["invariant"] == invariant
+
+    @pytest.mark.parametrize("invariant, doc", MODEL_REFUSALS, ids=[inv for inv, _ in MODEL_REFUSALS])
+    def test_model_document(self, capsys, model_file, invariant, doc):
+        self.assert_refused(capsys, ["rate", "--model", model_file(doc), "--x", "0.5"], invariant)
+
+    @pytest.mark.parametrize("invariant, build", RUN_REFUSALS, ids=[inv for inv, _ in RUN_REFUSALS])
+    def test_run(self, capsys, model_file, tmp_path, invariant, build):
+        self.assert_refused(capsys, build(model_file, tmp_path), invariant)
 
 
 class TestNumericalErrors:

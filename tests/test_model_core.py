@@ -164,6 +164,11 @@ class TestValidation:
         with pytest.raises(ModelValidationError):
             CustomerGroup(c=1.5, mu=0.0, beta=(1.0,))
 
+    def test_groups_nonempty(self):
+        with pytest.raises(ModelValidationError) as info:
+            ModelSpec(alpha=1.0, groups=(), ma=MACoefficients({0: 1.0}), innovations=GaussianInnovations(cov=np.eye(1)))
+        assert info.value.invariant == "groups_nonempty"
+
     def test_beta_dimension_checked(self):
         with pytest.raises(ModelValidationError, match="beta"):
             make_spec(groups=[CustomerGroup(c=1, mu=0.0, beta=(1.0, 2.0))], dim=1)
@@ -180,6 +185,11 @@ class TestMACoefficients:
         ma = MACoefficients({-1: 0.25, 0: 1.0})
         assert ma.coeffs == {-1: 0.25, 0: 1.0}
         assert ma.max_lag == 0 and ma.min_lag == -1
+
+    def test_empty_refused(self):
+        with pytest.raises(ModelValidationError) as info:
+            MACoefficients({})
+        assert info.value.invariant == "phi_nonempty"
 
     def test_reach(self):
         # lags on one side of 0 still reach back to lag 0

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,8 +260,16 @@ class TestGaussianClosedForm:
             ma=MACoefficients({0: 1.0}),
             innovations=_BoundedSlopeModel(),
         )
-        with pytest.raises(ModelValidationError, match="Gaussian"):
+        with pytest.raises(ModelValidationError, match="Gaussian") as info:
             gaussian_closed_form(spec, 1.0)
+        assert info.value.invariant == "gaussian_innovations_required"
+
+    def test_flat_loading_direction_rejected(self, unit_spec):
+        # beta_sum = 0 gives the loading variance beta_sum' cov beta_sum = 0
+        spec = replace(unit_spec, groups=(CustomerGroup(c=1, mu=0.0, beta=(0.0,)),))
+        with pytest.raises(ModelValidationError) as info:
+            gaussian_closed_form(spec, 1.0)
+        assert info.value.invariant == "gaussian_direction_variance"
 
 
 class TestInvertCapacity:

@@ -26,7 +26,6 @@ from strange_segments.simulator import (
     _PathBuilder,
     _child_streams,
     _ma_filter,
-    innovation_span,
 )
 
 from conftest import segment_average, unit_document
@@ -60,16 +59,25 @@ class TestInjectedExamples:
         direct = np.cumsum(np.arange(1, 201, dtype=np.float64) * xi)
         assert path.S[1:].tolist() == direct.tolist()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflow_at_a_block_edge_is_refused(self, unit_spec):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_at_a_block_edge_is_refused(self, monkeypatch, unit_spec):
         # D_t = t xi_t: S(c+1) = 1e308 + 1e308 overflows when the first block's total is
         # carried in, yet S(c+2), the carry plus the second block's sum 0, reads finite
         c = _CUMSUM_CHUNK
         xi = np.zeros(c + 2)
         xi[0], xi[c], xi[c + 1] = 1e308, 1e308 / (c + 1), -1e308 / (c + 2)
-        with pytest.raises(ModelValidationError) as info:
-            simulate(unit_spec, PathConfig(t_max=c + 2, seed=0), injected_innovations=xi)
-        assert info.value.invariant == "path_overflow" and f"S({c + 1})" in str(info.value)
+        doubled = replace(unit_spec, groups=(CustomerGroup(c=1, mu=0.0, beta=(2.0,)),))
+        for threshold in (0, 2**62):  # the refusal is the only report, formed on a worker or inline
+            monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+            with pytest.raises(ModelValidationError) as info:
+                simulate(unit_spec, PathConfig(t_max=c + 2, seed=0), injected_innovations=xi)
+            assert info.value.invariant == "path_overflow" and f"S({c + 1})" in str(info.value)
+            # a step past the range of doubles, made by the floor(t**alpha) weighting
+            with pytest.raises(ModelValidationError, match=r"S\(2\) is inf"):
+                simulate(unit_spec, PathConfig(t_max=2, seed=0), injected_innovations=np.array([1e308, 1e308]))
+            # a loading past the range of doubles, made by the product xi @ beta_sum
+            with pytest.raises(ModelValidationError, match=r"S\(1\) is inf"):
+                simulate(doubled, PathConfig(t_max=2, seed=0), injected_innovations=np.array([1e308, 0.0]))
 
     def test_injected_shape_validated(self, unit_spec):
         cfg = PathConfig(t_max=5, seed=0)
@@ -77,19 +85,15 @@ class TestInjectedExamples:
             simulate(unit_spec, cfg, injected_innovations=np.zeros(4))
 
     def test_injected_innovations_refused_before_any_draw(self, monkeypatch, noisy_unit_spec):
-        # a refused growth leaves the builder as it was: it drew nothing and wrote nothing
-        cfg = PathConfig(t_max=20, seed=3)
-        builder = _PathBuilder(noisy_unit_spec, cfg, 20)
-        draws = []
+        # simulate refuses the shape before it makes a builder or calls a sampler
+        calls = []
+        monkeypatch.setattr(simulator, "_PathBuilder", lambda *args, **kwargs: calls.append(args))
         for law, name in [(GaussianInnovations, "sample"), (type(noisy_unit_spec.noise), "sample_aggregate")]:
-            monkeypatch.setattr(law, name, lambda *args: draws.append(args))
-        with pytest.raises(ModelValidationError) as info:
-            builder.grow(20, np.zeros(19))
-        assert info.value.invariant == "injected_innovations_shape"
-        assert builder.t == 0 and builder.n is None and draws == []
-        monkeypatch.undo()
-        grown = simulate(noisy_unit_spec, cfg, builder=builder)
-        assert grown.S.tobytes() == simulate(noisy_unit_spec, cfg).S.tobytes()
+            monkeypatch.setattr(law, name, lambda *args: calls.append(args))
+        for xi in (np.zeros(19), np.zeros((20, 2))):  # too short, too wide
+            with pytest.raises(ModelValidationError) as info:
+                simulate(noisy_unit_spec, PathConfig(t_max=20, seed=3), injected_innovations=xi)
+            assert info.value.invariant == "injected_innovations_shape" and calls == []
 
 
 class TestTwoSidedMA:
@@ -99,10 +103,10 @@ class TestTwoSidedMA:
         )
         spec = parse_model_document(doc)
         t_max = 50
-        j_min, j_max = innovation_span(spec, t_max)
-        assert (j_min, j_max) == (1 - 2, t_max + 1)
+        j_min, span = 1 - spec.ma.max_lag, t_max + spec.ma.reach  # innovations xi(j_min .. t_max + 1)
+        assert (j_min, span) == (1 - 2, t_max + 3)
         rng = np.random.default_rng(7)
-        xi = rng.standard_normal(j_max - j_min + 1)
+        xi = rng.standard_normal(span)
         cfg = PathConfig(t_max=t_max, seed=0, record_steps=True)
         path = simulate(spec, cfg, injected_innovations=xi)
 
@@ -211,12 +215,12 @@ def full_array_path(spec, cfg, injected_innovations=None):
     loadings are drawn from their own law, or are injected rows times beta_sum.
     """
     t_max = cfg.t_max
-    j_min, j_max = innovation_span(spec, t_max)
+    span = t_max + spec.ma.reach  # the innovations feeding Z(1..t_max)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
     if injected_innovations is None:
-        loaded = spec.loading.sample(rng_xi, j_max - j_min + 1)[:, 0]
+        loaded = spec.loading.sample(rng_xi, span)[:, 0]
     else:
-        xi = np.asarray(injected_innovations, dtype=np.float64).reshape(j_max - j_min + 1, -1)
+        xi = np.asarray(injected_innovations, dtype=np.float64).reshape(span, -1)
         loaded = xi @ spec.beta_sum
     driver = _ma_filter(spec.ma, loaded, t_max)
     fp = floor_power_prefix(t_max, spec.alpha)
@@ -274,20 +278,21 @@ class TestBlockEdges:
         cfg = PathConfig(t_max=t_max, seed=t_max, record_steps=True)
         self.assert_same(simulate(spec, cfg), full_array_path(spec, cfg))
 
-    @pytest.mark.parametrize("t_max", T_MAX)
+    # injected loadings take the draw blocks too: past one, and past the thread threshold
+    @pytest.mark.parametrize("t_max", T_MAX + (_DRAW_BLOCK_ROWS + 1, _THREAD_MIN_ROWS + 1))
     @pytest.mark.parametrize("model", ["unit.json", "unit_noisy.json", "two_group.json"])
-    def test_injected(self, model, t_max):
+    def test_injected(self, monkeypatch, model, t_max):
         spec = self.spec(model)
-        j_min, j_max = innovation_span(spec, t_max)
-        xi = np.random.default_rng(t_max).standard_normal((j_max - j_min + 1, spec.dim))
-        cfg = PathConfig(t_max=t_max, seed=0, record_steps=True)
-        self.assert_same(simulate(spec, cfg, injected_innovations=xi),
-                         full_array_path(spec, cfg, injected_innovations=xi))
-        # injected innovations with sampled aggregate noise
-        if spec.noise is not None:
-            cfg = PathConfig(t_max=t_max, seed=3, record_steps=True)
-            self.assert_same(simulate(spec, cfg, injected_innovations=xi),
-                             full_array_path(spec, cfg, injected_innovations=xi))
+        xi = np.random.default_rng(t_max).standard_normal((t_max + spec.ma.reach, spec.dim))
+        # formed on a worker at the threaded size, and there also always and never threaded
+        thresholds = (_THREAD_MIN_ROWS, 0, 2**62) if t_max > _THREAD_MIN_ROWS else (_THREAD_MIN_ROWS,)
+        for threshold in thresholds:
+            monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+            # with the model's noise law, if any, at two noise seeds, and without it
+            for law, seed in ((spec, 0), (spec, 3), (replace(spec, noise=None), 0)):
+                cfg = PathConfig(t_max=t_max, seed=seed, record_steps=True)
+                self.assert_same(simulate(law, cfg, injected_innovations=xi),
+                                 full_array_path(law, cfg, injected_innovations=xi))
 
     def test_steps_not_recorded(self):
         spec = self.spec("two_group.json")
@@ -342,13 +347,11 @@ class TestGrowInPlace:
         # reduction, with the noise it draws itself
         spec = TestBlockEdges.spec(model)  # aggregate noise where the model has a noise law
         cap = horizons[-1]
-        j_min, j_max = innovation_span(spec, cap)
         rng_xi, _ = _child_streams(np.random.SeedSequence(4))
-        loadings = spec.loading.sample(rng_xi, j_max - j_min + 1)
+        loadings = spec.loading.sample(rng_xi, cap + spec.ma.reach)
 
         def inputs_for(h):
-            j_min, j_max = innovation_span(spec, h)
-            return loadings[: j_max - j_min + 1]
+            return loadings[: h + spec.ma.reach]
 
         pairs = self.grow(spec, horizons, lambda h: PathConfig(t_max=h, seed=4, record_steps=True), inputs_for,
                           one_go_spec=loading_reduction(spec))
@@ -471,9 +474,8 @@ class TestLoadingLaw:
         assert isinstance(spec.loading, _Along)
         t_max = _THREAD_MIN_ROWS + 7
         cfg = PathConfig(t_max=t_max, seed=21, record_steps=True)
-        j_min, j_max = innovation_span(spec, t_max)
         rng_xi, _ = _child_streams(np.random.SeedSequence(cfg.seed))
-        rows = spec.innovations.sample(rng_xi, j_max - j_min + 1)
+        rows = spec.innovations.sample(rng_xi, t_max + spec.ma.reach)
         ref = full_array_path(spec, cfg, injected_innovations=rows)
         for threshold in (0, 2**62):  # drawn on a worker and inline
             monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
@@ -495,8 +497,7 @@ class TestLoadingLaw:
         monkeypatch.setattr(GaussianInnovations, "sample", spy)
         t_max = 2 * _DRAW_BLOCK_ROWS
         simulate(spec, PathConfig(t_max=t_max, seed=3))
-        j_min, j_max = innovation_span(spec, t_max)
-        assert sum(drawn) == j_max - j_min + 1
+        assert sum(drawn) == t_max + spec.ma.reach
 
 
 class TestDrawThread:
@@ -553,6 +554,26 @@ class TestDrawThread:
         simulate(spec, PathConfig(t_max=3 * _DRAW_BLOCK_ROWS, seed=2))
         assert threading.active_count() == before
         assert len(threads) == 1 and (threading.get_ident() not in threads) == on_worker
+
+    @pytest.mark.parametrize("threshold, on_worker", [(0, True), (_THREAD_MIN_ROWS, True), (2**62, False)])
+    def test_injected_loadings_take_the_same_thread(self, monkeypatch, threshold, on_worker):
+        # injected loadings at least _THREAD_MIN_ROWS long are filtered on a worker, as drawn ones are
+        spec = TestBlockEdges.spec("two_group.json")
+        ma_filter, threads = simulator._ma_filter, []
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return ma_filter(*args)
+
+        monkeypatch.setattr(simulator, "_ma_filter", spy)
+        monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
+        t_max = _THREAD_MIN_ROWS + 1
+        xi = np.random.default_rng(1).standard_normal((t_max + spec.ma.reach, spec.dim))
+        before = threading.active_count()
+        simulate(spec, PathConfig(t_max=t_max, seed=2), injected_innovations=xi)
+        assert threading.active_count() == before
+        assert len(threads) == t_max // _DRAW_BLOCK_ROWS + 1  # one filter per draw block
+        assert len(set(threads)) == 1 and (threading.get_ident() not in threads) == on_worker
 
     def test_hand_off_under_fast_thread_switches(self, monkeypatch):
         # switching threads every microsecond interleaves the worker's draws with
