@@ -33,7 +33,7 @@ from .experiments import StrongLawRun, UldpRun, run_strong_law, run_uldp, sla_pl
 from .model_core import ModelSpec
 from .modeldoc import load_model
 from .rate_function import _QUAD_TOL, _ROOT_TOL, RateFunctionCtx, legendre, set_rate
-from .segments import _SET_KINDS, ThresholdSet, r_stat, t_stat
+from .segments import _SET_KINDS, ThresholdSet, _check_length, r_stat, t_stat
 from .simulator import PathConfig, WorkloadPath, simulate
 
 
@@ -152,18 +152,6 @@ def _noise_model(spec: ModelSpec, mode: Optional[str]) -> ModelSpec:
             "noise_model_missing", f"noise_mode {mode!r} requires a noise law in the model"
         )
     return spec
-
-
-def _threshold_set(args) -> ThresholdSet:
-    if args.set == "interval":
-        if args.b is None:
-            raise ModelValidationError("interval_endpoints", "--set interval requires --b")
-        if not args.a < args.b:
-            raise ModelValidationError("interval_endpoints", "interval sets need a < b")
-        return ThresholdSet.interval(args.a, args.b)
-    if args.b is not None:
-        raise ModelValidationError("interval_endpoints", "--b only applies to --set interval")
-    return ThresholdSet(args.set, args.a)
 
 
 def _manifest_config(args) -> dict:
@@ -306,15 +294,12 @@ def _segments_path(args, spec):
 
 def _cmd_segments(args) -> int:
     spec, digest = load_model(args.model)
-    tset = _threshold_set(args)
-    if args.r is not None and args.r < 1:
-        raise ModelValidationError("segment_length", f"--r must be at least 1, got {args.r}")
+    tset = ThresholdSet(args.set, args.a, args.b)
+    if args.r is not None:
+        _check_length(args.r)  # before the path is formed
     path = _segments_path(args, spec)
-    horizon = args.t if args.t is not None else path.t_max
-    if not 1 <= horizon <= path.t_max:
-        raise ModelValidationError("horizon", f"--t {horizon} outside 1..{path.t_max}")
     lines = ["statistic,value,k,l"]
-    rep = r_stat(path, tset, horizon)
+    rep = r_stat(path, tset, args.t if args.t is not None else path.t_max)
     k, l = rep.witness if rep.witness else (None, None)
     lines.append(f"R,{_fmt(rep.value)},{_fmt(k)},{_fmt(l)}")
     if args.r is not None:
@@ -367,7 +352,7 @@ def _cmd_verify_strong_law(args) -> int:
 def _cmd_verify_uldp(args) -> int:
     spec, digest = load_model(args.model)
     spec = _noise_model(spec, args.noise_mode)
-    tset = _threshold_set(args)
+    tset = ThresholdSet(args.set, args.a, args.b)
     cfg = UldpRun(
         spec=spec,
         k_grid=tuple(_offset(p) for p in args.k_grid.split(",")),

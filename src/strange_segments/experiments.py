@@ -107,7 +107,11 @@ class UldpRun:
         grid = tuple(Fraction(str(k)) if not isinstance(k, Fraction) else k for k in self.k_grid)
         if any(k < 0 for k in grid):
             raise ModelValidationError("k_grid", "window offsets must be >= 0")
-        if len({float(k) for k in grid}) < len(grid):  # rows and summary key offsets by float
+        try:
+            floats = {float(k) for k in grid}
+        except OverflowError:
+            raise ModelValidationError("k_grid", "window offsets must lie in the range of doubles") from None
+        if len(floats) < len(grid):  # rows and summary key offsets by float
             raise ModelValidationError("k_grid", "window offsets must be distinct as floats")
         object.__setattr__(self, "k_grid", grid)
         if self.t < 1:

@@ -225,10 +225,15 @@ def _check_normalizer_width(spec: ModelSpec, steps: int, last: int, what: str, r
     """Refuse a normalizer over ``steps`` steps up to step ``last`` that may not fit in int64.
 
     Each step adds at most ``total_c * floor(last**alpha)`` customers, so
-    ``steps`` times that bounds the sum, which must stay below 2**62.
+    ``steps`` times that bounds the sum, which must stay below 2**62; a
+    ``last`` or ``last**alpha`` past the range of doubles is wider still.
     ``what`` names the normalizer in the error and ``remedy`` says what to change.
     """
-    if spec.total_c * steps * max(floor_power(last, spec.alpha), 1) >= 2**62:
+    try:
+        fits = spec.total_c * steps * max(floor_power(last, spec.alpha), 1) < 2**62
+    except OverflowError:
+        fits = False
+    if not fits:
         raise ModelValidationError(
             "normalizer_width",
             f"{what} may exceed 64-bit integer range for alpha={spec.alpha}; {remedy}",

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import copysign, expm1, inf, isfinite, log1p
+from math import ceil, copysign, expm1, inf, isfinite, log1p
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -112,9 +112,22 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=256)
 def _window_grid(alpha: float, coeff: float, k: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Integrand loadings ``coeff * y**alpha`` at the order-``order`` nodes on
-    (k, k+1), with the matching weights; shared read-only."""
+    (k, k+1), with the matching weights; shared read-only.
+
+    For ``k = 0`` and ``alpha < 1`` the loading ``y**alpha`` is not smooth at
+    0, so the nodes are taken in ``u`` with ``y = u**m`` and the weights take
+    the Jacobian ``m u**(m-1)``. With ``m = min(ceil(1/alpha), 4)`` the
+    integrand behaves like ``u**(m - 1 + m alpha)`` at 0, where ``m alpha >= 1``
+    or ``m = 4``; a larger m only crowds the weight toward u = 1 (at alpha =
+    1e-5, ``m = ceil(1/alpha)`` does not converge by ``_MAX_QUAD_ORDER``).
+    """
     nodes, weights = _leggauss(order)
     y = k + 0.5 * (nodes + 1.0)
+    if k == 0.0 and alpha < 1.0:
+        m = min(ceil(1.0 / alpha), 4)
+        weights = weights * (m * y ** (m - 1))
+        weights.setflags(write=False)
+        y = y**m
     g = coeff * y**alpha
     g.setflags(write=False)
     return g, weights
@@ -426,19 +439,11 @@ def set_rate(ctx: RateFunctionCtx, which: WhichCurve, tset: ThresholdSet) -> flo
     """inf over an open threshold set of the selected transform.
 
     The transform is convex with its minimum (value 0) at the mean slope, so
-    the infimum over an open interval-type set is attained at the endpoint
-    nearest the mean, or is 0 when the set reaches the mean. By continuity
-    the infimum over the closure is the same, so a single number covers both
-    the optimistic and conservative asymptotic bounds.
+    the infimum over the set is its value at ``tset.nearest(mean)``, the
+    point of the set's closure nearest the mean: an endpoint, or the mean
+    itself when the set reaches it, where ``legendre`` returns exactly 0. By
+    continuity the infimum over the closure is the same, so a single number
+    covers both the optimistic and conservative asymptotic bounds.
     """
     curve, _, fprime = _curve(ctx, which)
-    mean = curve.slope_at(_ZERO, 0.0, fprime)
-    if tset.kind == "above":
-        return 0.0 if tset.a <= mean else legendre(ctx, which, tset.a).value
-    if tset.kind == "below":
-        return 0.0 if tset.a >= mean else legendre(ctx, which, tset.a).value
-    if mean <= tset.a:
-        return legendre(ctx, which, tset.a).value
-    if mean >= tset.b:
-        return legendre(ctx, which, tset.b).value
-    return 0.0
+    return legendre(ctx, which, tset.nearest(curve.slope_at(_ZERO, 0.0, fprime))).value

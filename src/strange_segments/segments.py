@@ -23,6 +23,13 @@ itself rounded. The brute-force oracles compare the rounded ratio
 ``(S(l) - S(k)) / (N(l) - N(k))`` with the threshold instead, so on paths
 where some segment average equals the threshold exactly (integer injected
 paths, say) the fast and brute-force statistics can disagree.
+
+This module alone decides what a threshold set admits and what a query
+accepts. ``ThresholdSet`` refuses an unknown kind as ``set`` and bad
+endpoints as ``interval_endpoints``; the queries refuse a horizon outside
+``1..t_max`` as ``horizon`` and a length below 1 as ``segment_length``,
+before any scan. ``ThresholdSet.nearest`` gives the point of a set's closure
+nearest a value, where ``rate_function.set_rate`` evaluates the transform.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ModelValidationError
 from .simulator import WorkloadPath
 
 # Walk indices per block of the t_stat scan and of each r_stat probe; its few
@@ -42,7 +50,7 @@ _SET_KINDS = ("above", "below", "interval")
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Open target set: (a, inf), (-inf, a) or (a, b)."""
+    """Open target set: (a, inf), (-inf, a) or (a, b), refused as ``set`` or ``interval_endpoints``."""
 
     kind: str  # "above" | "below" | "interval"
     a: float
@@ -50,12 +58,12 @@ class ThresholdSet:
 
     def __post_init__(self):
         if self.kind not in _SET_KINDS:
-            raise ValueError(f"unknown set kind {self.kind!r}")
+            raise ModelValidationError("set", f"unknown set kind {self.kind!r}")
         if self.kind == "interval":
             if self.b is None or not self.a < self.b:
-                raise ValueError("interval sets need a < b")
+                raise ModelValidationError("interval_endpoints", "interval sets need a < b")
         elif self.b is not None:
-            raise ValueError(f"set kind {self.kind!r} takes no upper endpoint")
+            raise ModelValidationError("interval_endpoints", f"set kind {self.kind!r} takes no b")
 
     @classmethod
     def above(cls, a: float) -> "ThresholdSet":
@@ -77,6 +85,14 @@ class ThresholdSet:
             return x < self.a
         return (x > self.a) & (x < self.b)
 
+    def nearest(self, x: float) -> float:
+        """The point of the set's closure nearest ``x``: ``x`` itself when the closure holds it."""
+        if self.kind == "above":
+            return max(x, self.a)
+        if self.kind == "below":
+            return min(x, self.a)
+        return min(max(x, self.a), self.b)
+
 
 @dataclass(frozen=True)
 class SegmentReport:
@@ -93,7 +109,12 @@ class SegmentReport:
 
 def _check_horizon(path: WorkloadPath, t: int) -> None:
     if not 1 <= t <= path.t_max:
-        raise ValueError(f"horizon {t} outside 1..{path.t_max}")
+        raise ModelValidationError("horizon", f"horizon {t} outside 1..{path.t_max}")
+
+
+def _check_length(r: int) -> None:
+    if r < 1:
+        raise ModelValidationError("segment_length", f"segment length r must be >= 1, got {r}")
 
 
 def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, start: int, stop: int) -> np.ndarray:
@@ -241,8 +262,7 @@ def t_stat(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
     path-length array is made, and the running minimum it carries gives the
     witness start. Interval sets fall back to direct enumeration.
     """
-    if r < 1:
-        raise ValueError("segment length r must be >= 1")
+    _check_length(r)
     if tset.kind == "interval":
         return brute_force_t(path, tset, r)
     return _TScan(tset, r).advance(path)
@@ -256,8 +276,7 @@ def brute_force_r(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentRepo
 
 def brute_force_t(path: WorkloadPath, tset: ThresholdSet, r: int) -> SegmentReport:
     """Direct evaluation of the T statistic over every segment (k, l)."""
-    if r < 1:
-        raise ValueError("segment length r must be >= 1")
+    _check_length(r)
     s, n = path.S, path.N.astype(np.float64)
     for l in range(r, path.t_max + 1):
         avg = (s[l] - s[: l - r + 1]) / (n[l] - n[: l - r + 1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from strange_segments import ModelValidationError, WorkloadPath, load_model, simulate
-from strange_segments import cli, experiments, innovations
+from strange_segments import cli, experiments, innovations, rate_function, segments
 from strange_segments.cli import _NOISE_MODES, _fmt, _path_csv_lines, build_parser, main
 from strange_segments.segments import _SET_KINDS
 from strange_segments.simulator import PathConfig
@@ -381,6 +381,7 @@ MODEL_REFUSALS = [
     ("noise_object", unit_document(noise=1.0)),
     ("noise_type", unit_document(noise={"type": "laplace", "var": 1.0})),
     ("noise_var_nonnegative", unit_document(noise={"type": "gaussian_noise", "var": -1.0})),
+    ("value_type", unit_document(innovations={"type": "gaussian", "cov": [[1.0], [0.0, 1.0]]})),
 ]
 
 LAGS_0_AND_1 = unit_document(phi=[{"lag": 0, "value": 1.0}, {"lag": 1, "value": 0.5}])
@@ -402,6 +403,23 @@ RUN_REFUSALS = [
     ("t_max_positive", lambda write, tmp: ["simulate", "--model", UNIT, "--seed", "1", "--t-max", "0"]),
     ("t_positive", lambda write, tmp: ["verify-uldp", "--model", UNIT, "--seed", "1", "--t", "0",
                                        "--samples", "10", "--set", "above", "--a", "0.5"]),
+    ("samples", lambda write, tmp: ["verify-uldp", "--model", UNIT, "--seed", "1", "--t", "4",
+                                    "--samples", "0", "--set", "above", "--a", "0.5"]),
+    ("horizon_cap", lambda write, tmp: STRONG_LAW + ["--cp", "1.0", "--t-grid", "100,5000",
+                                                     "--horizon-cap", "4000"]),
+    ("replay_config", lambda write, tmp: _manifest(tmp, json.dumps({"subcommand": "bogus", "config": {}}))),
+]
+
+PAST_DOUBLES = str(10**400)
+ULDP_ABOVE = ["--seed", "1", "--samples", "10", "--set", "above", "--a", "0.5"]
+# (invariant, argv of a run whose size lies past the range of doubles, given a model_file writer)
+OVERFLOW_REFUSALS = [
+    ("normalizer_width", lambda write: ["simulate", "--model", UNIT, "--seed", "1", "--t-max", PAST_DOUBLES]),
+    ("normalizer_width", lambda write: STRONG_LAW + ["--cp", "1.0", "--horizon-cap", PAST_DOUBLES]),
+    ("normalizer_width", lambda write: ["verify-uldp", "--model", UNIT, "--t", PAST_DOUBLES] + ULDP_ABOVE),
+    ("normalizer_width", lambda write: ["verify-uldp", "--model", write(unit_document(alpha=2.0)),
+                                        "--t", "40", "--k-grid", "1e200"] + ULDP_ABOVE),  # t**alpha
+    ("k_grid", lambda write: ["verify-uldp", "--model", UNIT, "--t", "40", "--k-grid", "1e400"] + ULDP_ABOVE),
 ]
 
 
@@ -423,6 +441,15 @@ class TestRefusalRecords:
     def test_run(self, capsys, model_file, tmp_path, invariant, build):
         self.assert_refused(capsys, build(model_file, tmp_path), invariant)
 
+    @pytest.mark.parametrize("invariant, build", OVERFLOW_REFUSALS,
+                             ids=["simulate-t-max", "strong-law-cap", "uldp-t", "uldp-t-power", "uldp-k"])
+    def test_size_past_doubles(self, capsys, model_file, invariant, build):
+        code, out, err = run_cli(capsys, build(model_file))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1  # one record, no traceback or warning
+        record = json.loads(err)
+        assert record["error"] == "validation" and record["invariant"] == invariant
+
 
 class TestNumericalErrors:
     def test_bracket_failure_exits_2(self, capsys, model_file, recwarn):
@@ -434,6 +461,14 @@ class TestNumericalErrors:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "numerical"
         assert "steepness" in record["message"]
+
+    def test_quadrature_short_of_tolerance_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(rate_function, "_QUAD_TOL", 0.0)  # two estimates never agree that closely
+        monkeypatch.setattr(rate_function, "_MAX_QUAD_ORDER", 64)
+        code, out, err = run_cli(capsys, ["rate", "--model", UNIT, "--x", "0.5", "--k", "0"])
+        assert code == 2 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "numerical" and "by order 64" in record["message"]
 
 
 class TestSimulateCsv:
@@ -711,8 +746,6 @@ class TestCheckSpecsBeforeRun:
         (ULDP + ["--t", "5", "--k-grid", "1e20"], "normalizer_width"),  # its steps pass int64
         (STRONG + ["--noise-mode", "aggregate", "--workers", "2"], "noise_model_missing"),
         (STRONG + ["--t-grid", "", "--horizon-cap", "-3"], "horizon_cap"),
-        (SEGMENTS + ["--t", "99"], "horizon"),  # the injected path has 3 steps
-        (SEGMENTS + ["--t", "0"], "horizon"),
         (SEGMENTS + ["--t", "99", "--r", "0"], "segment_length"),
         (SEGMENTS + ["--r", "0"], "segment_length"),
         (SEGMENTS + ["--set", "interval", "--a", "0.9", "--b", "0.2"], "interval_endpoints"),
@@ -736,6 +769,22 @@ class TestCheckSpecsBeforeRun:
         code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["invariant"] == invariant
+
+    @pytest.mark.parametrize("argv", [
+        SEGMENTS + ["--t", "99"],  # the injected path has 3 steps
+        SEGMENTS + ["--t", "0"],
+        SEGMENTS + ["--t", "0", "--set", "interval", "--b", "2"],
+    ])
+    def test_bad_horizon_exits_1_before_any_scan(self, capsys, model_file, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("a scan started before the horizon was checked")
+
+        for name in ("_one_sided_walk", "_direct_widths"):
+            monkeypatch.setattr(segments, name, never)
+        path = model_file(unit_document())
+        code, out, err = run_cli(capsys, argv[:1] + ["--model", path] + argv[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["invariant"] == "horizon"
 
     def test_far_window_that_fits_still_runs(self, capsys):
         code, out, _ = run_cli(capsys, ["verify-uldp", "--model", str(MODELS / "unit.json"), "--seed", "2",

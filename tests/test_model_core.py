@@ -55,6 +55,10 @@ class TestFloorPower:
         assert floor_power(1000, 1.5) == 31622
         assert floor_power(10**6, 0.5) == 1000
 
+    def test_negative_time_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            floor_power(-1, 1.0)
+
     def test_float_alpha_snap(self):
         # float(1/3) is not exactly 1/3; 8**(1/3) must still floor to 2
         assert floor_power(8, 1.0 / 3.0) == 2

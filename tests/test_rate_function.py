@@ -326,6 +326,8 @@ class TestLorenz:
             lorenz(1.0, 0.0, 1.5)
         with pytest.raises(ValueError):
             lorenz(1.0, -1.0, 0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            lorenz(0.0, 0.0, 0.5)
 
 
 class TestMonotonicityInK:
@@ -382,6 +384,16 @@ class TestSetRate:
 
     def test_mean_slope_is_zero(self, unit_ctx):
         assert lambda_limit_prime(unit_ctx, 0.0) == 0.0
+
+
+class TestWindowAtTheOrigin:
+    """At k = 0 with alpha < 1 the quadrature runs in u, y = u**m; the unit model's closed form checks it."""
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.5, 1.0 / 3.0, 0.25, 0.1, 0.01, 1e-5, 1e-8])
+    def test_gaussian_closed_form(self, alpha):
+        ctx = RateFunctionCtx(parse_model_document(unit_document(alpha=alpha)))
+        exact = 0.5**2 * (2.0 * alpha + 1.0) / (2.0 * (alpha + 1.0) ** 2)
+        assert legendre(ctx, 0.0, 0.5).value == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 class TestCtxValidation:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strange_segments import (
+    ModelValidationError,
     PathConfig,
     ThresholdSet,
     WorkloadPath,
@@ -199,24 +200,47 @@ class TestIntervalSets:
             assert r_stat(path, tset, t) == brute_force_r(path, tset, t)
             assert t_stat(path, tset, 3) == brute_force_t(path, tset, 3)
 
-    def test_set_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdSet.interval(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ThresholdSet("above", 1.0, 2.0)
-        with pytest.raises(ValueError):
-            ThresholdSet("sideways", 1.0)
+    @pytest.mark.parametrize("kind, a, b, invariant", [
+        ("interval", 1.0, 1.0, "interval_endpoints"),
+        ("interval", 1.0, 0.5, "interval_endpoints"),
+        ("interval", 1.0, None, "interval_endpoints"),
+        ("above", 1.0, 2.0, "interval_endpoints"),
+        ("below", 1.0, 2.0, "interval_endpoints"),
+        ("sideways", 1.0, None, "set"),
+    ])
+    def test_set_validation(self, kind, a, b, invariant):
+        with pytest.raises(ModelValidationError) as info:
+            ThresholdSet(kind, a, b)
+        assert info.value.invariant == invariant
+
+    @pytest.mark.parametrize("tset, x, nearest", [
+        (ThresholdSet.above(1.0), 0.5, 1.0),
+        (ThresholdSet.above(1.0), 1.5, 1.5),
+        (ThresholdSet.below(1.0), 1.5, 1.0),
+        (ThresholdSet.below(1.0), 0.5, 0.5),
+        (ThresholdSet.interval(1.0, 2.0), 0.5, 1.0),
+        (ThresholdSet.interval(1.0, 2.0), 1.5, 1.5),
+        (ThresholdSet.interval(1.0, 2.0), 2.5, 2.0),
+        (ThresholdSet.interval(1.0, 2.0), 2.0, 2.0),
+    ])
+    def test_nearest_point_of_the_closure(self, tset, x, nearest):
+        assert tset.nearest(x) == nearest
 
 
 class TestArgumentChecks:
-    def test_horizon_range(self):
-        path = make_path(UNIT_D)
-        with pytest.raises(ValueError):
-            r_stat(path, ThresholdSet.above(0.0), 0)
-        with pytest.raises(ValueError):
-            r_stat(path, ThresholdSet.above(0.0), 6)
-        with pytest.raises(ValueError):
-            t_stat(path, ThresholdSet.above(0.0), 0)
+    @pytest.mark.parametrize("query, arg, invariant", [
+        (r_stat, 0, "horizon"),
+        (r_stat, 6, "horizon"),
+        (brute_force_r, 0, "horizon"),
+        (brute_force_r, 6, "horizon"),
+        (t_stat, 0, "segment_length"),
+        (brute_force_t, 0, "segment_length"),
+    ])
+    @pytest.mark.parametrize("tset", [ThresholdSet.above(0.0), ThresholdSet.interval(0.0, 1.0)])
+    def test_horizon_range(self, query, arg, invariant, tset):
+        with pytest.raises(ModelValidationError) as info:
+            query(make_path(UNIT_D), tset, arg)
+        assert info.value.invariant == invariant
 
     def test_r_longer_than_path_is_absent(self):
         path = make_path(UNIT_D)
