@@ -28,13 +28,11 @@ from .modeldoc import load_model, parse_model_document
 from .rate_function import (
     LegendreResult,
     RateFunctionCtx,
-    gaussian_closed_form,
     invert_capacity,
     lambda_k,
     lambda_k_prime,
     lambda_limit,
     legendre,
-    lorenz,
     set_rate,
 )
 from .segments import (
@@ -75,14 +73,12 @@ __all__ = [
     "brute_force_t",
     "check_steepness",
     "floor_power",
-    "gaussian_closed_form",
     "invert_capacity",
     "lambda_k",
     "lambda_k_prime",
     "lambda_limit",
     "legendre",
     "load_model",
-    "lorenz",
     "parse_model_document",
     "r_stat",
     "run_strong_law",

@@ -28,15 +28,14 @@ A ``RateFunctionCtx`` keeps one ``_Curve`` per curve it is asked about: the
 limit curve, or a window offset ``k``. A window curve keeps the window
 constant ``phi (alpha+1) / (C mass(k))`` for its quadrature, which evaluates
 the loading law at all the nodes of an order in one call. Every curve keeps
-its slope, and its value where asked, at the points all queries on it share:
-lam = 0, where the slope is the mean, and the bracket probes
-``+-_LAMBDA_BRACKET * 2**j``. One context therefore serves any number of x on
-a curve, and each x pays only for its own Brent steps. The points are keyed by
-probe index, so a curve holds at most ``2 * _MAX_BRACKET_DOUBLINGS + 1`` of
-them. A curve holds the model, not the context, so a dropped context is
-freed at once. Every value and slope is computed through ``lambda_limit``,
-``lambda_limit_prime``, ``lambda_k`` or ``lambda_k_prime``, looked up by name
-at each call.
+its slope at the points all queries on it share: lam = 0, where the slope is
+the mean, and the bracket probes ``+-_LAMBDA_BRACKET * 2**j``. One context
+therefore serves any number of x on a curve, and each x pays only for its own
+Brent steps. The points are keyed by probe index, so a curve holds at most
+``2 * _MAX_BRACKET_DOUBLINGS + 1`` of them. A curve holds the model, not the
+context, so a dropped context is freed at once. Every value and slope is
+computed through ``lambda_limit``, ``lambda_limit_prime``, ``lambda_k`` or
+``lambda_k_prime``, looked up by name at each call.
 
 The quadrature and root tolerances are the module constants ``_QUAD_TOL``
 and ``_ROOT_TOL``; no caller sets them.
@@ -52,7 +51,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import BracketError, ModelValidationError, NumericalError, QuadratureError
-from .innovations import GaussianInnovations
 from .model_core import ModelSpec
 from .segments import ThresholdSet
 
@@ -107,54 +105,57 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-# 256 grids hold at most 16 MB, even all at _MAX_QUAD_ORDER; a query touches
+# A grid holds its loadings, and below alpha 1 also its own weights; at
+# alpha >= 1 it shares its order's read-only weights. So 256 grids hold at most
+# 32 MB, even all at _MAX_QUAD_ORDER, and 16 MB at alpha >= 1. A query touches
 # one grid per (curve, order), so repeated queries on a few models all hit.
 @lru_cache(maxsize=256)
 def _window_grid(alpha: float, coeff: float, k: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Integrand loadings ``coeff * y**alpha`` at the order-``order`` nodes on
     (k, k+1), with the matching weights; shared read-only.
 
-    For ``k = 0`` and ``alpha < 1`` the loading ``y**alpha`` is not smooth at
-    0, so the nodes are taken in ``u`` with ``y = u**m`` and the weights take
-    the Jacobian ``m u**(m-1)``. With ``m = min(ceil(1/alpha), 4)`` the
-    integrand behaves like ``u**(m - 1 + m alpha)`` at 0, where ``m alpha >= 1``
-    or ``m = 4``; a larger m only crowds the weight toward u = 1 (at alpha =
-    1e-5, ``m = ceil(1/alpha)`` does not converge by ``_MAX_QUAD_ORDER``).
+    The nodes are taken in ``u`` on (0, 1) with ``y = k + u**m`` and
+    ``m = min(ceil(1/alpha), 4)``, and for ``m > 1`` the weights take the
+    Jacobian ``m u**(m-1)``. At alpha >= 1, ``m = 1`` and this is the plain
+    rule. Below alpha 1, ``y**alpha`` is not smooth at y = 0, and nearly as
+    rough at y = k when k is small against 1. In u the integrand at k = 0
+    behaves like ``u**(m - 1 + m alpha)`` at 0, where ``m alpha >= 1`` or
+    ``m = 4``. A larger m only crowds the weight toward u = 1 (at alpha = 1e-5,
+    ``m = ceil(1/alpha)`` does not converge by ``_MAX_QUAD_ORDER``).
     """
     nodes, weights = _leggauss(order)
-    y = k + 0.5 * (nodes + 1.0)
-    if k == 0.0 and alpha < 1.0:
-        m = min(ceil(1.0 / alpha), 4)
-        weights = weights * (m * y ** (m - 1))
+    m = ceil(1.0 / max(alpha, 0.25))  # min(ceil(1/alpha), 4), with no 1/alpha to overflow
+    u = 0.5 * (nodes + 1.0)
+    if m > 1:
+        weights = weights * (m * u ** (m - 1))
         weights.setflags(write=False)
-        y = y**m
-    g = coeff * y**alpha
+    g = coeff * (k + u**m) ** alpha
     g.setflags(write=False)
     return g, weights
 
 
-def _interval_mass(alpha: float, k: float, p: float = 1.0) -> float:
-    """(k+p)**(alpha+1) - k**(alpha+1), stably for large k."""
-    if k == 0.0:
-        return p ** (alpha + 1.0)
-    return k ** (alpha + 1.0) * expm1((alpha + 1.0) * log1p(p / k))
+def _interval_mass(alpha: float, k: float) -> float:
+    """(k+1)**(alpha+1) - k**(alpha+1): the plain difference below k = 1, and
+    ``k**(alpha+1) expm1((alpha+1) log1p(1/k))`` above, stably for large k."""
+    if k < 1.0:
+        return (k + 1.0) ** (alpha + 1.0) - k ** (alpha + 1.0)
+    return k ** (alpha + 1.0) * expm1((alpha + 1.0) * log1p(1.0 / k))
 
 
 class _Curve:
     """One curve of a context: the limit curve (``k`` None) or the window curve at offset ``k``.
 
-    ``slopes`` and ``values`` hold the curve at its shared points, keyed
-    ``_ZERO`` for lam = 0 and ``(side, j)`` for the j-th bracket probe on
-    ``side``: keys, not float lambdas, so that +0.0 and -0.0 never collide.
+    ``slopes`` holds the curve's slope at its shared points, keyed ``_ZERO``
+    for lam = 0 and ``(side, j)`` for the j-th bracket probe on ``side``: keys,
+    not float lambdas, so that +0.0 and -0.0 never collide.
     """
 
-    __slots__ = ("spec", "k", "coeff", "slopes", "values")
+    __slots__ = ("spec", "k", "coeff", "slopes")
 
     def __init__(self, spec: ModelSpec, k: Optional[float] = None):
         self.spec = spec
         self.k = k
         self.slopes: dict[tuple, float] = {}
-        self.values: dict[tuple, float] = {}
         if k is not None:
             if not 0.0 <= k < inf:
                 raise ModelValidationError(
@@ -162,7 +163,7 @@ class _Curve:
                 )
             try:
                 mass = _interval_mass(spec.alpha, k)
-            except OverflowError:  # k**(alpha+1) beyond the range of doubles
+            except OverflowError:  # a power of k or k+1 beyond the range of doubles
                 mass = inf
             if not isfinite(mass):
                 raise ModelValidationError(
@@ -177,13 +178,6 @@ class _Curve:
         if slope is None:
             slope = self.slopes[key] = fprime(lam)
         return slope
-
-    def value_at(self, key: tuple, lam: float, f: Callable[[float], float]) -> float:
-        """Value at the shared point ``key``, which lies at ``lam``; ``f`` computes it once."""
-        value = self.values.get(key)
-        if value is None:
-            value = self.values[key] = f(lam)
-        return value
 
     def quadrature(self, lam: float, differentiated: bool) -> float:
         """Adaptive Gauss-Legendre over (k, k+1) of the (optionally differentiated)
@@ -369,28 +363,6 @@ def legendre(ctx: RateFunctionCtx, which: WhichCurve, x: float) -> LegendreResul
     return LegendreResult(max(value, 0.0), lam)
 
 
-def gaussian_closed_form(spec: ModelSpec, x: float) -> float:
-    """Closed-form transform of the limit curve for Gaussian innovations.
-
-    ``x**2 / (2 (phi / C)**2 q)`` with the loading variance
-    ``q = beta_sum' cov beta_sum``, which must be positive for the model to be
-    steep along the loading direction.
-    """
-    loading = spec.loading
-    if not isinstance(loading, GaussianInnovations):
-        raise ModelValidationError(
-            "gaussian_innovations_required",
-            "the closed form applies only to Gaussian innovation models",
-        )
-    q = float(loading.cov[0, 0])
-    if q <= 0.0:
-        raise ModelValidationError(
-            "gaussian_direction_variance",
-            "beta_sum' cov beta_sum must be positive for a usable Gaussian model",
-        )
-    return x * x / (2.0 * (spec.phi_total / spec.total_c) ** 2 * q)
-
-
 def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
     """Capacity headroom C with ``Lambda*(C) = target_rate`` (above-mean branch).
 
@@ -398,8 +370,8 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
     ``Lambda*(C) = lam Lambda'(lam) - Lambda(lam)``. The right side is 0 at
     lam = 0 and nondecreasing for lam > 0, so ``_root_beyond_zero`` finds
     lam to _ROOT_TOL, and C is the slope there. The bracket probes take the
-    limit curve's shared points, which a later ``legendre`` on the same
-    context reuses.
+    limit curve's shared slopes, which a later ``legendre`` on the same
+    context reuses, and compute ``Lambda`` itself at each probe they make.
     """
     if not 0.0 < target_rate < inf:
         raise ValueError("target rate must be finite and > 0")
@@ -409,30 +381,13 @@ def invert_capacity(ctx: RateFunctionCtx, target_rate: float) -> float:
         return lam * fprime(lam) - f(lam) - target_rate
 
     def excess_at_probe(j: int, lam: float) -> float:
-        key = (1.0, j)
-        return lam * curve.slope_at(key, lam, fprime) - curve.value_at(key, lam, f) - target_rate
+        return lam * curve.slope_at((1.0, j), lam, fprime) - f(lam) - target_rate
 
     lam = _root_beyond_zero(  # the excess is -target_rate at lam = 0, where Lambda(0) = 0
         excess, excess_at_probe, -target_rate, 1.0,
         f"could not bracket the capacity for target rate {target_rate:g}",
     )
     return fprime(lam)
-
-
-def lorenz(alpha: float, k: float, p: float) -> float:
-    """Lorenz curve of the normalized power-growth weight on (k, k+1).
-
-    ``((k+p)**(alpha+1) - k**(alpha+1)) / ((k+1)**(alpha+1) - k**(alpha+1))``
-    for 0 <= p <= 1; pointwise nondecreasing in k, which is what makes the
-    window log-MGF shrink toward the limit curve as the window moves out.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if k < 0:
-        raise ValueError("window offset k must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    return _interval_mass(alpha, k, p) / _interval_mass(alpha, k, 1.0)
 
 
 def set_rate(ctx: RateFunctionCtx, which: WhichCurve, tset: ThresholdSet) -> float:

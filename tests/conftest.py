@@ -20,6 +20,26 @@ def segment_average(path, k, l):
     return float((path.S[l] - path.S[k]) / float(path.N[l] - path.N[k]))
 
 
+def gaussian_closed_form(spec, x):
+    """Oracle: the limit curve's transform for Gaussian innovations, x^2 / (2 (phi / C)^2 q).
+
+    ``q = beta_sum' cov beta_sum`` is formed from the model's innovation
+    covariance, not from the loading law the package derives from it.
+    """
+    q = float(spec.beta_sum @ spec.innovations.cov @ spec.beta_sum)
+    return x * x / (2.0 * (spec.phi_total / spec.total_c) ** 2 * q)
+
+
+def lorenz(alpha, k, p):
+    """Oracle: the Lorenz curve of the window weight on (k, k+1), for 0 <= p <= 1.
+
+    ``((k+p)^(alpha+1) - k^(alpha+1)) / ((k+1)^(alpha+1) - k^(alpha+1))``,
+    pointwise nondecreasing in k, which is what makes the window log-MGF
+    shrink toward the limit curve as the window moves out.
+    """
+    return ((k + p) ** (alpha + 1.0) - k ** (alpha + 1.0)) / ((k + 1.0) ** (alpha + 1.0) - k ** (alpha + 1.0))
+
+
 
 def ramp_widths(path, tset, t):
     """Reference: for each l = 0..t, the width of the widest deviant segment ending at l.

@@ -17,11 +17,9 @@ from strange_segments import (
     StrongLawRun,
     ThresholdSet,
     UldpRun,
-    gaussian_closed_form,
     lambda_k,
     lambda_limit,
     legendre,
-    lorenz,
     parse_model_document,
     run_strong_law,
     run_uldp,
@@ -29,7 +27,7 @@ from strange_segments import (
 from strange_segments.cli import main
 from strange_segments.segments import brute_force_r, brute_force_t, r_stat, t_stat
 
-from conftest import trajectory, unit_document
+from conftest import gaussian_closed_form, lorenz, trajectory, unit_document
 from test_segments import random_paths, random_sets
 
 K_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)

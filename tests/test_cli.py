@@ -69,6 +69,12 @@ class TestRate:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "validation" and record["invariant"] == "window_offset"
 
+    def test_offset_small_against_the_window_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["rate", "--model", str(MODELS / "unit.json"), "--x", "0.5",
+                                        "--k", "1e-300"])
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[2]) == pytest.approx(0.09375, rel=0.0, abs=1e-12)
+
     def test_far_offset_below_the_overflow_still_runs(self, capsys):
         code, out, _ = run_cli(capsys, ["rate", "--model", str(MODELS / "unit.json"), "--x", "0.5",
                                         "--k", "1e150"])

@@ -4,6 +4,7 @@ import math
 import warnings
 import weakref
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,11 @@ from strange_segments import (
     RateFunctionCtx,
     ThresholdSet,
     check_steepness,
-    gaussian_closed_form,
     invert_capacity,
     lambda_k,
     lambda_k_prime,
     lambda_limit,
     legendre,
-    lorenz,
     parse_model_document,
     set_rate,
 )
@@ -38,7 +37,7 @@ from strange_segments.cli import main
 from strange_segments.rate_function import lambda_limit_prime
 from test_innovations import _BoundedSlopeModel
 
-from conftest import unit_document
+from conftest import gaussian_closed_form, unit_document
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -138,6 +137,13 @@ class TestLambdaLimit:
 class TestLambdaK:
     def test_closed_form_k0(self, unit_ctx):
         assert lambda_k(unit_ctx, 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_window_mass_of_small_offsets(self):
+        # below k = 1 the mass is the plain difference, which neither overflows nor loses digits
+        assert rate_function._interval_mass(1.0, 0.0) == 1.0
+        assert rate_function._interval_mass(1.0, 0.5) == 2.0
+        assert rate_function._interval_mass(1.0, 1e-300) == 1.0
+        assert rate_function._interval_mass(400.0, 0.1) == pytest.approx(1.1**401 - 0.1**401, rel=1e-15)
 
     def test_zero_lambda_exact(self, unit_ctx):
         assert lambda_k(unit_ctx, 3.7, 0.0) == 0.0
@@ -253,24 +259,6 @@ class TestGaussianClosedForm:
         assert gaussian_closed_form(unit_spec, 0.0) == 0.0
         assert gaussian_closed_form(phi2_spec, 1.0) == 0.125
 
-    def test_non_gaussian_rejected(self):
-        spec = ModelSpec(
-            alpha=1.0,
-            groups=(CustomerGroup(c=1, mu=0.0, beta=(1.0,)),),
-            ma=MACoefficients({0: 1.0}),
-            innovations=_BoundedSlopeModel(),
-        )
-        with pytest.raises(ModelValidationError, match="Gaussian") as info:
-            gaussian_closed_form(spec, 1.0)
-        assert info.value.invariant == "gaussian_innovations_required"
-
-    def test_flat_loading_direction_rejected(self, unit_spec):
-        # beta_sum = 0 gives the loading variance beta_sum' cov beta_sum = 0
-        spec = replace(unit_spec, groups=(CustomerGroup(c=1, mu=0.0, beta=(0.0,)),))
-        with pytest.raises(ModelValidationError) as info:
-            gaussian_closed_form(spec, 1.0)
-        assert info.value.invariant == "gaussian_direction_variance"
-
 
 class TestInvertCapacity:
     def test_unit_inverse(self, unit_ctx):
@@ -300,34 +288,6 @@ class TestInvertCapacity:
         for rate in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 invert_capacity(unit_ctx, rate)
-
-
-class TestLorenz:
-    def test_examples(self):
-        assert lorenz(1.0, 0.0, 0.5) == 0.25
-        assert lorenz(1.7, 12.0, 1.0) == 1.0
-        assert lorenz(1.0, 1.0, 0.5) == pytest.approx((2.25 - 1.0) / 3.0, abs=1e-15)
-
-    def test_endpoints(self):
-        for k in (0.0, 0.5, 3.0, 100.0):
-            assert lorenz(0.9, k, 0.0) == 0.0
-            assert lorenz(0.9, k, 1.0) == 1.0
-
-    def test_ordering_in_k(self):
-        ps = np.linspace(0.0, 1.0, 101)
-        ks = [0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
-        for alpha in (0.5, 1.0, 2.0):
-            curves = [np.array([lorenz(alpha, k, float(p)) for p in ps]) for k in ks]
-            for lo, hi in zip(curves, curves[1:]):
-                assert (hi >= lo - 1e-12).all()
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            lorenz(1.0, 0.0, 1.5)
-        with pytest.raises(ValueError):
-            lorenz(1.0, -1.0, 0.5)
-        with pytest.raises(ValueError, match="alpha"):
-            lorenz(0.0, 0.0, 0.5)
 
 
 class TestMonotonicityInK:
@@ -386,14 +346,40 @@ class TestSetRate:
         assert lambda_limit_prime(unit_ctx, 0.0) == 0.0
 
 
-class TestWindowAtTheOrigin:
-    """At k = 0 with alpha < 1 the quadrature runs in u, y = u**m; the unit model's closed form checks it."""
+def _unit_window_transform(alpha, k, x):
+    """The unit model's window transform at offset k, x^2 (2a+1) mass^2 / (2 (a+1)^2 ((k+1)^(2a+1) - k^(2a+1))).
 
-    @pytest.mark.parametrize("alpha", [0.9, 0.5, 1.0 / 3.0, 0.25, 0.1, 0.01, 1e-5, 1e-8])
+    Worked in 60-digit decimals, so the differences of powers lose nothing at any k.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, k = Decimal(alpha), Decimal(k)
+
+        def step(p):
+            return (k + 1) ** p - k**p
+
+        value = Decimal(x) ** 2 * (2 * a + 1) * step(a + 1) ** 2 / (2 * (a + 1) ** 2 * step(2 * a + 1))
+    return float(value)
+
+
+class TestWindowAtTheOrigin:
+    """Below alpha 1 every window is integrated in u, y = k + u**m; the unit model's closed form checks it."""
+
+    # at 1e-310, 1/alpha overflows a double, and the substitution power still reads 4
+    @pytest.mark.parametrize("alpha", [0.9, 0.5, 1.0 / 3.0, 0.25, 0.1, 0.01, 1e-5, 1e-8, 1e-310])
     def test_gaussian_closed_form(self, alpha):
         ctx = RateFunctionCtx(parse_model_document(unit_document(alpha=alpha)))
         exact = 0.5**2 * (2.0 * alpha + 1.0) / (2.0 * (alpha + 1.0) ** 2)
         assert legendre(ctx, 0.0, 0.5).value == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1e-7, 1e-5, 1e-3, 0.5, 100.0, 1e6])
+    @pytest.mark.parametrize("alpha", [0.9, 0.5, 0.1, 0.01])
+    def test_offsets_near_and_far(self, monkeypatch, alpha, k):
+        # a rule that stalls just above 0 runs out of orders at once instead of for minutes
+        monkeypatch.setattr(rate_function, "_MAX_QUAD_ORDER", 256)
+        ctx = RateFunctionCtx(parse_model_document(unit_document(alpha=alpha)))
+        exact = _unit_window_transform(alpha, k, 0.5)
+        assert legendre(ctx, k, 0.5).value == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 class TestCtxValidation:
@@ -403,14 +389,21 @@ class TestCtxValidation:
 
 
 def _uncached_quadrature(ctx, k, lam, differentiated):
-    """The window quadrature with the Gauss-Legendre grid rebuilt on every estimate."""
+    """The window quadrature with the substituted Gauss-Legendre rule rebuilt on every estimate.
+
+    The nodes are u on (0, 1), y = k + u**m with m = min(ceil(1/alpha), 4),
+    and the weights take the Jacobian m u**(m-1) when m > 1.
+    """
     spec = ctx.spec
     coeff = spec.phi_total / spec.total_c * (spec.alpha + 1.0) / rate_function._interval_mass(spec.alpha, k)
+    m = min(math.ceil(1.0 / spec.alpha), 4)
 
     def estimate(order):
         nodes, weights = np.polynomial.legendre.leggauss(order)
-        y = k + 0.5 * (nodes + 1.0)
-        g = coeff * y**spec.alpha
+        u = 0.5 * (nodes + 1.0)
+        if m > 1:
+            weights = weights * (m * u ** (m - 1))
+        g = coeff * (k + u**m) ** spec.alpha
         eta = (g * lam)[:, None]
         if differentiated:
             vals = g * spec.loading.grad_log_mgf(eta)[:, 0]
@@ -429,14 +422,16 @@ def _uncached_quadrature(ctx, k, lam, differentiated):
 
 
 class TestQuadratureGrid:
-    @pytest.mark.parametrize("doc", [
-        json.loads((MODELS / "unit.json").read_text()),
-        json.loads((MODELS / "two_group.json").read_text()),
-        unit_document(alpha=2.5),
-    ], ids=["unit", "two_group", "alpha2.5"])
-    def test_cached_grid_equals_uncached_estimate(self, doc):
-        ctx = RateFunctionCtx(parse_model_document(doc))
-        for k in (0.0, 0.5, 2.0, 20.0, 100.0):
+    @pytest.mark.parametrize("spec", [
+        parse_model_document(json.loads((MODELS / "unit.json").read_text())),
+        parse_model_document(json.loads((MODELS / "two_group.json").read_text())),
+        parse_model_document(unit_document(alpha=2.5)),
+        parse_model_document(unit_document(alpha=0.1)),
+        replace(_skellam_spec(), alpha=0.5),
+    ], ids=["unit", "two_group", "alpha2.5", "alpha0.1", "skellam-alpha0.5"])
+    def test_cached_grid_equals_uncached_estimate(self, spec):
+        ctx = RateFunctionCtx(spec)
+        for k in (0.0, 1e-7, 1e-3, 0.5, 2.0, 20.0, 100.0):
             for lam in (-1.7, -0.3, 0.4, 2.0):
                 assert lambda_k(ctx, k, lam) == _uncached_quadrature(ctx, k, lam, False)
                 assert lambda_k_prime(ctx, k, lam) == _uncached_quadrature(ctx, k, lam, True)
@@ -565,7 +560,7 @@ class TestSharedCurvePoints:
             legendre(ctx, 2.0, x)
         assert set(ctx._curves) == {"limit", 2.0}
         for curve in ctx._curves.values():
-            keys = curve.slopes.keys() | curve.values.keys()
+            keys = curve.slopes.keys()
             assert len(keys) <= _BOUND
             assert keys <= {rate_function._ZERO} | {
                 (side, j) for side in (1.0, -1.0) for j in range(rate_function._MAX_BRACKET_DOUBLINGS)
