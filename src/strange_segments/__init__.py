@@ -8,15 +8,12 @@ from .errors import (
     ModelValidationError,
     NumericalError,
     QuadratureError,
-    SteepnessWarning,
     StrangeSegmentsError,
 )
 from .innovations import (
     GaussianInnovations,
     GaussianNoise,
-    InnovationModel,
     NoiseModel,
-    check_steepness,
 )
 from .model_core import (
     CustomerGroup,
@@ -51,7 +48,6 @@ __all__ = [
     "CustomerGroup",
     "GaussianInnovations",
     "GaussianNoise",
-    "InnovationModel",
     "LegendreResult",
     "MACoefficients",
     "ModelSpec",
@@ -63,7 +59,6 @@ __all__ = [
     "RateFunctionCtx",
     "RunResult",
     "SegmentReport",
-    "SteepnessWarning",
     "StrangeSegmentsError",
     "StrongLawRun",
     "ThresholdSet",
@@ -71,7 +66,6 @@ __all__ = [
     "WorkloadPath",
     "brute_force_r",
     "brute_force_t",
-    "check_steepness",
     "floor_power",
     "invert_capacity",
     "lambda_k",

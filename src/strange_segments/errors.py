@@ -40,7 +40,3 @@ class QuadratureError(NumericalError):
 
 class BracketError(NumericalError):
     """Root bracketing failed; with a valid steep model this cannot happen."""
-
-
-class SteepnessWarning(UserWarning):
-    """The numerical spot check of log-MGF steepness did not pass."""

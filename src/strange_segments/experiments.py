@@ -9,8 +9,8 @@ estimates tail probabilities of single segment averages at positions k (in
 units of the segment length) and compares the empirical exponents with the
 position-indexed transforms. A window sum is ``sum_j h_j L_j`` over the
 loadings ``L_j = beta_sum . xi_j`` that feed it, with the one-dimensional
-kernel ``h`` of ``_window_kernel``, and is drawn from the loading law
-``spec.loading``.
+kernel ``h`` of ``_window_kernel``, and the loading law ``spec.loading``
+draws it as one normal from its exact law.
 
 All replicates and sample chunks derive their streams from
 (master_seed, work-unit index), so results are identical for any worker
@@ -330,10 +330,10 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     """(hits, size): how many of ``size`` sampled window averages at offset k lie in the set.
 
     The loading law draws the window sums ``sum_j h_j L_j`` against the
-    kernel ``h`` of ``_window_kernel`` from the chunk's innovation stream: a
-    Gaussian law one normal per sum from the sum's exact law, any other law
-    every loading of the window, in blocks. When the model has a noise law,
-    the noise stream draws each window's aggregate noise.
+    kernel ``h`` of ``_window_kernel`` from the chunk's innovation stream,
+    one normal per sum from the sum's exact law, so no array spans the
+    window. When the model has a noise law, the noise stream draws each
+    window's aggregate noise.
     """
     (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx) = args
     spec = parse_model_document(doc)

@@ -3,8 +3,11 @@
 A server hosts ``K_groups`` customer groups. Group ``i`` has ``n_i(t) =
 c_i * floor(t**alpha)`` customers at integer time ``t >= 0``, each with mean
 workload ``mu_i`` and loading weights ``beta_i`` onto a shared K-dimensional
-moving-average driver. Everything in this module is deterministic and exact:
-populations and the cumulative normalizer ``N(t)`` are integers.
+moving-average driver, whose Gaussian innovations have covariance ``cov``.
+The package reads that driver only through the scalar loading
+``L = beta_sum . xi``, whose law ``ModelSpec.loading`` is formed here.
+Everything else in this module is deterministic and exact: populations and
+the cumulative normalizer ``N(t)`` are integers.
 """
 
 from __future__ import annotations
@@ -12,14 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, TYPE_CHECKING
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import ModelValidationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .innovations import InnovationModel, NoiseModel
+from .innovations import GaussianInnovations, NoiseModel
 
 # Relative half-width of the near-integer band in which floor(t**alpha) is
 # resolved exactly instead of trusting the floating-point power.
@@ -158,25 +159,37 @@ class MACoefficients:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full workload model: growth exponent, groups, MA driver, noise.
+    """Full workload model: growth exponent, groups, MA driver, innovation covariance, noise.
 
-    Immutable after construction; all derived aggregates are cached and
-    recomputed deterministically from the fields.
+    ``cov`` is the covariance of the Gaussian innovations, which may be
+    singular (positive semidefinite); it is kept read-only. Immutable after
+    construction; all derived aggregates are cached and recomputed
+    deterministically from the fields.
     """
 
     alpha: float
     groups: tuple[CustomerGroup, ...]
     ma: MACoefficients
-    innovations: "InnovationModel"
-    noise: "NoiseModel | None" = None
+    cov: np.ndarray
+    noise: Optional[NoiseModel] = None
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=np.float64))
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ModelValidationError("cov_square", "covariance must be a square matrix")
+        if not (np.abs(cov - cov.T) <= 1e-12).all():
+            raise ModelValidationError("cov_symmetric", "covariance must be symmetric")
+        evals = np.linalg.eigvalsh(cov)
+        if evals.min(initial=0.0) < -1e-10 * max(1.0, float(evals.max(initial=0.0))):
+            raise ModelValidationError("cov_psd", "covariance must be positive semidefinite")
+        cov.setflags(write=False)
+        object.__setattr__(self, "cov", cov)
         if self.alpha <= 0:
             raise ModelValidationError("alpha_positive", f"alpha must be > 0, got {self.alpha}")
         if not self.groups:
             raise ModelValidationError("groups_nonempty", "at least one customer group is required")
-        k = self.innovations.dim
+        k = self.dim
         for i, g in enumerate(self.groups, start=1):
             if len(g.beta) != k:
                 raise ModelValidationError(
@@ -191,7 +204,8 @@ class ModelSpec:
 
     @property
     def dim(self) -> int:
-        return self.innovations.dim
+        """K, the dimension of the innovations."""
+        return self.cov.shape[0]
 
     @cached_property
     def total_c(self) -> int:
@@ -208,13 +222,15 @@ class ModelSpec:
         return out
 
     @cached_property
-    def loading(self) -> "InnovationModel":
+    def loading(self) -> GaussianInnovations:
         """Law of the scalar loading ``L = beta_sum . xi``, the one random input every reader takes.
 
-        ``innovations.along(beta_sum)``: ``N(0, beta_sum' cov beta_sum)`` for
-        Gaussian innovations, whose variance must not overflow a double.
+        ``N(0, beta_sum' cov beta_sum)``, whose variance must be positive and
+        must not overflow a double.
         """
-        return self.innovations.along(self.beta_sum)
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = float(self.beta_sum @ self.cov @ self.beta_sum)
+        return GaussianInnovations(var=var)
 
     @cached_property
     def phi_total(self) -> float:

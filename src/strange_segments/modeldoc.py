@@ -18,6 +18,11 @@ is refused under ``value_type``, naming its field. Python's ``json`` reads
 ``NaN`` and ``Infinity``; every number of the model must be finite, and a
 non-finite one is refused under ``finite_number``, naming its field.
 
+The covariance must be square (``cov_square``), symmetric (``cov_symmetric``)
+and positive semidefinite (``cov_psd``), and the loading variance
+``beta_sum' cov beta_sum`` must be positive and finite (``loading_variance``):
+a zero-variance loading has a flat log-MGF, so it is refused at load.
+
 ``groups[].mu`` and ``trunc_tol`` are accepted and kept in the canonical
 document, but no computation reads them: paths are deviations from the mean
 workload, and ``phi`` is always a finite literal family.
@@ -35,7 +40,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ModelValidationError
-from .innovations import GaussianInnovations, GaussianNoise, InnovationModel, NoiseModel, check_steepness
+from .innovations import GaussianNoise, NoiseModel
 from .model_core import CustomerGroup, MACoefficients, ModelSpec
 
 
@@ -69,14 +74,14 @@ def _entries(value: Any) -> Any:
     return [_entries(v) for v in value] if isinstance(value, list) else _finite(value, "innovations cov")
 
 
-def _parse_innovations(obj: Any) -> InnovationModel:
+def _parse_covariance(obj: Any) -> np.ndarray:
+    """The covariance of the ``innovations`` object; ``ModelSpec`` checks its shape and values."""
     if not isinstance(obj, dict):
         raise ModelValidationError("innovations_object", "innovations must be an object")
     kind = _require(obj, "type", "innovations")
     if kind == "gaussian":
         _reject_unknown(obj, {"type", "cov"}, "innovations")
-        cov = _entries(_require(obj, "cov", "innovations"))
-        return GaussianInnovations(cov=np.asarray(cov, dtype=np.float64))
+        return np.asarray(_entries(_require(obj, "cov", "innovations")), dtype=np.float64)
     raise ModelValidationError(
         "innovation_type",
         f"unsupported innovation type {kind!r}; a closed-form log-MGF is required",
@@ -115,7 +120,7 @@ def _parse_model_document(doc: Any) -> ModelSpec:
         raise ModelValidationError("document_object", "model document must be a JSON object")
     _reject_unknown(doc, {"alpha", "groups", "phi", "innovations", "noise", "trunc_tol"}, "model document")
 
-    innovations = _parse_innovations(_require(doc, "innovations", "model document"))
+    cov = _parse_covariance(_require(doc, "innovations", "model document"))
 
     raw_groups = _require(doc, "groups", "model document")
     if not isinstance(raw_groups, list) or not raw_groups:
@@ -155,12 +160,10 @@ def _parse_model_document(doc: Any) -> ModelSpec:
         alpha=_finite(_require(doc, "alpha", "model document"), "alpha"),
         groups=tuple(groups),
         ma=MACoefficients(coeffs, trunc_tol=_finite(doc.get("trunc_tol", 0.0), "trunc_tol")),
-        innovations=innovations,
+        cov=cov,
         noise=_parse_noise(doc.get("noise")),
     )
-    # Forms the loading law, which refuses a variance past the range of doubles.
-    # Advisory only at load time; becomes an error if bracketing ever fails.
-    check_steepness(spec.loading, np.array([spec.phi_total / spec.total_c]))
+    spec.loading  # forms the loading law, which refuses a zero or non-finite variance
     return spec
 
 
@@ -186,10 +189,7 @@ def canonical_document(spec: ModelSpec) -> dict:
         ],
         "trunc_tol": spec.ma.trunc_tol,
     }
-    if isinstance(spec.innovations, GaussianInnovations):
-        doc["innovations"] = {"type": "gaussian", "cov": spec.innovations.cov.tolist()}
-    else:  # pragma: no cover - only Gaussian ships
-        doc["innovations"] = {"type": type(spec.innovations).__name__}
+    doc["innovations"] = {"type": "gaussian", "cov": spec.cov.tolist()}
     if spec.noise is None:
         doc["noise"] = {"type": "none"}
     elif isinstance(spec.noise, GaussianNoise):

@@ -1,10 +1,10 @@
 """Numerical evaluation of the workload rate functions.
 
 Two convex log-MGF limits drive all asymptotics of long deviant segments.
-Both read the innovations only through the law of the scalar loading
-``L = beta_sum . xi``, ``ModelSpec.loading``, whose log-MGF is written
-``log_mgf_L`` here: the innovations' ``log_mgf(s * beta_sum / C)`` is
-``log_mgf_L(s / C)``, with ``C`` the sum of the group sizes ``c_i``.
+Both read the model's randomness only through the scalar loading
+``L = beta_sum . xi``: its law ``ModelSpec.loading``, whose log-MGF is
+written ``log_mgf_L`` here and whose ``slope`` is its derivative, both taken
+element by element over an array. ``C`` is the sum of the group sizes ``c_i``.
 
 * the limit curve ``Lambda(lam) = log_mgf_L(lam * phi / C)``, which governs
   segments far from the start of the horizon, and
@@ -186,11 +186,8 @@ class _Curve:
 
         def estimate(order: int) -> float:
             g, weights = _window_grid(alpha, coeff, k, order)
-            eta = (g * lam)[:, None]
-            if differentiated:
-                vals = g * loading.grad_log_mgf(eta)[:, 0]
-            else:
-                vals = loading.log_mgf(eta)
+            eta = g * lam
+            vals = g * loading.slope(eta) if differentiated else loading.log_mgf(eta)
             return 0.5 * float(weights @ vals)
 
         order = _QUAD_ORDER
@@ -219,14 +216,14 @@ def _window(ctx: RateFunctionCtx, k: float) -> _Curve:
 def lambda_limit(ctx: RateFunctionCtx, lam: float) -> float:
     """Limit log-MGF: the loading law's log_mgf(lam * phi / C)."""
     spec = ctx.spec
-    return float(spec.loading.log_mgf(np.array([lam * (spec.phi_total / spec.total_c)])))
+    return float(spec.loading.log_mgf(lam * (spec.phi_total / spec.total_c)))
 
 
 def lambda_limit_prime(ctx: RateFunctionCtx, lam: float) -> float:
     """Derivative of the limit log-MGF in lam."""
     spec = ctx.spec
     scale = spec.phi_total / spec.total_c
-    return scale * float(spec.loading.grad_log_mgf(np.array([lam * scale]))[0])
+    return scale * float(spec.loading.slope(lam * scale))
 
 
 def lambda_k(ctx: RateFunctionCtx, k: float, lam: float) -> float:

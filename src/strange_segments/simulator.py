@@ -10,7 +10,7 @@ caller runs a model with noise off as ``replace(spec, noise=None)``. The
 path keeps the cumulative deviation S and the integer normalizer N. The
 path reads the innovations only through each loading ``beta_sum . xi``,
 so it draws the loadings from their own law, the model's ``loading``: one
-normal per step for Gaussian innovations, whatever their dimension. The
+normal per step, whatever the innovations' dimension. The
 loadings are drawn in blocks; the steps' moving average of them, weighted by
 floor(t**alpha), is formed, given noise and summed block by block, so no
 path-length temporary is made beyond floor(t**alpha). A large growth draws
@@ -37,7 +37,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ModelValidationError
-from .innovations import _rows_matmul
 from .model_core import MACoefficients, ModelSpec, cumulative_population_prefix, floor_power_prefix
 
 _CUMSUM_CHUNK = 8192
@@ -89,6 +88,18 @@ def _child_streams(ss: np.random.SeedSequence) -> tuple[np.random.Generator, np.
     return np.random.default_rng(child_xi), np.random.default_rng(child_eps)
 
 
+def _rows_matmul(rows: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows @ m`` into ``out``, each row's bits independent of the row count.
+
+    numpy multiplies a lone row by a vector kernel, which rounds unlike the
+    matrix kernels it takes for two or more rows, so a lone row is doubled.
+    """
+    if len(rows) != 1:
+        return np.matmul(rows, m, out=out)
+    out[...] = np.matmul(np.concatenate([rows, rows]), m)[:1]
+    return out
+
+
 def _ma_filter(ma: MACoefficients, loaded: np.ndarray, width: int) -> np.ndarray:
     """Moving average sum_k phi_k * loaded(t - k) for ``width`` consecutive t.
 
@@ -122,10 +133,9 @@ class _PathBuilder:
     cost more than it saves. Whoever takes a block's loadings also forms
     its steps' shared part. Only the worker reads the innovation stream and
     only the caller reads the noise stream, which it draws per summation
-    block. Block draws continue a stream exactly, a law without a closed
-    form along ``beta_sum`` reduces each row alike for any row count, and
-    each step is formed from its own loadings alone, so the path does not
-    depend on the blocks or the thread.
+    block. Block draws continue a stream exactly, and each step is formed
+    from its own loadings alone, so the path does not depend on the blocks
+    or the thread.
 
     S and N are buffers sized for the horizon cap. Steps are summed in
     ``_CUMSUM_CHUNK``-step blocks aligned at step 0, which the draw blocks
@@ -234,7 +244,7 @@ class _PathBuilder:
                 if loadings is not None:
                     loaded = loadings[a : b + ma.reach]
                 else:
-                    drawn = sample(rng, b - a + ma.reach - len(self._loaded))[:, 0]
+                    drawn = sample(rng, b - a + ma.reach - len(self._loaded))
                     loaded = np.concatenate([self._loaded, drawn]) if len(self._loaded) else drawn
                     self._loaded = loaded[b - a :].copy()
                 out = _ma_filter(ma, loaded, b - a)

@@ -1,10 +1,12 @@
 import json
+from dataclasses import dataclass, fields
+from typing import Any
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from strange_segments import parse_model_document
+from strange_segments import ModelSpec, parse_model_document
 from strange_segments.segments import _direct_widths, _one_sided_walk
 
 # Example budgets for the properties that set none of their own: "dev" is the
@@ -26,7 +28,7 @@ def gaussian_closed_form(spec, x):
     ``q = beta_sum' cov beta_sum`` is formed from the model's innovation
     covariance, not from the loading law the package derives from it.
     """
-    q = float(spec.beta_sum @ spec.innovations.cov @ spec.beta_sum)
+    q = float(spec.beta_sum @ spec.cov @ spec.beta_sum)
     return x * x / (2.0 * (spec.phi_total / spec.total_c) ** 2 * q)
 
 
@@ -39,6 +41,26 @@ def lorenz(alpha, k, p):
     """
     return ((k + p) ** (alpha + 1.0) - k ** (alpha + 1.0)) / ((k + 1.0) ** (alpha + 1.0) - k ** (alpha + 1.0))
 
+
+@dataclass(frozen=True)
+class LawSpec(ModelSpec):
+    """A model whose loading law is ``law``, a test-only scalar law, in place of its Gaussian one.
+
+    ``law`` keeps the loading contract: ``log_mgf`` and ``slope`` act element
+    by element on a float array of any shape, and ``sample(rng, size)``
+    returns shape ``(size,)``.
+    """
+
+    law: Any = None
+
+    @property
+    def loading(self):
+        return self.law
+
+
+def with_law(spec, law):
+    """``spec`` with the loading law ``law``."""
+    return LawSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)}, law=law)
 
 
 def ramp_widths(path, tset, t):

@@ -1,9 +1,10 @@
 """Acceptance gate: one test per shipped criterion, each printing a verdict line.
 
 Criteria 6 and 7 assert pre-registered Monte Carlo bands that sit below the
-finite-size bias of the statistics they measure (see /root/notes for the
-analysis); they are asserted exactly as stated, so a red outcome there is a
-faithful report, not a regression in this package.
+finite-size bias of the statistics they measure (ROADMAP item 6 tabulates
+criterion 6's finite-r medians, and item 4 splits criterion 7's gap into its
+rate, cumulant and prefactor parts); they are asserted exactly as stated, so
+a red outcome there is a faithful report, not a regression in this package.
 """
 
 import time

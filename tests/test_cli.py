@@ -384,6 +384,10 @@ MODEL_REFUSALS = [
     ("cov_symmetric", unit_document(groups=_one_group(beta=(1.0, 1.0)),
                                     innovations={"type": "gaussian", "cov": [[1.0, 0.5], [0.0, 1.0]]})),
     ("cov_psd", unit_document(innovations={"type": "gaussian", "cov": [[-1.0]]})),
+    # a loading beta_sum . xi of variance 0 has a flat log-MGF, so no rate function exists
+    ("loading_variance", unit_document(groups=_one_group(beta=(1.0, -1.0)),
+                                       innovations={"type": "gaussian", "cov": [[1.0, 1.0], [1.0, 1.0]]})),
+    ("loading_variance", unit_document(innovations={"type": "gaussian", "cov": [[0.0]]})),
     ("noise_object", unit_document(noise=1.0)),
     ("noise_type", unit_document(noise={"type": "laplace", "var": 1.0})),
     ("noise_var_nonnegative", unit_document(noise={"type": "gaussian_noise", "var": -1.0})),
@@ -436,7 +440,8 @@ class TestRefusalRecords:
     def assert_refused(capsys, argv, invariant):
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
-        record = json.loads(err.strip().splitlines()[-1])
+        assert len(err.splitlines()) == 1  # one record, no traceback or warning
+        record = json.loads(err)
         assert record["error"] == "validation" and record["invariant"] == invariant
 
     @pytest.mark.parametrize("invariant, doc", MODEL_REFUSALS, ids=[inv for inv, _ in MODEL_REFUSALS])
@@ -450,21 +455,15 @@ class TestRefusalRecords:
     @pytest.mark.parametrize("invariant, build", OVERFLOW_REFUSALS,
                              ids=["simulate-t-max", "strong-law-cap", "uldp-t", "uldp-t-power", "uldp-k"])
     def test_size_past_doubles(self, capsys, model_file, invariant, build):
-        code, out, err = run_cli(capsys, build(model_file))
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1  # one record, no traceback or warning
-        record = json.loads(err)
-        assert record["error"] == "validation" and record["invariant"] == invariant
+        self.assert_refused(capsys, build(model_file), invariant)
 
 
 class TestNumericalErrors:
-    def test_bracket_failure_exits_2(self, capsys, model_file, recwarn):
-        # degenerate covariance: the limit curve is flat, so no slope reaches 1
-        doc = unit_document(innovations={"type": "gaussian", "cov": [[0.0]]})
-        path = model_file(doc)
-        code, _, err = run_cli(capsys, ["rate", "--model", path, "--x", "1.0"])
-        assert code == 2
-        record = json.loads(err.strip().splitlines()[-1])
+    def test_bracket_failure_exits_2(self, capsys):
+        # the unit limit curve's slope is lam, which 60 bracket doublings from 1 never take to 1e30
+        code, out, err = run_cli(capsys, ["rate", "--model", UNIT, "--x", "1e30"])
+        assert code == 2 and out == ""
+        record = json.loads(err)
         assert record["error"] == "numerical"
         assert "steepness" in record["message"]
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from strange_segments import (
-    GaussianInnovations,
     ModelValidationError,
     QuadratureError,
     RateFunctionCtx,
@@ -22,10 +21,8 @@ from strange_segments import (
     sla_plan,
 )
 import strange_segments.experiments as experiments
-import strange_segments.innovations as innovations
 import strange_segments.simulator as simulator
 from strange_segments.experiments import _window_bounds
-from strange_segments.innovations import InnovationModel, _Along
 from strange_segments.model_core import floor_power_prefix
 from strange_segments.modeldoc import canonical_document
 from strange_segments.segments import r_stat, t_stat
@@ -215,80 +212,6 @@ class TestUldp:
         assert [r["successes"] for r in rows(noisy_unit_spec)] != [r["successes"] for r in free]
 
 
-def _row_law(spec):
-    """The loading law of ``spec`` by the route that draws every innovation row and reduces it."""
-    return InnovationModel.along(spec.innovations, spec.beta_sum)
-
-
-def _one_shot_window_sums(spec, law, k, t, size, seed):
-    """Oracle in the filter-then-weights order: every loading of the chunk
-    drawn at once, moving-averaged, then weighted in one product.
-
-    A law that draws innovation rows (``_Along``) has its rows drawn here and
-    loaded in one product. Also returns ``sum_j |loaded_j * h_j|`` per sample,
-    the scale of the rounding error, with the kernel ``h = phi (*) weights``
-    from ``np.convolve``.
-    """
-    lo, hi = _window_bounds(k, t)
-    weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
-    width = len(weights)
-    span = width + spec.ma.max_lag - spec.ma.min_lag
-    rng = np.random.default_rng(seed)
-    if isinstance(law, _Along):
-        loaded = law.base.sample(rng, size * span).reshape(size, span, spec.dim) @ law.direction
-    else:
-        loaded = law.sample(rng, size * span).reshape(size, span)
-    sums = simulator._ma_filter(spec.ma, loaded, width) @ weights
-    phi = [spec.ma.coeffs.get(lag, 0.0) for lag in range(spec.ma.max_lag, spec.ma.min_lag - 1, -1)]
-    kernel = np.convolve(weights, phi)
-    return sums, np.abs(loaded * kernel).sum(axis=1)
-
-
-def _block_cases():
-    for model in ("unit.json", "two_group.json"):
-        spec, _ = load_model(str(MODELS / model))
-        laws = {"": spec.loading}
-        if spec.dim > 1:
-            laws["-rows"] = _row_law(spec)
-        for k in (Fraction(0), Fraction(7, 3), Fraction(4)):
-            for t in (3, 40, 20_000):
-                lo, hi = _window_bounds(k, t)
-                span = hi - lo + 1 + spec.ma.max_lag - spec.ma.min_lag
-                block = max(1, innovations._SUM_BLOCK_DRAWS // span)
-                for size in sorted({1, 2, block - 1, block, block + 1, 8192}):
-                    if size >= 1 and size * span <= 1 << 22:  # the oracle holds them all
-                        for suffix, law in laws.items():
-                            yield pytest.param(spec, law, k, t, size, id=f"{model}-k{k}-t{t}-n{size}{suffix}")
-
-
-def _row_sums(spec, law, k, t, size):
-    """Window sums from the default sampler, which draws every loading of each sum.
-
-    The Gaussian law overrides it with one draw per sum; it is called here
-    directly so the drawing path that other laws take stays checked.
-    """
-    lo, hi = _window_bounds(k, t)
-    h = experiments._window_kernel(spec, floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64))
-    return InnovationModel.sample_sums(law, np.random.default_rng(size), h, size)
-
-
-class TestBlockedWindowSums:
-    @pytest.mark.parametrize("spec, law, k, t, size", _block_cases())
-    def test_bitwise_equal_to_one_shot(self, spec, law, k, t, size, monkeypatch):
-        blocked = _row_sums(spec, law, k, t, size)
-        assert blocked.shape == (size,)
-        for rows in (1, 1 << 62):  # one sample per block, and every sample in one block
-            monkeypatch.setattr(innovations, "_SUM_BLOCK_DRAWS", rows)
-            other = _row_sums(spec, law, k, t, size)
-            assert other.tobytes() == blocked.tobytes()
-
-    @pytest.mark.parametrize("spec, law, k, t, size", _block_cases())
-    def test_near_filter_then_weights(self, spec, law, k, t, size):
-        sums = _row_sums(spec, law, k, t, size)
-        reference, scale = _one_shot_window_sums(spec, law, k, t, size, size)
-        assert np.all(np.abs(sums - reference) <= 16 * np.finfo(np.float64).eps * scale)
-
-
 def _exact_law_case(model):
     """(spec, kernel h, closed-form variance (h . h) beta_sum' cov beta_sum) of the window (0, 40]."""
     spec, _ = load_model(str(MODELS / model))
@@ -297,7 +220,7 @@ def _exact_law_case(model):
     phi = [spec.ma.coeffs.get(lag, 0.0) for lag in range(spec.ma.max_lag, spec.ma.min_lag - 1, -1)]
     h = np.convolve(weights, phi)
     beta = spec.beta_sum
-    variance = float(h @ h) * float(beta @ spec.innovations.cov @ beta)
+    variance = float(h @ h) * float(beta @ spec.cov @ beta)
     kernel = experiments._window_kernel(spec, weights)
     assert kernel.shape == h.shape and np.allclose(kernel, h, rtol=1e-15, atol=0.0)
     return spec, kernel, variance
@@ -311,33 +234,32 @@ class TestExactWindowSums:
         rng = np.random.default_rng(5)
         draws = spec.loading.sample_sums(rng, h, size)
         reference = np.random.default_rng(5)
-        sigma = np.sqrt(spec.loading.cov[0, 0] * np.sum(h * h))
+        sigma = np.sqrt(spec.loading.var * np.sum(h * h))
         assert sigma == pytest.approx(np.sqrt(variance), rel=1e-12)
         assert draws.tobytes() == (reference.standard_normal(size) * sigma).tobytes()
         # the stream moved on by exactly `size` normals
         assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_loading_in_the_null_space_of_a_singular_cov(self):
-        # the loading variance rounds to -5.5e-17 here; the law is N(0, 0), so the sums are exactly 0
+    def test_loading_in_the_null_space_of_a_singular_cov_is_refused(self):
+        # the loading variance rounds to a tiny negative number here: the loading is flat, so no window sum varies
         v = np.array([0.50084929, 0.07496536]) / np.sqrt(0.50084929)
-        law = GaussianInnovations(cov=np.outer(v, v))
-        u = np.array([v[1], -v[0]])
-        assert float(u @ law.cov @ u) < 0
-        loading = law.along(u)
-        assert loading.cov.tolist() == [[0.0]]
-        h = np.array([1.17, 1.47, 2.23, 2.56, 2.85])
-        assert np.all(loading.sample_sums(np.random.default_rng(0), h, 100) == 0.0)
+        spec, _ = load_model(str(MODELS / "two_group.json"))
+        groups = (replace(spec.groups[0], c=1, beta=(v[1], -v[0])),)
+        with pytest.raises(ModelValidationError) as info:
+            replace(spec, groups=groups, cov=np.outer(v, v)).loading
+        assert info.value.invariant == "loading_variance" and " is -" in str(info.value)
 
     @pytest.mark.parametrize("model", ["unit.json", "two_group.json"])
-    def test_variance_matches_closed_form_and_row_draws(self, model):
+    def test_variance_matches_closed_form_and_loading_draws(self, model):
+        # one normal per sum against sums of the loadings the path draws, one per kernel entry
         spec, h, variance = _exact_law_case(model)
         size = 1 << 16
         exact = spec.loading.sample_sums(np.random.default_rng(3), h, size)
-        rows = _row_law(spec).sample_sums(np.random.default_rng(4), h, size)
+        loaded = spec.loading.sample(np.random.default_rng(4), size * len(h)).reshape(size, len(h)) @ h
         # standard error of a normal sample's variance: var * sqrt(2 / (n - 1))
         se = variance * np.sqrt(2.0 / (size - 1))
         assert abs(exact.var(ddof=1) - variance) <= 5 * se
-        assert abs(exact.var(ddof=1) - rows.var(ddof=1)) <= 5 * np.sqrt(2.0) * se
+        assert abs(exact.var(ddof=1) - loaded.var(ddof=1)) <= 5 * np.sqrt(2.0) * se
 
 
 class TestSlaPlan:

@@ -12,7 +12,6 @@ from strange_segments import (
     load_model,
     parse_model_document,
 )
-from strange_segments.innovations import GaussianInnovations
 from strange_segments.model_core import cumulative_population_prefix, floor_power_prefix
 
 from conftest import unit_document
@@ -37,7 +36,7 @@ def make_spec(alpha=1.0, groups=None, phi=None, dim=1):
         alpha=alpha,
         groups=tuple(groups),
         ma=MACoefficients(phi),
-        innovations=GaussianInnovations(cov=np.eye(dim)),
+        cov=np.eye(dim),
     )
 
 
@@ -138,13 +137,13 @@ class TestCumulativePopulation:
 class TestAggregates:
     def test_loading_variance_single(self):
         spec, _ = load_model(MODELS / "unit.json")
-        assert spec.loading.cov.tolist() == [[1.0]]
+        assert spec.loading.var == 1.0
 
     def test_loading_variance_two_groups(self):
         # beta_sum = 1 (1, 0) + 2 (0.3, 0.7) = (1.6, 1.4), and beta_sum' cov beta_sum = 4.436
         spec, _ = load_model(MODELS / "two_group.json")
         assert spec.beta_sum.tolist() == [1.6, 1.4]
-        assert spec.loading.cov[0, 0] == pytest.approx(4.436, rel=1e-15)
+        assert spec.loading.var == pytest.approx(4.436, rel=1e-15)
 
     def test_total_phi(self):
         spec = make_spec(phi={0: 0.5, 1: 0.5})
@@ -170,12 +169,43 @@ class TestValidation:
 
     def test_groups_nonempty(self):
         with pytest.raises(ModelValidationError) as info:
-            ModelSpec(alpha=1.0, groups=(), ma=MACoefficients({0: 1.0}), innovations=GaussianInnovations(cov=np.eye(1)))
+            ModelSpec(alpha=1.0, groups=(), ma=MACoefficients({0: 1.0}), cov=np.eye(1))
         assert info.value.invariant == "groups_nonempty"
 
     def test_beta_dimension_checked(self):
         with pytest.raises(ModelValidationError, match="beta"):
             make_spec(groups=[CustomerGroup(c=1, mu=0.0, beta=(1.0, 2.0))], dim=1)
+
+    def test_singular_covariance_accepted(self):
+        # positive semidefinite is enough while the loading direction has variance
+        spec = ModelSpec(alpha=1.0, groups=(CustomerGroup(c=1, mu=0.0, beta=(1.0, 0.0)),),
+                         ma=MACoefficients({0: 1.0}), cov=[[1.0, 1.0], [1.0, 1.0]])
+        assert spec.dim == 2 and spec.loading.var == 1.0
+        assert not spec.cov.flags.writeable
+
+    @pytest.mark.parametrize("beta, cov, var", [
+        ((1.0, 1.0), [[1e308, 0.0], [0.0, 1e308]], float("inf")),  # past the range of doubles
+        ((1e155,), [[1.0]], float("inf")),
+        ((0.0,), [[1.0]], 0.0),  # a zero variance: the loading's log-MGF is flat
+    ], ids=["cov-overflow", "beta-overflow", "zero-beta"])
+    def test_loading_variance_refused(self, beta, cov, var):
+        spec = ModelSpec(alpha=1.0, groups=(CustomerGroup(c=1, mu=0.0, beta=beta),),
+                         ma=MACoefficients({0: 1.0}), cov=cov)
+        with pytest.raises(ModelValidationError, match=f"is {var}") as info:
+            spec.loading
+        assert info.value.invariant == "loading_variance"
+
+    def test_load_makes_no_eigendecomposition(self, monkeypatch):
+        # the covariance checks need eigenvalues only, and the loading law needs none
+        def never(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        paths = sorted(MODELS.glob("*.json"))
+        assert paths
+        for path in paths:
+            spec, _ = load_model(path)
+            assert spec.loading.var > 0.0
 
     def test_document_round_trip(self):
         spec = parse_model_document(unit_document())

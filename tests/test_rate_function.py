@@ -1,7 +1,6 @@
 import gc
 import json
 import math
-import warnings
 import weakref
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -15,16 +14,11 @@ from hypothesis import strategies as st
 import strange_segments.rate_function as rate_function
 from strange_segments import (
     BracketError,
-    CustomerGroup,
-    InnovationModel,
     LegendreResult,
-    MACoefficients,
-    ModelSpec,
     ModelValidationError,
     NumericalError,
     RateFunctionCtx,
     ThresholdSet,
-    check_steepness,
     invert_capacity,
     lambda_k,
     lambda_k_prime,
@@ -35,9 +29,8 @@ from strange_segments import (
 )
 from strange_segments.cli import main
 from strange_segments.rate_function import lambda_limit_prime
-from test_innovations import _BoundedSlopeModel
 
-from conftest import gaussian_closed_form, unit_document
+from conftest import gaussian_closed_form, unit_document, with_law
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -47,41 +40,33 @@ def unit_ctx(unit_spec):
     return RateFunctionCtx(unit_spec)
 
 
-class _SkellamModel(InnovationModel):
-    """Centred Skellam(1/2, 1/2), a difference of two Poisson(1/2) draws.
+class _SkellamModel:
+    """Centred Skellam(1/2, 1/2), a difference of two Poisson(1/2) draws, as a loading law.
 
     Its log-MGF cosh(eta) - 1 makes the slope sinh not linear; ``np.sinh``
     reads inf where it overflows.
     """
 
-    dim = 1
-
     def log_mgf(self, eta):
         # cosh - 1 without cancellation
-        return 2.0 * np.sinh(0.5 * np.asarray(eta, dtype=np.float64)[..., 0]) ** 2
+        return 2.0 * np.sinh(0.5 * np.asarray(eta, dtype=np.float64)) ** 2
 
-    def grad_log_mgf(self, eta):
+    def slope(self, eta):
         return np.sinh(np.asarray(eta, dtype=np.float64))
 
     def sample(self, rng, size):
-        return (rng.poisson(0.5, (size, 1)) - rng.poisson(0.5, (size, 1))).astype(np.float64)
+        return (rng.poisson(0.5, size) - rng.poisson(0.5, size)).astype(np.float64)
 
 
-class _MathSkellamModel(_SkellamModel):
-    """The same law with ``math.sinh`` at each point, which raises ``OverflowError`` where ``np.sinh`` reads inf."""
+class _BoundedSlopeModel:
+    """A loading law with log-MGF sqrt(1 + eta^2) - 1: convex, but with slope bounded by 1."""
 
-    def grad_log_mgf(self, eta):
+    def log_mgf(self, eta):
+        return np.sqrt(1.0 + np.asarray(eta, dtype=np.float64) ** 2) - 1.0
+
+    def slope(self, eta):
         eta = np.asarray(eta, dtype=np.float64)
-        return np.array([math.sinh(e) for e in eta.ravel().tolist()]).reshape(eta.shape)
-
-
-class TestSteepnessOverflow:
-    @pytest.mark.parametrize("model", [_MathSkellamModel(), _SkellamModel()],
-                             ids=["math-sinh-raises", "np-sinh-inf"])
-    def test_overflowing_slope_counts_as_growth(self, model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # neither a SteepnessWarning nor a numpy overflow
-            assert check_steepness(model, np.array([1.0])) is True
+        return eta / np.sqrt(1.0 + eta * eta)
 
 
 def _skellam_transform(x):
@@ -90,12 +75,7 @@ def _skellam_transform(x):
 
 
 def _skellam_spec():
-    return ModelSpec(
-        alpha=1.0,
-        groups=(CustomerGroup(c=1, mu=0.0, beta=(1.0,)),),
-        ma=MACoefficients({0: 1.0}),
-        innovations=_SkellamModel(),
-    )
+    return with_law(parse_model_document(unit_document()), _SkellamModel())
 
 
 @pytest.fixture
@@ -211,14 +191,8 @@ class TestLegendre:
                 num = legendre(ctx, "limit", float(x)).value
                 assert abs(num - gaussian_closed_form(spec, float(x))) <= 1e-8
 
-    def test_steepness_violation_raises(self):
-        spec = ModelSpec(
-            alpha=1.0,
-            groups=(CustomerGroup(c=1, mu=0.0, beta=(1.0,)),),
-            ma=MACoefficients({0: 1.0}),
-            innovations=_BoundedSlopeModel(),
-        )
-        ctx = RateFunctionCtx(spec)
+    def test_steepness_violation_raises(self, unit_spec):
+        ctx = RateFunctionCtx(with_law(unit_spec, _BoundedSlopeModel()))
         with pytest.raises(BracketError, match="steepness"):
             legendre(ctx, "limit", 2.0)  # slope never exceeds 1
 
@@ -404,11 +378,8 @@ def _uncached_quadrature(ctx, k, lam, differentiated):
         if m > 1:
             weights = weights * (m * u ** (m - 1))
         g = coeff * (k + u**m) ** spec.alpha
-        eta = (g * lam)[:, None]
-        if differentiated:
-            vals = g * spec.loading.grad_log_mgf(eta)[:, 0]
-        else:
-            vals = spec.loading.log_mgf(eta)
+        eta = g * lam
+        vals = g * spec.loading.slope(eta) if differentiated else spec.loading.log_mgf(eta)
         return 0.5 * float(weights @ vals)
 
     order = rate_function._QUAD_ORDER
@@ -464,7 +435,7 @@ class TestQuadratureGrid:
 _SHARED_SPECS = {
     "unit": parse_model_document(json.loads((MODELS / "unit.json").read_text())),
     "two_group": parse_model_document(json.loads((MODELS / "two_group.json").read_text())),
-    "skellam": _skellam_spec(),  # a law without a closed form along beta_sum: its loading is an _Along
+    "skellam": _skellam_spec(),  # a loading law whose slope is not linear
 }
 _CURVES = ("limit", 0.0, 0.5, 2.0, 20.0, 100.0)
 _BOUND = 2 * rate_function._MAX_BRACKET_DOUBLINGS + 1
@@ -488,17 +459,27 @@ _queries = st.tuples(
 
 
 class TestLawConformance:
-    """Each loading law's sampler draws the law its log-MGF states."""
+    """Each loading law's sampler draws the law its log-MGF states, and its slope is that log-MGF's derivative."""
 
     @pytest.mark.parametrize("model", ["unit", "two_group", "skellam"])
     def test_sample_mean_of_exp_matches_log_mgf(self, model):
         loading = _SHARED_SPECS[model].loading
         n = 200_000
-        draws = loading.sample(np.random.default_rng(17), n)[:, 0]
+        draws = loading.sample(np.random.default_rng(17), n)
+        assert draws.shape == (n,)
         for eta in (-0.5, 0.25, 0.5):
             x = np.exp(eta * draws)
-            want = math.exp(float(loading.log_mgf(np.array([eta]))))
+            want = math.exp(float(loading.log_mgf(eta)))
             assert abs(x.mean() - want) <= 3.0 * x.std(ddof=1) / math.sqrt(n), eta
+
+    @pytest.mark.parametrize("model", ["unit", "two_group", "skellam"])
+    def test_slope_matches_central_difference(self, model):
+        loading, h = _SHARED_SPECS[model].loading, 1e-5
+        eta = np.array([-2.5, -0.7, 0.0, 0.3, 1.9, 4.0])
+        fd = (loading.log_mgf(eta + h) - loading.log_mgf(eta - h)) / (2.0 * h)
+        slope = loading.slope(eta)
+        assert slope.shape == eta.shape
+        assert np.all(np.abs(fd - slope) <= 1e-6 * np.maximum(1.0, np.abs(slope)))
 
 
 class TestTwoGroupWindowClosedForm:

@@ -17,7 +17,7 @@ from strange_segments import (
     simulate,
 )
 from strange_segments import simulator
-from strange_segments.innovations import GaussianInnovations, InnovationModel, _Along
+from strange_segments.innovations import GaussianInnovations
 from strange_segments.model_core import CustomerGroup, floor_power_prefix
 from strange_segments.simulator import (
     _CUMSUM_CHUNK,
@@ -28,7 +28,7 @@ from strange_segments.simulator import (
     _ma_filter,
 )
 
-from conftest import segment_average, unit_document
+from conftest import segment_average, unit_document, with_law
 
 
 class TestInjectedExamples:
@@ -171,7 +171,7 @@ class TestNoiseModes:
         diffs = {t: [] for t in ts}
         free = replace(noisy_unit_spec, noise=None)
         for i in range(reps):
-            xi = noisy_unit_spec.innovations.sample(rng, t_max)
+            xi = noisy_unit_spec.loading.sample(rng, t_max)
             on = simulate(noisy_unit_spec, PathConfig(t_max=t_max, seed=i), injected_innovations=xi)
             off = simulate(free, PathConfig(t_max=t_max, seed=i), injected_innovations=xi)
             for t in ts:
@@ -218,7 +218,7 @@ def full_array_path(spec, cfg, injected_innovations=None):
     span = t_max + spec.ma.reach  # the innovations feeding Z(1..t_max)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(cfg.seed))
     if injected_innovations is None:
-        loaded = spec.loading.sample(rng_xi, span)[:, 0]
+        loaded = spec.loading.sample(rng_xi, span)
     else:
         xi = np.asarray(injected_innovations, dtype=np.float64).reshape(span, -1)
         loaded = xi @ spec.beta_sum
@@ -252,7 +252,7 @@ def loading_reduction(spec):
     groups = [CustomerGroup(c=1, mu=0.0, beta=(1.0,))]
     if spec.total_c > 1:
         groups.append(CustomerGroup(c=spec.total_c - 1, mu=0.0, beta=(0.0,)))
-    return replace(spec, groups=tuple(groups), innovations=spec.loading)
+    return replace(spec, groups=tuple(groups), cov=[[spec.loading.var]])
 
 
 class TestBlockEdges:
@@ -423,7 +423,7 @@ class TestPathLaw:
 
     @staticmethod
     def covariance(spec, t):
-        q = float(spec.beta_sum @ spec.innovations.cov @ spec.beta_sum)
+        q = float(spec.beta_sum @ spec.cov @ spec.beta_sum)
         fp = floor_power_prefix(t, spec.alpha)[1:].astype(np.float64)
         z = np.zeros((t, t))  # Cov(Z(s), Z(u)) / q: phi_k phi_l wherever s - k == u - l
         for k, a in spec.ma.coeffs.items():
@@ -449,33 +449,26 @@ class TestPathLaw:
         assert ks <= 1.628 / math.sqrt(m)  # the one-sample KS critical value at level 0.01
 
 
-class _Rademacher2(InnovationModel):
-    """Two independent fair +-1 coordinates: a non-Gaussian law with a sampler."""
-
-    dim = 2
-
-    def log_mgf(self, eta):
-        return np.log(np.cosh(np.asarray(eta, dtype=np.float64))).sum(axis=-1)
-
-    def grad_log_mgf(self, eta):
-        return np.tanh(np.asarray(eta, dtype=np.float64))
+class _Rademacher:
+    """A fair +-1 loading: a non-Gaussian scalar law, of which a path reads only the sampler."""
 
     def sample(self, rng, size):
-        return 2.0 * rng.integers(0, 2, size=(size, 2)) - 1.0
+        return 2.0 * rng.integers(0, 2, size=size) - 1.0
 
 
 class TestLoadingLaw:
     """A path draws its loadings from ``spec.loading``, the law of ``beta_sum . xi``."""
 
-    def test_non_gaussian_law_keeps_the_row_product(self, monkeypatch):
-        # the default law along beta_sum draws the rows and reduces each one, so
-        # the path is the one formed from the law's rows times beta_sum
-        spec = replace(TestBlockEdges.spec("two_group.json"), innovations=_Rademacher2())
-        assert isinstance(spec.loading, _Along)
+    def test_non_gaussian_law_draws_its_own_loadings(self, monkeypatch):
+        # on a K = 1 model with beta_sum 1, the path drawn from a +-1 loading law
+        # is the one formed from the law's draws injected as rows
+        law = _Rademacher()
+        spec = with_law(loading_reduction(TestBlockEdges.spec("two_group.json")), law)
+        assert spec.beta_sum.tolist() == [1.0] and spec.loading is law
         t_max = _THREAD_MIN_ROWS + 7
         cfg = PathConfig(t_max=t_max, seed=21, record_steps=True)
         rng_xi, _ = _child_streams(np.random.SeedSequence(cfg.seed))
-        rows = spec.innovations.sample(rng_xi, t_max + spec.ma.reach)
+        rows = law.sample(rng_xi, t_max + spec.ma.reach)[:, None]
         ref = full_array_path(spec, cfg, injected_innovations=rows)
         for threshold in (0, 2**62):  # drawn on a worker and inline
             monkeypatch.setattr(simulator, "_THREAD_MIN_ROWS", threshold)
