@@ -212,6 +212,80 @@ class TestUldp:
         assert [r["successes"] for r in rows(noisy_unit_spec)] != [r["successes"] for r in free]
 
 
+def _window_cases(models, max_doubles=None):
+    """(spec, k, t, size) per model, window offset, window length and chunk size.
+
+    The sizes span what ``run_uldp`` hands one chunk, 1 to ``_ULDP_CHUNK``.
+    Windows that hold no integer step are left out, since ``UldpRun``
+    refuses them; with ``max_doubles`` set, so are chunks whose loadings
+    would exceed that many doubles.
+    """
+    chunk = experiments._ULDP_CHUNK
+    for model in models:
+        spec, _ = load_model(str(MODELS / model))
+        for k in (Fraction(0), Fraction(7, 3), Fraction(4)):
+            for t in (1, 3, 40, 20_000):
+                lo, hi = _window_bounds(k, t)
+                span = hi - lo + 1 + spec.ma.reach
+                for size in (1, 2, 3, 1000, chunk - 1, chunk):
+                    if hi >= lo and (max_doubles is None or size * span <= max_doubles):
+                        yield pytest.param(spec, k, t, size, id=f"{model}-k{k}-t{t}-n{size}")
+
+
+def _window_phi(spec):
+    """The MA coefficients from the largest lag down to the smallest, zeros included."""
+    return [spec.ma.coeffs.get(lag, 0.0) for lag in range(spec.ma.max_lag, spec.ma.min_lag - 1, -1)]
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("spec, k, t, size", _window_cases(("unit.json", "two_group.json"), 1 << 20))
+    def test_kernel_equals_filter_then_weights(self, spec, k, t, size):
+        # the chunk's kernel against the path's order: every loading drawn at once,
+        # moving-averaged by the path's filter, then weighted in one product
+        lo, hi = _window_bounds(k, t)
+        weights = floor_power_prefix(hi, spec.alpha)[lo:].astype(np.float64)
+        width = len(weights)
+        span = width + spec.ma.reach
+        loaded = spec.loading.sample(np.random.default_rng(size), size * span).reshape(size, span)
+        kernel = experiments._window_kernel(spec, weights)
+        assert kernel.shape == (span,)
+        sums = loaded @ kernel
+        reference = simulator._ma_filter(spec.ma, loaded, width) @ weights
+        # the rounding error scales with sum_j |loaded_j * h_j|, h = phi (*) weights
+        scale = np.abs(loaded * np.convolve(weights, _window_phi(spec))).sum(axis=1)
+        assert np.all(np.abs(sums - reference) <= 16 * np.finfo(np.float64).eps * scale)
+
+    @pytest.mark.parametrize("spec, k, t, size",
+                             _window_cases(("unit.json", "two_group.json", "unit_noisy.json")))
+    def test_chunk_counts_the_exact_law_draws(self, spec, k, t, size):
+        # each window sum is one normal of sd sqrt((h . h) beta_sum' cov beta_sum) from the
+        # chunk's innovation stream, plus one aggregate noise draw from its noise stream
+        seed, k_idx, chunk_idx = 11, 2, 5
+        lo, hi = _window_bounds(k, t)
+        weights = floor_power_prefix(hi, spec.alpha)[lo:]
+        h = np.convolve(weights.astype(np.float64), _window_phi(spec))
+        sigma = np.sqrt(float(h @ h) * float(spec.beta_sum @ spec.cov @ spec.beta_sum))
+        n_window = spec.total_c * int(weights.sum())
+        rng_xi, rng_eps = simulator._child_streams(
+            np.random.SeedSequence(seed, spawn_key=(k_idx, chunk_idx)))
+        values = rng_xi.standard_normal(size) * sigma
+        noise_var = 0.0
+        if spec.noise is not None:
+            noise_var = spec.noise.var * n_window
+            values = values + rng_eps.standard_normal(size) * np.sqrt(noise_var)
+        averages = values / n_window
+        half_sd = 0.5 * np.sqrt(sigma * sigma + noise_var) / n_window
+        doc = canonical_document(spec)
+        counts = []
+        for tset in (ThresholdSet.above(half_sd), ThresholdSet.interval(-half_sd, half_sd),
+                     ThresholdSet.below(-half_sd)):
+            hits, n = experiments._uldp_chunk((doc, str(k), t, tset, size, seed, k_idx, chunk_idx))
+            assert n == size
+            assert hits == int(np.count_nonzero(tset.contains(averages)))
+            counts.append(hits)
+        assert sum(counts) == size  # the three sets cover the line but for their two shared edges
+
+
 def _exact_law_case(model):
     """(spec, kernel h, closed-form variance (h . h) beta_sum' cov beta_sum) of the window (0, 40]."""
     spec, _ = load_model(str(MODELS / model))
