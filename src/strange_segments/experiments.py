@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelValidationError
+from .errors import ModelValidationError, NumericalError
 from .model_core import ModelSpec, _check_normalizer_width, floor_power_prefix
 from .modeldoc import canonical_document, parse_model_document
 from .rate_function import RateFunctionCtx, invert_capacity, lambda_limit_prime, legendre, set_rate
@@ -424,6 +424,11 @@ def sla_plan(spec: ModelSpec, r_target: int, horizon: int) -> dict:
     target_rate = math.log(horizon) / r_target
     capacity = invert_capacity(ctx, target_rate)
     achieved = legendre(ctx, "limit", capacity).value
+    if not achieved > 0.0:
+        raise NumericalError(
+            f"the limit transform at capacity headroom {capacity!r} is {achieved!r}, not the target rate "
+            f"{target_rate!r}, so it predicts no segment length"
+        )
     plan = {
         "horizon": horizon,
         "r_target": r_target,

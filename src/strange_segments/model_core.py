@@ -157,14 +157,15 @@ class MACoefficients:
         return float(sum(self.coeffs.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Full workload model: growth exponent, groups, MA driver, innovation covariance, noise.
 
     ``cov`` is the covariance of the Gaussian innovations, which may be
     singular (positive semidefinite); it is kept read-only. Immutable after
     construction; all derived aggregates are cached and recomputed
-    deterministically from the fields.
+    deterministically from the fields. A spec compares and hashes by
+    identity, since an array field has no truth value to compare by.
     """
 
     alpha: float

@@ -16,7 +16,10 @@ For one-sided sets the fast scans work on the tilted walk
 searches. Both search the same predicate: a deviant segment of length at
 least ``w`` ends at ``l`` when ``G(l) > min(G(0..l-w))``. ``t_stat`` takes
 the first such ``l`` for ``w = r``, and ``r_stat`` the largest ``w`` for
-which one exists by ``t``.
+which one exists by ``t``. Both form the walk a block at a time and carry
+its running minimum across blocks: ``r_stat`` keeps that minimum as its one
+path-length array, since a ramp may start anywhere before its end, and
+``t_stat`` keeps none.
 
 The comparisons are strict and exact on the float walk ``S - a*N``, which is
 itself rounded. The brute-force oracles compare the rounded ratio
@@ -42,8 +45,8 @@ import numpy as np
 from .errors import ModelValidationError
 from .simulator import WorkloadPath
 
-# Walk indices per block of the t_stat scan and of each r_stat probe; its few
-# block-sized arrays stay in cache.
+# Walk indices per block of the t_stat scan and of the r_stat pass; a block's
+# walk and comparison arrays stay in cache.
 _SCAN_BLOCK = 16384
 _SET_KINDS = ("above", "below", "interval")
 
@@ -117,38 +120,49 @@ def _check_length(r: int) -> None:
         raise ModelValidationError("segment_length", f"segment length r must be >= 1, got {r}")
 
 
-def _one_sided_walk(path: WorkloadPath, tset: ThresholdSet, start: int, stop: int) -> np.ndarray:
+def _one_sided_walk(
+    path: WorkloadPath, tset: ThresholdSet, start: int, stop: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Indices start..stop-1 of the walk for which membership of (k, l) means walk[l] > walk[k].
 
-    That is ``S - a N`` above a and ``a N - S`` below it, formed in one array;
+    That is ``S - a N`` above a and ``a N - S`` below it, formed in one array
+    (``out`` when given) by one multiply of the integer ``N`` and one add;
     the two round alike, since x - y = -(y - x) exactly in floating point.
     """
-    g = path.N[start:stop].astype(np.float64)
     if tset.kind == "above":
-        g *= -tset.a
+        g = np.multiply(path.N[start:stop], -tset.a, out=out)
         g += path.S[start:stop]
     else:
-        g *= tset.a
+        g = np.multiply(path.N[start:stop], tset.a, out=out)
         g -= path.S[start:stop]
     return g
 
 
+def _running_min(g: np.ndarray, low: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.minimum.accumulate(g)`` floored at ``low``, the minimum of the walk before ``g``."""
+    out = np.minimum.accumulate(g, out=out)
+    np.minimum(out, low, out=out)
+    return out
+
+
 def _first_deviant_end(
-    g: np.ndarray, prefix_min: np.ndarray, w: int, start: int = 0
+    g: np.ndarray, lo: int, prefix_min: np.ndarray, w: int, start: int
 ) -> Optional[int]:
-    """First l >= start with g[l] > min(g[:l - w + 1]), or None; needs w >= 1.
+    """First l >= start with g[l - lo] > min(walk[:l - w + 1]), or None; needs w >= 1 and start >= lo.
 
     This ends the earliest ramp of width >= w on the walk that ends at or
-    after ``start``; ``prefix_min`` is ``np.minimum.accumulate(g)``. The
-    ends are compared in blocks of ``_SCAN_BLOCK``, and the scan stops at
-    the first block with a hit.
+    after ``start``. ``g`` holds the walk from index ``lo`` on, and
+    ``prefix_min`` its running minimum from index 0 through the last index
+    of ``g``. The ends are compared in blocks of ``_SCAN_BLOCK``, and the
+    scan stops at the first block with a hit.
     """
-    for lo in range(max(start, w), len(g), _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, len(g))
-        hit = g[lo:hi] > prefix_min[lo - w:hi - w]
+    stop = lo + len(g)
+    for a in range(max(start, w), stop, _SCAN_BLOCK):
+        b = min(a + _SCAN_BLOCK, stop)
+        hit = g[a - lo:b - lo] > prefix_min[a - w:b - w]
         i = int(np.argmax(hit))
         if hit[i]:
-            return lo + i
+            return a + i
     return None
 
 
@@ -176,38 +190,44 @@ def _widest(widths: np.ndarray) -> SegmentReport:
 def r_stat(path: WorkloadPath, tset: ThresholdSet, t: int) -> SegmentReport:
     """Longest deviant segment ending by time t.
 
-    One-sided sets use the duality with ``T``: ``R_t >= w`` exactly when a
-    ramp of width >= w ends by t, a predicate that shrinks as w grows. The
-    largest such w is found by galloping (1, 2, 4, ...) and then bisection.
-    The first end ``T_w`` of a ramp of width >= w does not decrease as w
-    grows, so each probe resumes at the end the last successful probe found
-    and stops at its first hit; only a failing probe reads on to t. The
-    witness ends at the first such ramp's end l, which is also the first
-    endpoint of widest width. Interval sets fall back to direct enumeration.
+    One-sided sets scan the walk once, left to right, in blocks of
+    ``_SCAN_BLOCK`` indices. Each block's walk is formed in a buffer that
+    the next block reuses; its running minimum, carried on from the blocks
+    before, is kept in the one path-length array, since a ramp may start at
+    any earlier index. The block's ends are then tested for a ramp one wider
+    than the widest found so far. Only a block that admits one is searched
+    further: the width gallops (doubling) and then bisects between that
+    width and the block's last end, each probe resuming at the first end the
+    last successful probe found, since that first end never moves back as
+    the width grows. The witness ends at the first end of a widest ramp,
+    which is also the first endpoint of widest width. Interval sets fall
+    back to direct enumeration.
     """
     if tset.kind == "interval":
         return brute_force_r(path, tset, t)
     _check_horizon(path, t)
-    g = _one_sided_walk(path, tset, 0, t + 1)
-    prefix_min = np.minimum.accumulate(g)
-    end = _first_deviant_end(g, prefix_min, 1)
-    if end is None:
+    prefix_min = np.empty(t + 1)
+    buf = np.empty(min(_SCAN_BLOCK, t + 1))
+    width = end = 0  # the widest ramp found, first ending at `end`
+    for lo in range(0, t + 1, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, t + 1)
+        g = _one_sided_walk(path, tset, lo, hi, buf[: hi - lo])
+        _running_min(g, prefix_min[lo - 1] if lo else np.inf, prefix_min[lo:hi])
+        probe = _first_deviant_end(g, lo, prefix_min, width + 1, lo)
+        if probe is None:
+            continue
+        width, end, top = width + 1, probe, hi  # no ramp of width `top` ends before hi
+        gallop = True
+        while top - width > 1:
+            mid = min(2 * width, top - 1) if gallop else (width + top) // 2
+            probe = _first_deviant_end(g, lo, prefix_min, mid, end)
+            if probe is None:
+                top, gallop = mid, False
+            else:
+                width, end = mid, probe
+    if width == 0:
         return SegmentReport(0, None)
-    lo, hi = 1, 2  # the widest ramp found (first ending at `end`) and the next width to try
-    while hi <= t:
-        probe = _first_deviant_end(g, prefix_min, hi, end)
-        if probe is None:
-            break
-        lo, end, hi = hi, probe, 2 * hi
-    hi = min(hi, t + 1)  # no ramp of width hi ends by t
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        probe = _first_deviant_end(g, prefix_min, mid, end)
-        if probe is None:
-            hi = mid
-        else:
-            lo, end = mid, probe
-    return SegmentReport(lo, (end - lo, end))
+    return SegmentReport(width, (end - width, end))
 
 
 class _TScan:
@@ -238,9 +258,7 @@ class _TScan:
             base = self.end - r  # walk index of g[0]
             stop = min(self.end + block, path.t_max + 1)
             g = _one_sided_walk(path, self.tset, base, stop)
-            pm = np.minimum.accumulate(g)
-            np.minimum(pm, self.low, out=pm)
-            l = _first_deviant_end(g, pm, r)
+            l = _first_deviant_end(g, 0, _running_min(g, self.low), r, r)
             if l is not None:
                 head = g[: l - r + 1]
                 k = int(np.argmin(head))

@@ -210,9 +210,9 @@ class _PathBuilder:
                     i = j
         self._carry, self._comp, self._open = carry, comp, total
         self.t = t_max
-        finite = np.isfinite(s[lo + 1 : t_max + 1])  # every new S: adding a block's carry can overflow once
-        if not finite.all():
-            t = lo + 1 + int(np.argmin(finite))
+        new = s[lo + 1 : t_max + 1]  # every new S: adding a block's carry can overflow once
+        if new.size and not (np.isfinite(new.min()) and np.isfinite(new.max())):  # NaN reaches both
+            t = lo + 1 + int(np.argmin(np.isfinite(new)))
             raise ModelValidationError(
                 "path_overflow", f"the path's cumulative deviation S({t}) is {s[t]}, past the range of doubles",
             )

@@ -1,9 +1,9 @@
-"""Allocation budgets of the path synthesis, the T_r scan, a strong-law replicate and a window chunk.
+"""Allocation budgets of the path synthesis, the R_t and T_r scans, a strong-law replicate and a window chunk.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one call
 counts every array it makes. These limits keep full-length temporaries from
-coming back into ``simulate``, ``t_stat``, the strong-law growth loop and the
-window sampler unnoticed.
+coming back into ``simulate``, ``r_stat``, ``t_stat``, the strong-law growth
+loop and the window sampler unnoticed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strange_segments import PathConfig, ThresholdSet, WorkloadPath, load_model, simulate, t_stat
+from strange_segments import PathConfig, ThresholdSet, WorkloadPath, load_model, r_stat, simulate, t_stat
 from strange_segments import segments
 from strange_segments.experiments import _strong_law_replicate, _uldp_chunk
 from strange_segments.modeldoc import canonical_document
@@ -54,6 +54,21 @@ def test_t_stat_without_hit_peaks_below_six_blocks(t_max, kind):
     rep, peak = traced_peak(lambda: t_stat(path, tset, 10))
     assert rep.value is None
     assert peak < 6 * 8 * segments._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("tset, grows_in_every_block", [
+    (ThresholdSet.above(0.01), False),
+    (ThresholdSet.below(1.0), True),  # holds the mean: R = t
+])
+def test_r_stat_peaks_below_one_path_array(tset, grows_in_every_block):
+    t = 1_000_000
+    rng = np.random.default_rng(0)
+    s = np.concatenate([[0.0], np.cumsum(rng.standard_normal(t))])
+    path = WorkloadPath(S=s, N=np.arange(t + 1, dtype=np.int64))
+    rep, peak = traced_peak(lambda: r_stat(path, tset, t))
+    assert (rep.value == t) == grows_in_every_block and rep.value > 0
+    # the running minimum is the one path-length array; the walk lives a block at a time
+    assert peak < 8 * (t + 1) + 6 * 8 * segments._SCAN_BLOCK
 
 
 @pytest.mark.parametrize("model, cap_arrays", [

@@ -475,6 +475,16 @@ class TestNumericalErrors:
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"] == "numerical" and "by order 64" in record["message"]
 
+    def test_plan_with_a_zero_achieved_rate_exits_2(self, capsys, model_file):
+        # a loading variance of 1e40 puts the limit curve's maximizer below the root search's
+        # resolution, so the transform at the capacity it returns reads 0
+        path = model_file(unit_document(innovations={"type": "gaussian", "cov": [[1e40]]}))
+        code, out, err = run_cli(capsys, ["plan", "--model", path, "--r-target", "10", "--horizon", "1000"])
+        assert code == 2 and out == ""
+        [line] = err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "numerical" and "predicts no segment length" in record["message"]
+
 
 class TestSimulateCsv:
     def test_columns_and_rerun_identical(self, capsys, model_file):

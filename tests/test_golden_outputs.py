@@ -48,6 +48,12 @@ CASES = {
                        "--set", "above", "--a", "0.8", "--r", "12"],
     "segments_below_horizon": ["segments", "two_group.json", "--seed", "4", "--t-max", "5000",
                                "--t", "1234", "--set", "below", "--a", "-0.6", "--r", "9"],
+    # Longer than several 16,384-step scan blocks, so the running minimum is carried between them.
+    "segments_two_group_blocks": ["segments", "two_group.json", "--seed", "19", "--t-max", "50000",
+                                  "--set", "above", "--a", "0.4", "--r", "100"],
+    # A set that holds the mean: R = t, so the widest ramp grows in every block.
+    "segments_mean_inside": ["segments", "two_group.json", "--seed", "19", "--t-max", "50000",
+                             "--set", "below", "--a", "0.01", "--r", "100"],
     "segments_interval": ["segments", "unit_noisy.json", "--seed", "6", "--t-max", "300",
                           "--set", "interval", "--a", "0.3", "--b", "0.9", "--r", "4"],
     "segments_tie": ["segments", "unit.json", "--inject=-2,-2,-1,1,1,2", "--set", "above",
@@ -95,11 +101,17 @@ GOLDEN = {
     "segments_interval": {
         "csv": "959e92bfdf081e9675c541e1a528b7843644a97cb59e9892dbad7d7d1fee581a",
     },
+    "segments_mean_inside": {
+        "csv": "db5477751f972e36ea56dd23d5f0557b74790a3334ba62823a377acea32f721a",
+    },
     "segments_noisy_inject": {
         "csv": "9c38369dc7c30142f11e70b52700938b4846cdaa741a8c3c5edb0aab399020d3",
     },
     "segments_tie": {
         "csv": "c4bae82532e880ac2cfb4746b2f0f292206362f43ff7377e8b76cfbc1aa5d4d7",
+    },
+    "segments_two_group_blocks": {
+        "csv": "13c209d058cdf7aa6b4978faa3d52e754019a011be8e651538d98c0f9821abd0",
     },
     "simulate_noisy": {
         "csv": "d9c7e17580d65bdb01f586a7c5588c78faac0bbff4899202a86f24ede3b248c3",

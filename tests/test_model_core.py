@@ -145,6 +145,14 @@ class TestAggregates:
         assert spec.beta_sum.tolist() == [1.6, 1.4]
         assert spec.loading.var == pytest.approx(4.436, rel=1e-15)
 
+    def test_specs_compare_and_hash_by_identity(self):
+        # a K = 2 covariance array has no truth value, so a field-by-field == could not decide
+        spec, _ = load_model(MODELS / "two_group.json")
+        again, _ = load_model(MODELS / "two_group.json")
+        assert spec.dim == 2
+        assert spec == spec and spec != again
+        assert len({spec, again, spec}) == 2 and hash(spec) == hash(spec)
+
     def test_total_phi(self):
         spec = make_spec(phi={0: 0.5, 1: 0.5})
         assert spec.phi_total == 1.0

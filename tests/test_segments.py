@@ -286,6 +286,38 @@ def test_duality_search_equals_widest_scan(d, growth, a, kind):
         assert r_stat(path, tset, t) == widest_scan(path, tset, t)
 
 
+def hold_the_mean(path, kind):
+    """A threshold every step's average clears by at least 1, so every segment is deviant and R_t = t."""
+    steps = np.diff(path.S) / np.diff(path.N)
+    return float(np.floor(steps.min()) - 1.0) if kind == "above" else float(np.ceil(steps.max()) + 1.0)
+
+
+@given(
+    d=st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=3).map(float), min_size=1, max_size=60),
+        st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=60),
+    ),
+    growth=st.lists(st.integers(min_value=1, max_value=4), min_size=60, max_size=60),
+    a=st.one_of(st.integers(min_value=-8, max_value=8).map(lambda n: n / 4.0),
+                st.floats(min_value=-2.0, max_value=2.0)),
+    kind=st.sampled_from(["above", "below"]),
+    t=st.integers(min_value=1, max_value=60),
+    hold=st.booleans(),
+)
+@settings(deadline=None)  # the example budget comes from the hypothesis profile
+def test_blocked_r_scan_equals_widest_scan(d, growth, a, kind, t, hold):
+    path = make_path(d, growth[: len(d)])
+    t = min(t, path.t_max)
+    tset = ThresholdSet(kind, hold_the_mean(path, kind) if hold else a)
+    want = widest_scan(path, tset, t)
+    if hold:  # the width grows in every block
+        assert want == SegmentReport(t, (0, t))
+    for block in (1, 2, 3, 7, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segments, "_SCAN_BLOCK", block)
+            assert r_stat(path, tset, t) == want, block
+
+
 class TestDualitySearchEdges:
     above = ThresholdSet.above(0.5)
 
@@ -295,7 +327,7 @@ class TestDualitySearchEdges:
         ([0.0], 1, 0, None),  # t = 1 without one
         ([0.0, 1.0, -1.0, 1.0, -1.0], 5, 1, (1, 2)),  # R = 1, first widest endpoint
         ([1.0] * 8, 8, 8, (0, 8)),  # R = t at a power of two
-        ([1.0] * 13, 13, 13, (0, 13)),  # galloping passes t before it fails
+        ([1.0] * 13, 13, 13, (0, 13)),  # R = t, not a power of two
         ([1.0] * 13, 6, 6, (0, 6)),  # horizon shorter than the path
     ])
     def test_cases(self, d, t, value, witness):
@@ -303,6 +335,14 @@ class TestDualitySearchEdges:
         rep = r_stat(path, self.above, t)
         assert (rep.value, rep.witness) == (value, witness)
         assert rep == widest_scan(path, self.above, t)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_running_minimum_crosses_blocks(self, monkeypatch, block):
+        # walk 0, 2.5, -2, 0.1: no two ends 2 apart rise, so R = 3 needs the
+        # minimum carried from the block holding index 0
+        path = make_path([3.0, -4.0, 2.6])
+        monkeypatch.setattr(segments, "_SCAN_BLOCK", block)
+        assert r_stat(path, self.above, 3) == SegmentReport(3, (0, 3)) == widest_scan(path, self.above, 3)
 
     @pytest.mark.parametrize("kind, a", [("above", 0.4), ("below", -0.4)])
     def test_long_two_group_walk(self, kind, a):
@@ -329,7 +369,7 @@ def full_scan_t(path, tset, r):
     g = path.S - tset.a * path.N.astype(np.float64)
     if tset.kind == "below":
         g = -g
-    l = _first_deviant_end(g, np.minimum.accumulate(g), r)
+    l = _first_deviant_end(g, 0, np.minimum.accumulate(g), r, r)
     if l is None:
         return SegmentReport(None, None)
     return SegmentReport(l, (int(np.argmin(g[: l - r + 1])), l))
