@@ -14,15 +14,19 @@ draws it as one normal from its exact law.
 
 All replicates and sample chunks derive their streams from
 (master_seed, work-unit index), so results are identical for any worker
-count and merge order.
+count and merge order. A work unit carries the model as its canonical JSON
+text, not as a parsed spec; ``_model`` parses each distinct text once per
+process, so in-process and pooled units take the same route.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
+import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -153,8 +157,6 @@ def _percentiles(values: Sequence[float]) -> dict:
         a, b = float(arr[lo]), float(arr[hi])
         if hi == lo or a == b:
             return a
-        if np.isinf(b):
-            return b
         return a + (pos - lo) * (b - a)
 
     return {"median": pct(50.0), "q25": pct(25.0), "q75": pct(75.0)}
@@ -165,7 +167,11 @@ def _run_units(fn, units: list, workers: int) -> list:
 
     More than one worker runs the units in a process pool of at most one
     process per unit and per available CPU; the outcomes are the same for any
-    worker count.
+    worker count. Each unit names its model by canonical text (``_model``),
+    so a pooled unit pickles a few hundred bytes, and each process parses a
+    model once. ``concurrent.futures`` loads its process pool, and with it
+    ``multiprocessing``, only when the pool is first named here, so a
+    single-worker run never imports them.
     """
     if workers < 1:
         raise ModelValidationError("workers", "need at least one worker")
@@ -176,13 +182,19 @@ def _run_units(fn, units: list, workers: int) -> list:
     workers = min(workers, len(units), cpus)
     if workers <= 1:
         return [fn(u) for u in units]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))
 
 
+@functools.lru_cache(maxsize=32)
+def _model(text: str) -> ModelSpec:
+    """The spec of a canonical model text (``canonical_document``), parsed once per process."""
+    return parse_model_document(json.loads(text))
+
+
 def _strong_law_replicate(args: tuple) -> dict:
-    (doc, c_p, r_grid, t_grid, horizon_cap, master_seed, rep) = args
-    spec = parse_model_document(doc)
+    (text, c_p, r_grid, t_grid, horizon_cap, master_seed, rep) = args
+    spec = _model(text)
     tset = ThresholdSet.above(c_p)
     r_max = max(r_grid)
 
@@ -228,9 +240,9 @@ def run_strong_law(cfg: StrongLawRun, workers: int = 1) -> RunResult:
         )
     predicted = legendre(ctx, "limit", cfg.c_p).value
 
-    doc = canonical_document(cfg.spec)
+    text = canonical_document(cfg.spec)
     units = [
-        (doc, cfg.c_p, cfg.r_grid, cfg.t_grid, cfg.horizon_cap, cfg.master_seed, rep)
+        (text, cfg.c_p, cfg.r_grid, cfg.t_grid, cfg.horizon_cap, cfg.master_seed, rep)
         for rep in range(cfg.replicates)
     ]
     reps = _run_units(_strong_law_replicate, units, workers)
@@ -323,7 +335,9 @@ def _window_kernel(spec: ModelSpec, weights: np.ndarray) -> np.ndarray:
     the MA filter of the reversed, zero-padded weights, reversed.
     """
     reach = spec.ma.reach
-    return _ma_filter(spec.ma, np.pad(weights[::-1], reach), len(weights) + reach)[::-1]
+    padded = np.zeros(len(weights) + 2 * reach)
+    padded[reach : reach + len(weights)] = weights[::-1]
+    return _ma_filter(spec.ma, padded, len(weights) + reach)[::-1]
 
 
 def _uldp_chunk(args: tuple) -> tuple[int, int]:
@@ -333,10 +347,12 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
     kernel ``h`` of ``_window_kernel`` from the chunk's innovation stream,
     one normal per sum from the sum's exact law, so no array spans the
     window. When the model has a noise law, the noise stream draws each
-    window's aggregate noise.
+    window's aggregate noise. The unit is ``(model text, offset text str(k),
+    t, set, size, master seed, offset index, chunk index)``; the model text
+    is parsed once per process (``_model``), not once per chunk.
     """
-    (doc, k_str, t, tset, size, master_seed, k_idx, chunk_idx) = args
-    spec = parse_model_document(doc)
+    (text, k_str, t, tset, size, master_seed, k_idx, chunk_idx) = args
+    spec = _model(text)
     lo, hi = _window_bounds(Fraction(k_str), t)
     rng_xi, rng_eps = _child_streams(np.random.SeedSequence(master_seed, spawn_key=(k_idx, chunk_idx)))
 
@@ -354,11 +370,11 @@ def _uldp_chunk(args: tuple) -> tuple[int, int]:
 def run_uldp(cfg: UldpRun, workers: int = 1) -> RunResult:
     """Estimate window tail probabilities and their exponents per offset k."""
     ctx = RateFunctionCtx(cfg.spec)
-    doc = canonical_document(cfg.spec)
+    text = canonical_document(cfg.spec)
 
     starts = range(0, cfg.samples, _ULDP_CHUNK)
     units = [
-        (doc, str(k), cfg.t, cfg.tset, min(_ULDP_CHUNK, cfg.samples - start),
+        (text, str(k), cfg.t, cfg.tset, min(_ULDP_CHUNK, cfg.samples - start),
          cfg.master_seed, k_idx, chunk_idx)
         for k_idx, k in enumerate(cfg.k_grid)
         for chunk_idx, start in enumerate(starts)

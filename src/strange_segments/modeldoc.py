@@ -177,8 +177,14 @@ def load_model(path: str | Path) -> tuple[ModelSpec, str]:
     return parse_model_document(doc), hashlib.sha256(raw).hexdigest()
 
 
-def canonical_document(spec: ModelSpec) -> dict:
-    """Canonical JSON-ready form of a ModelSpec (inverse of parsing)."""
+def canonical_document(spec: ModelSpec) -> str:
+    """Canonical JSON text of a ModelSpec (inverse of parsing).
+
+    The text is ``json.dumps`` of the document with sorted keys, so equal
+    specs give equal texts. It is hashable and a few hundred bytes long:
+    the Monte Carlo work units carry it, and each process parses a distinct
+    text once.
+    """
     doc: dict[str, Any] = {
         "alpha": spec.alpha,
         "groups": [
@@ -196,4 +202,4 @@ def canonical_document(spec: ModelSpec) -> dict:
         doc["noise"] = {"type": "gaussian_noise", "var": spec.noise.var}
     else:  # pragma: no cover
         doc["noise"] = {"type": type(spec.noise).__name__}
-    return doc
+    return json.dumps(doc, sort_keys=True)

@@ -97,7 +97,9 @@ def test_uldp_chunk_peak_independent_of_window_length(t):
     spec, _ = load_model(str(MODELS / "two_group.json"))
     size = 8192
     args = (canonical_document(spec), "0", t, ThresholdSet.above(0.4), size, 1, 0, 0)
-    _uldp_chunk(args)  # numpy imports numpy.random on first use: some 650 kB that no later chunk allocates
+    # numpy imports numpy.random on first use, some 650 kB, and the first chunk parses the
+    # model text; no later chunk in the process allocates either
+    _uldp_chunk(args)
     (hits, n), peak = traced_peak(lambda: _uldp_chunk(args))
     assert n == size and (0 < hits < size if t == 40 else hits == 0)
     # no array spans the window: the loading law draws one normal per sum, so

@@ -1,3 +1,5 @@
+import concurrent.futures
+import json
 import logging
 import pickle
 from dataclasses import replace
@@ -189,8 +191,8 @@ class TestUldp:
         from strange_segments.modeldoc import canonical_document
 
         t = 12
-        doc = canonical_document(unit_spec)
-        hits, size = _uldp_chunk((doc, "1", t, ThresholdSet.above(0.25), 4000, 9, 0, 0))
+        text = canonical_document(unit_spec)
+        hits, size = _uldp_chunk((text, "1", t, ThresholdSet.above(0.25), 4000, 9, 0, 0))
         p_window = hits / size
         count = 0
         for seed in range(4000):
@@ -275,11 +277,11 @@ class TestWindowSums:
             values = values + rng_eps.standard_normal(size) * np.sqrt(noise_var)
         averages = values / n_window
         half_sd = 0.5 * np.sqrt(sigma * sigma + noise_var) / n_window
-        doc = canonical_document(spec)
+        text = canonical_document(spec)
         counts = []
         for tset in (ThresholdSet.above(half_sd), ThresholdSet.interval(-half_sd, half_sd),
                      ThresholdSet.below(-half_sd)):
-            hits, n = experiments._uldp_chunk((doc, str(k), t, tset, size, seed, k_idx, chunk_idx))
+            hits, n = experiments._uldp_chunk((text, str(k), t, tset, size, seed, k_idx, chunk_idx))
             assert n == size
             assert hits == int(np.count_nonzero(tset.contains(averages)))
             counts.append(hits)
@@ -437,7 +439,7 @@ class TestRunUnits:
         assert info.value.invariant == "workers"
 
     def test_pool_has_at_most_one_process_per_unit(self, unit_spec, monkeypatch):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "sizes", [])
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(64)))
         cfg = small_strong_law(unit_spec, replicates=2)
@@ -450,7 +452,7 @@ class TestRunUnits:
         assert _SerialPool.sizes == [2, 3, 2]
 
     def test_pool_has_at_most_one_process_per_cpu(self, unit_spec, monkeypatch):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "sizes", [])
         monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = small_strong_law(unit_spec, replicates=5)
@@ -462,6 +464,40 @@ class TestRunUnits:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert run_strong_law(cfg, workers=5000).rows == run_strong_law(cfg).rows
         assert _SerialPool.sizes == [2, 3]
+
+
+class TestModelParsedOnce:
+    """A work unit carries the model's canonical text; a process parses each distinct text once."""
+
+    @staticmethod
+    def _runs(spec):
+        uldp = UldpRun(spec=spec, k_grid=(0, 1, 2), t=5, tset=ThresholdSet.above(1.0),
+                       samples=2 * experiments._ULDP_CHUNK + 1)  # 3 offsets x 3 chunks
+        return run_uldp(uldp).rows, run_strong_law(small_strong_law(spec, replicates=4)).rows
+
+    def test_one_parse_per_distinct_model(self, noisy_unit_spec, monkeypatch):
+        parsed = []
+        parse = experiments.parse_model_document
+
+        def counting(doc):
+            parsed.append(doc)
+            return parse(doc)
+
+        monkeypatch.setattr(experiments, "parse_model_document", counting)
+        quiet = replace(noisy_unit_spec, noise=None)
+        texts = [canonical_document(noisy_unit_spec), canonical_document(quiet)]
+        assert all(isinstance(text, str) for text in texts) and texts[0] != texts[1]
+
+        experiments._model.cache_clear()
+        noisy_rows, quiet_rows = self._runs(noisy_unit_spec), self._runs(quiet)
+        # 9 window chunks and 4 replicates per model, yet one parse each
+        assert [json.dumps(doc, sort_keys=True) for doc in parsed] == texts
+        assert experiments._model.cache_info().currsize == 2
+        assert noisy_rows != quiet_rows
+        # each entry holds its own model: the noise-free runs alone give the same rows
+        experiments._model.cache_clear()
+        assert self._runs(quiet) == quiet_rows
+        assert len(parsed) == 3
 
 
 class TestErrorsCrossProcesses:
